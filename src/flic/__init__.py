@@ -35,8 +35,8 @@ from .federation import (
 from .gaussian import (
     Gaussian,
     bures_sq,
+    bures_sq_value_grad,
     empirical_gaussian,
-    grad_bures_wrt_factor,
     matrix_sqrt_psd,
     w2_sq_gaussians,
 )

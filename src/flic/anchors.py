@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import Gaussian, grad_bures_wrt_factor
+from .gaussian import Gaussian, bures_sq_value_grad
 
 __all__ = [
     "AnchorSet",
@@ -28,6 +28,8 @@ __all__ = [
 
 @dataclass
 class AnchorSet:
+    """Per-class Gaussian anchors; factors must be nonsingular (W2 gradients)."""
+
     means: np.ndarray  # (C, k)
     factors: np.ndarray  # (C, k, k), Sigma_c = L_c @ L_c.T
     cov_learnable: bool = False
@@ -48,10 +50,6 @@ class AnchorSet:
     @property
     def latent_dim(self) -> int:
         return self.means.shape[1]
-
-    def covariance(self, c: int) -> np.ndarray:
-        L = self.factors[c]
-        return L @ L.T
 
     def gaussian(self, c: int) -> Gaussian:
         return Gaussian(self.means[c].copy(), self.factors[c].copy())
@@ -105,9 +103,9 @@ def local_anchor_update(
 
     For each class with an empirical Gaussian: the mean moves along
     ``-2 lam1 (v_c - m_hat)`` plus any classifier-coupling gradient in
-    ``class_grads``; the factor takes a Bures gradient step when
-    covariances are learnable. Classes without an empirical Gaussian
-    pass through unchanged.
+    ``class_grads``; with learnable covariances the factor steps along
+    ``2 G L_c``, ``G`` the gradient of the symmetric ``B^2(L_emp L_emp^T, S)``
+    at ``S = L_c L_c^T``. Classes without an empirical Gaussian pass through.
     """
     out = anchors.copy()
     for c, g in empirical.items():
@@ -125,11 +123,9 @@ def local_anchor_update(
             - step * lam2 * gv
         )
         if anchors.cov_learnable:
-            out.factors[c] = (
-                anchors.factors[c]
-                - step * lam1 * grad_bures_wrt_factor(anchors.factors[c], g.cov)
-                - step * lam2 * gL
-            )
+            L = anchors.factors[c]
+            gW2 = 2.0 * bures_sq_value_grad(g.cov_factor, L @ L.T)[1] @ L if lam1 > 0 else 0
+            out.factors[c] = L - step * lam1 * gW2 - step * lam2 * gL
     return out
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .anchors import AnchorSet, barycenter_average, local_anchor_update, sample_anchor
 from .datagen import ClientDataset
-from .gaussian import empirical_gaussian
+from .gaussian import BuresGradientError, empirical_gaussian
 from .nets import (
     AdamState,
     Mlp,
@@ -74,15 +74,27 @@ def client_stream(seed: int, round_idx: int, client_id: int) -> np.random.Genera
 
 
 class DivergenceError(RuntimeError):
-    """Raised when a client's local loss turns non-finite."""
+    """A client's objective diverged; ``term`` names the loss part at fault."""
 
-    def __init__(self, client_id: int, round_idx: int, step: int):
-        self.client_id = client_id
-        self.round_idx = round_idx
-        self.step = step
+    def __init__(self, client_id: int, round_idx: int, step: int, term: str,
+                 detail: str = "non-finite loss"):
+        self.client_id, self.round_idx, self.step, self.term = client_id, round_idx, step, term
         super().__init__(
-            f"non-finite loss on client {client_id} at round {round_idx}, step {step}"
+            f"loss term {term!r} diverged on client {client_id} "
+            f"at round {round_idx}, step {step}: {detail}"
         )
+
+
+def _objective(client_id, round_idx, step, *args):
+    """``local_objective_grads(*args)``; a divergence raises DivergenceError."""
+    try:
+        out = local_objective_grads(*args)
+    except BuresGradientError as exc:
+        raise DivergenceError(client_id, round_idx, step, "align", str(exc)) from exc
+    if not np.isfinite(out[0]["total"]):
+        bad = [t for t in ("data", "align", "anchor") if not np.isfinite(out[0][t])]
+        raise DivergenceError(client_id, round_idx, step, (bad or ["total"])[0])
+    return out
 
 
 @dataclass
@@ -297,11 +309,10 @@ def _local_steps(phi, head, phi_opt, head_opt, data, alpha, anchors, cfg, rng,
         if cfg.lam2 > 0:
             present = np.unique(yb)
             z = {c: Zxi[0] for c, Zxi in _sample_z(anchors, present, cfg.anchor_samples, rng).items()}
-        parts, g_phi, _, g_head, _ = local_objective_grads(
-            phi, alpha, head, Xb, yb, anchors, cfg.lam1, cfg.lam2, cfg.eps, z
+        parts, g_phi, _, g_head, _ = _objective(
+            client_id, round_idx, m,
+            phi, alpha, head, Xb, yb, anchors, cfg.lam1, cfg.lam2, cfg.eps, z,
         )
-        if not np.isfinite(parts["total"]):
-            raise DivergenceError(client_id, round_idx, m)
         phi.set_params(adam_step(phi_opt, phi.params(), g_phi))
         head.set_params(adam_step(head_opt, head.params(), g_head))
         losses.append(parts["total"])
@@ -347,11 +358,10 @@ def client_local_round(
     if cfg.lam2 > 0:
         z_full = _sample_z(anchors, client.classes, cfg.anchor_samples, rng)
         z_for_loss = {c: Zxi[0] for c, Zxi in z_full.items()}
-    parts, _, g_alpha, _, z_grads = local_objective_grads(
-        phi, alpha, head, Xb, yb, anchors, cfg.lam1, cfg.lam2, cfg.eps, z_for_loss
+    _, _, g_alpha, _, z_grads = _objective(
+        client.client_id, round_idx, cfg.local_steps,
+        phi, alpha, head, Xb, yb, anchors, cfg.lam1, cfg.lam2, cfg.eps, z_for_loss,
     )
-    if not np.isfinite(parts["total"]):
-        raise DivergenceError(client.client_id, round_idx, cfg.local_steps)
     alpha_prop = alpha.copy()
     alpha_prop.set_params(
         [p - cfg.lr * g for p, g in zip(alpha_prop.params(), g_alpha)]
@@ -381,9 +391,14 @@ def client_local_round(
                 dZ = z_grads[c]
                 xi = z_full[c][1]
                 class_grads[c] = (dZ.sum(axis=0), dZ.T @ xi)
-        anchor_prop = local_anchor_update(
-            anchors, emp, class_grads, cfg.lr, cfg.lam1, cfg.lam2
-        )
+        try:
+            anchor_prop = local_anchor_update(
+                anchors, emp, class_grads, cfg.lr, cfg.lam1, cfg.lam2
+            )
+        except BuresGradientError as exc:
+            raise DivergenceError(
+                client.client_id, round_idx, cfg.local_steps, "align", str(exc)
+            ) from exc
     else:
         anchor_prop = anchors.copy()
 

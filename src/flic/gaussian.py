@@ -10,7 +10,8 @@ with B^2(A, B) = tr(A) + tr(B) - 2 tr((A^{1/2} B A^{1/2})^{1/2}).
 Covariances are carried around as factors ``L`` with ``Sigma = L @ L.T``
 so that gradient steps on ``L`` preserve positive semi-definiteness.
 Everything here is plain float64 numpy; matrices are small (latent
-dimension <= 64), so symmetric eigendecomposition is used throughout.
+dimension <= 64). :func:`bures_sq_value_grad` gives B^2 and its gradient
+from one eigendecomposition in factor form; :func:`bures_sq` is the reference.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ __all__ = [
     "Gaussian",
     "matrix_sqrt_psd",
     "bures_sq",
-    "bures_sq_grad_cov",
-    "grad_bures_wrt_factor",
+    "bures_sq_value_grad",
+    "BuresGradientError",
     "w2_sq_gaussians",
     "empirical_gaussian",
 ]
@@ -32,6 +33,8 @@ __all__ = [
 # Eigenvalues in [-PSD_CLAMP, 0) are treated as round-off and clamped to 0.
 PSD_CLAMP = 1e-10
 SYM_TOL = 1e-8
+# Eigenvalues of L^T S L below this share of max(1, largest) are round-off.
+SINGULAR_RTOL = 1e-14
 
 
 def _as_square(S, name: str) -> np.ndarray:
@@ -95,53 +98,34 @@ def bures_sq(A, B) -> float:
     return max(val, 0.0)
 
 
-def _psd_power(S: np.ndarray, power: float, floor: float = 1e-14) -> np.ndarray:
-    """S^power for symmetric PSD S, eigenvalues below `floor` rejected for
-    negative powers."""
-    w, V = np.linalg.eigh(0.5 * (S + S.T))
-    w = np.clip(w, 0.0, None)
-    if power < 0 and w[0] <= floor:
-        raise ValueError(
-            "matrix is numerically singular; regularize before inverting"
+class BuresGradientError(ValueError):
+    """Raised by :func:`bures_sq_value_grad` on non-finite or singular input."""
+
+
+def bures_sq_value_grad(L, S) -> tuple[float, np.ndarray]:
+    """``bures_sq(L @ L.T, S)`` and its gradient in ``S`` from one eigh.
+
+    With ``mu`` the eigenvalues of ``M = L^T S L``, the value is
+    ``||L||_F^2 + tr S - 2 sum sqrt(mu)`` and the gradient is
+    ``I - L M^{-1/2} L^T``, for any nonsingular factor ``L`` and positive
+    definite ``S``. Raises :class:`BuresGradientError` when an input is
+    non-finite or the smallest ``mu`` is at round-off level.
+    """
+    L, S = np.asarray(L, dtype=float), np.asarray(S, dtype=float)
+    if L.ndim != 2 or L.shape[0] != L.shape[1] or L.shape != S.shape:
+        raise ValueError(f"dimension mismatch: {L.shape} vs {S.shape}")
+    if not (np.all(np.isfinite(L)) and np.all(np.isfinite(S))):
+        raise BuresGradientError("L or S contains non-finite entries")
+    _check_symmetric(S, "S")
+    M = L.T @ S @ L
+    mu, V = np.linalg.eigh(0.5 * (M + M.T))
+    if not mu[0] > SINGULAR_RTOL * max(1.0, float(mu[-1])):  # NaN from overflow fails too
+        raise BuresGradientError(
+            f"L^T S L is numerically singular: smallest eigenvalue {mu[0]:.3e}"
         )
-    return (V * w**power) @ V.T
-
-
-def bures_sq_grad_cov(A, B) -> np.ndarray:
-    """Gradient of ``bures_sq(A, B)`` with respect to its second argument.
-
-    ``B`` must be positive definite. Returns the symmetric matrix
-
-        I - B^{-1/2} (B^{1/2} A B^{1/2})^{1/2} B^{-1/2}.
-    """
-    A = _as_square(A, "A")
-    B = _as_square(B, "B")
-    if A.shape != B.shape:
-        raise ValueError(f"dimension mismatch: {A.shape} vs {B.shape}")
-    B_half = _psd_power(B, 0.5)
-    B_minus_half = _psd_power(B, -0.5)
-    mid = matrix_sqrt_psd(B_half @ A @ B_half)
-    G = np.eye(A.shape[0]) - B_minus_half @ mid @ B_minus_half
-    return 0.5 * (G + G.T)
-
-
-def grad_bures_wrt_factor(L, B, eps: float = 0.0) -> np.ndarray:
-    """Gradient of ``L -> bures_sq(L @ L.T + eps*I, B)``.
-
-    The chain rule through the factorization gives ``2 G L`` where
-    ``G = d bures_sq(A, B) / dA`` at ``A = L L^T + eps I``; ``A`` must be
-    positive definite (pass ``eps > 0`` to regularize a singular factor).
-    """
-    L = _as_square(L, "L")
-    B = _as_square(B, "B")
-    if L.shape != B.shape:
-        raise ValueError(f"dimension mismatch: {L.shape} vs {B.shape}")
-    A = L @ L.T + eps * np.eye(L.shape[0])
-    A_half = _psd_power(A, 0.5)
-    A_minus_half = _psd_power(A, -0.5)
-    mid = matrix_sqrt_psd(A_half @ B @ A_half)
-    G = np.eye(A.shape[0]) - A_minus_half @ mid @ A_minus_half
-    return (G + G.T) @ L
+    value = float(np.sum(L * L) + np.trace(S) - 2.0 * np.sum(np.sqrt(mu)))
+    W = (L @ V) * mu**-0.25
+    return max(value, 0.0), np.eye(L.shape[0]) - W @ W.T
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import bures_sq, bures_sq_grad_cov, empirical_gaussian
+from .gaussian import bures_sq_value_grad
 
 __all__ = [
     "Layer",
@@ -205,12 +205,16 @@ def cross_entropy(logits, labels):
 def alignment_loss_grad(embedded_by_class, anchors, eps: float):
     """Sum of squared W2 distances from per-class batch Gaussians to anchors.
 
+    Per class, one :func:`flic.gaussian.bures_sq_value_grad` call in factor
+    form (anchor factor ``L_c``, batch covariance ``Hc^T Hc / n_c + eps I``
+    with ``Hc`` the centred slice) gives the Bures term and its gradient.
+
     Parameters
     ----------
     embedded_by_class : dict
         Maps a label class to its (n_c, k) slice of embedded points.
     anchors : AnchorSet
-        Target Gaussians in the latent space.
+        Target Gaussians in the latent space; factors must be nonsingular.
     eps : float
         Covariance regularizer, must be positive so the empirical
         covariance is invertible for the gradient.
@@ -228,16 +232,16 @@ def alignment_loss_grad(embedded_by_class, anchors, eps: float):
         H = np.asarray(embedded_by_class[c], dtype=float)
         if H.ndim != 2 or H.shape[0] < 1:
             raise ValueError(f"class {c} slice is empty")
-        n_c = H.shape[0]
-        g = empirical_gaussian(H, eps)
-        v = anchors.means[c]
-        sigma_anchor = anchors.covariance(c)
-        diff = g.mean - v
-        total += float(diff @ diff) + bures_sq(sigma_anchor, g.cov)
-        G_cov = bures_sq_grad_cov(sigma_anchor, g.cov)
+        n_c, k = H.shape
+        m = H.mean(axis=0)
+        Hc = H - m
+        S = Hc.T @ Hc / n_c + eps * np.eye(k)
+        bures, G_cov = bures_sq_value_grad(anchors.factors[c], S)
+        diff = m - anchors.means[c]
+        total += float(diff @ diff) + bures
         # d mean-term / dx_j = 2 (m_hat - v) / n_c; the covariance term
         # chains through d Sigma_hat = (dx (x-m)^T + (x-m) dx^T) / n_c.
-        grads[c] = (2.0 / n_c) * (diff + (H - g.mean) @ G_cov)
+        grads[c] = (2.0 / n_c) * (diff + Hc @ G_cov)
     return total, grads
 
 

@@ -16,6 +16,19 @@ def fd_grad(f, x, h=1e-5):
     return g
 
 
+def count_eigh(monkeypatch):
+    """Count calls of ``numpy.linalg.eigh`` for the rest of the test."""
+    calls = []
+    original = np.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
 def pack(arrays):
     return np.concatenate([np.asarray(a, dtype=float).ravel() for a in arrays])
 

@@ -13,7 +13,7 @@ from flic.anchors import (
 from flic.gaussian import Gaussian, bures_sq, empirical_gaussian
 from flic.nets import Mlp, Layer, backward, cross_entropy, forward
 
-from helpers import fd_grad, rel_err
+from helpers import count_eigh, fd_grad, rel_err
 
 
 def make_anchors(rng, C=4, k=3, cov_learnable=False, scale=1.0):
@@ -87,6 +87,16 @@ class TestLocalUpdate:
         emp = {0: empirical_gaussian(rng.standard_normal((20, 3)), 1e-6)}
         out = local_anchor_update(anchors, emp, None, step=0.1, lam1=1.0, lam2=0.0)
         np.testing.assert_array_equal(out.factors[0], np.eye(3))
+
+    def test_one_eigh_per_held_class_when_learnable(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        emp = {c: empirical_gaussian(rng.standard_normal((20, 3)) + c, 1e-6) for c in (0, 2)}
+        calls = count_eigh(monkeypatch)
+        for learnable, expected in ((True, len(emp)), (False, 0)):
+            calls.clear()
+            anchors = make_anchors(rng, cov_learnable=learnable)
+            local_anchor_update(anchors, emp, None, step=0.1, lam1=1.0, lam2=0.0)
+            assert len(calls) == expected
 
     def test_full_update_matches_finite_differences(self):
         """The update direction equals the gradient of the client objective

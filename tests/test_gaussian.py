@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from flic.gaussian import (
+    BuresGradientError,
     Gaussian,
     bures_sq,
-    bures_sq_grad_cov,
+    bures_sq_value_grad,
     empirical_gaussian,
-    grad_bures_wrt_factor,
     matrix_sqrt_psd,
     w2_sq_gaussians,
 )
@@ -129,11 +129,58 @@ class TestW2:
             )
 
 
+def factor_grad(L, B):
+    """Gradient of ``L -> bures_sq(L @ L.T, B)`` through the kernel: by the
+    symmetry of ``bures_sq`` it is ``2 G L`` with ``G`` the gradient in
+    the second argument at ``L L^T`` for a factor of ``B``."""
+    return 2.0 * bures_sq_value_grad(np.linalg.cholesky(B), L @ L.T)[1] @ L
+
+
+class TestBuresValueGrad:
+    def test_value_matches_reference_on_random_factors(self):
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            k = int(rng.integers(1, 9))
+            L = rng.standard_normal((k, k)) + 2 * np.eye(k)
+            S = random_psd(rng, k)
+            value, _ = bures_sq_value_grad(L, S)
+            assert abs(value - bures_sq(L @ L.T, S)) < 1e-10
+
+    def test_gradient_zero_at_matching_covariance(self):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            k = int(rng.integers(1, 9))
+            # singular values in [0.5, 2] keep L^T S L = (L^T L)^2 well conditioned
+            U, _ = np.linalg.qr(rng.standard_normal((k, k)))
+            V, _ = np.linalg.qr(rng.standard_normal((k, k)))
+            L = (U * rng.uniform(0.5, 2.0, k)) @ V
+            value, grad = bures_sq_value_grad(L, L @ L.T)
+            assert value == pytest.approx(0.0, abs=1e-9)
+            np.testing.assert_allclose(grad, np.zeros((k, k)), atol=1e-9)
+
+    def test_rejects_singular_covariance(self):
+        S = np.diag([1.0, 0.0, 2.0])
+        with pytest.raises(BuresGradientError, match="singular"):
+            bures_sq_value_grad(np.eye(3), S)
+
+    def test_rejects_non_finite_input(self):
+        with pytest.raises(BuresGradientError, match="non-finite"):
+            bures_sq_value_grad(np.eye(2), np.diag([np.inf, 1.0]))
+        with pytest.raises(BuresGradientError, match="non-finite"):
+            bures_sq_value_grad(np.diag([np.nan, 1.0]), np.eye(2))
+
+    def test_rejects_asymmetric_covariance(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            bures_sq_value_grad(np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            bures_sq_value_grad(np.eye(2), np.eye(3))
+
+
 class TestBuresFactorGradient:
     def test_zero_at_minimizer(self):
-        np.testing.assert_array_equal(
-            grad_bures_wrt_factor(np.eye(3), np.eye(3)), np.zeros((3, 3))
-        )
+        np.testing.assert_array_equal(factor_grad(np.eye(3), np.eye(3)), np.zeros((3, 3)))
 
     def test_identity_vs_scaled_identity_matches_fd(self):
         self._check(np.eye(2), 4 * np.eye(2))
@@ -147,7 +194,7 @@ class TestBuresFactorGradient:
             self._check(L, B)
 
     def _check(self, L, B):
-        grad = grad_bures_wrt_factor(L, B)
+        grad = factor_grad(L, B)
         fd = fd_grad(
             lambda v: bures_sq(v.reshape(L.shape) @ v.reshape(L.shape).T, B),
             L.ravel(),
@@ -155,21 +202,8 @@ class TestBuresFactorGradient:
         assert rel_err(grad, fd) < 1e-4
 
     def test_rejects_singular_factor_without_regularization(self):
-        with pytest.raises(ValueError, match="singular"):
-            grad_bures_wrt_factor(np.zeros((2, 2)), np.eye(2))
-
-    def test_regularized_singular_factor_matches_fd(self):
-        B = random_psd(np.random.default_rng(7), 3)
-        L = np.zeros((3, 3))
-        eps = 1e-2
-        grad = grad_bures_wrt_factor(L, B, eps=eps)
-        fd = fd_grad(
-            lambda v: bures_sq(
-                v.reshape(3, 3) @ v.reshape(3, 3).T + eps * np.eye(3), B
-            ),
-            L.ravel(),
-        ).reshape(3, 3)
-        assert rel_err(grad, fd) < 1e-4
+        with pytest.raises(BuresGradientError, match="singular"):
+            bures_sq_value_grad(np.zeros((2, 2)), np.eye(2))
 
 
 class TestBuresCovGradient:
@@ -179,7 +213,10 @@ class TestBuresCovGradient:
             k = int(rng.integers(1, 7))
             A = random_psd(rng, k)
             B = random_psd(rng, k)
-            grad = bures_sq_grad_cov(A, B)
+            # any factor of A will do, not only its Cholesky factor
+            Q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+            L = np.linalg.cholesky(A) @ Q
+            grad = bures_sq_value_grad(L, B)[1]
             # symmetric-perturbation finite differences
             fd = np.zeros_like(B)
             h = 1e-6

@@ -15,7 +15,7 @@ from flic.nets import (
     init_mlp,
 )
 
-from helpers import fd_grad, pack, rel_err, unpack
+from helpers import count_eigh, fd_grad, pack, rel_err, unpack
 
 
 def random_net(rng, dims, activations):
@@ -184,12 +184,24 @@ class TestAlignmentLoss:
         k, n = 3, 9
         X = rng.standard_normal((n, k))
         anchors = identity_anchors(1, k, means=rng.standard_normal((1, k)))
-        _, grads = alignment_loss_grad({0: X}, anchors, eps=1e-4)
-        fd = fd_grad(
-            lambda v: alignment_loss_grad({0: v.reshape(n, k)}, anchors, 1e-4)[0],
-            X.ravel(),
-        )
-        assert rel_err(grads[0].ravel(), fd) < 1e-4
+        learned = AnchorSet(anchors.means, (np.eye(k) + 0.3 * rng.standard_normal((k, k)))[None])
+        for a in (anchors, learned):
+            _, grads = alignment_loss_grad({0: X}, a, eps=1e-4)
+            fd = fd_grad(
+                lambda v: alignment_loss_grad({0: v.reshape(n, k)}, a, 1e-4)[0],
+                X.ravel(),
+            )
+            assert rel_err(grads[0].ravel(), fd) < 1e-4
+
+    def test_one_eigh_per_class_slice(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        k = 4
+        batches = {c: rng.standard_normal((6, k)) + c for c in (0, 2, 3)}
+        factors = np.eye(k) + 0.2 * rng.standard_normal((4, k, k))
+        anchors = AnchorSet(rng.standard_normal((4, k)), factors, cov_learnable=True)
+        calls = count_eigh(monkeypatch)
+        alignment_loss_grad(batches, anchors, eps=1e-6)
+        assert len(calls) == len(batches)
 
     def test_mean_term_dominates_when_covariances_match(self):
         # anchor covariance I, batch built with covariance exactly I:
