@@ -22,6 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .rng import stream
+
 __all__ = [
     "ToyDatasetSpec",
     "ClientDataset",
@@ -36,10 +38,6 @@ _TAG_MEANS = 11
 _TAG_BASE = 12
 _TAG_PARTITION = 13
 _TAG_CLIENT = 14
-
-
-def _stream(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
 
 
 @dataclass(frozen=True)
@@ -239,21 +237,21 @@ def gen_toy_nf(spec: ToyDatasetSpec) -> list[ClientDataset]:
     across clients, plus client-specific standard-normal noise columns."""
     if spec.variant != "nf":
         raise ValueError("spec.variant must be 'nf'")
-    means = spec.mean_scale * _stream(spec.seed, _TAG_MEANS).standard_normal(
+    means = spec.mean_scale * stream(spec.seed, _TAG_MEANS).standard_normal(
         (spec.n_classes, spec.base_dim)
     )
     _, labels, pools = _base_pools(spec)
-    rng_base = _stream(spec.seed, _TAG_BASE)
+    rng_base = stream(spec.seed, _TAG_BASE)
     base = np.concatenate(
         [
             means[c] + rng_base.standard_normal((spec.samples_per_class, spec.base_dim))
             for c in range(spec.n_classes)
         ]
     )
-    parts = partition_clients(pools, spec, _stream(spec.seed, _TAG_PARTITION))
+    parts = partition_clients(pools, spec, stream(spec.seed, _TAG_PARTITION))
 
     def add_noise(i, rows):
-        rng = _stream(spec.seed, _TAG_CLIENT, i)
+        rng = stream(spec.seed, _TAG_CLIENT, i)
         lo, hi = spec.noise_dim_range
         extra = int(rng.integers(lo, hi + 1)) if hi > 0 else 0
         if extra == 0:
@@ -273,11 +271,11 @@ def gen_toy_lm(spec: ToyDatasetSpec, map_factory=None) -> list[ClientDataset]:
     """
     if spec.variant != "lm":
         raise ValueError("spec.variant must be 'lm'")
-    rng_means = _stream(spec.seed, _TAG_MEANS)
+    rng_means = stream(spec.seed, _TAG_MEANS)
     means = spec.mean_scale * rng_means.standard_normal((spec.n_classes, spec.base_dim))
     diag_vars = rng_means.uniform(0.5, 2.0, size=(spec.n_classes, spec.base_dim))
     _, labels, pools = _base_pools(spec)
-    rng_base = _stream(spec.seed, _TAG_BASE)
+    rng_base = stream(spec.seed, _TAG_BASE)
     base = np.concatenate(
         [
             means[c]
@@ -286,14 +284,14 @@ def gen_toy_lm(spec: ToyDatasetSpec, map_factory=None) -> list[ClientDataset]:
             for c in range(spec.n_classes)
         ]
     )
-    parts = partition_clients(pools, spec, _stream(spec.seed, _TAG_PARTITION))
+    parts = partition_clients(pools, spec, stream(spec.seed, _TAG_PARTITION))
 
     if map_factory is None:
         def map_factory(rng, base_dim, out_dim):
             return rng.standard_normal((base_dim, out_dim))
 
     def apply_map(i, rows):
-        rng = _stream(spec.seed, _TAG_CLIENT, i)
+        rng = stream(spec.seed, _TAG_CLIENT, i)
         lo, hi = spec.map_dim_range
         out_dim = int(rng.integers(lo, hi + 1))
         return rows @ map_factory(rng, spec.base_dim, out_dim)

@@ -15,7 +15,6 @@ from .federation import (
     local_baseline,
     make_client,
     run_training,
-    _stream,
 )
 from .anchors import init_anchors
 from .nets import build_shared
@@ -25,6 +24,7 @@ from .reporting import (
     write_summary,
     write_theory_trace,
 )
+from .rng import stream
 from .theory import run_theory_experiment
 
 __all__ = ["build_federation", "load_or_generate", "run_command"]
@@ -39,7 +39,7 @@ def load_or_generate(cfg: ExperimentConfig):
 def build_federation(datasets, n_classes: int, cfg: ExperimentConfig):
     """Initialize client states and the global state for a dataset."""
     total = sum(ds.n_samples for ds in datasets)
-    rng_global = _stream(cfg.seed, TAG_INIT, 0, 0)
+    rng_global = stream(cfg.seed, TAG_INIT, 0, 0)
     alpha = build_shared(cfg.latent_dim, rng_global)
     anchors = init_anchors(
         n_classes,
@@ -56,7 +56,7 @@ def build_federation(datasets, n_classes: int, cfg: ExperimentConfig):
             hidden_dim=cfg.hidden_dim,
             lr=cfg.lr,
             weight=ds.n_samples / total,
-            rng=_stream(cfg.seed, TAG_INIT, 1, ds.client_id),
+            rng=stream(cfg.seed, TAG_INIT, 1, ds.client_id),
         )
         for ds in datasets
     ]

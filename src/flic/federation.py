@@ -35,6 +35,7 @@ from .nets import (
     alignment_loss_grad,
 )
 from .reporting import MetricsRecord
+from .rng import stream
 
 __all__ = [
     "ClientState",
@@ -43,7 +44,6 @@ __all__ = [
     "Message",
     "MessageLog",
     "DivergenceError",
-    "client_stream",
     "select_active_clients",
     "client_local_round",
     "aggregate_alpha",
@@ -63,14 +63,6 @@ TAG_ROUND = 1
 TAG_SELECT = 2
 TAG_FINAL = 3
 TAG_ONBOARD = 4
-
-
-def _stream(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
-
-
-def client_stream(seed: int, round_idx: int, client_id: int) -> np.random.Generator:
-    return _stream(seed, TAG_ROUND, round_idx, client_id)
 
 
 class DivergenceError(RuntimeError):
@@ -336,7 +328,7 @@ def client_local_round(
     if len(client.classes) == 0:
         raise ValueError(f"client {client.client_id} holds no classes")
     if rng is None:
-        rng = client_stream(cfg.seed, round_idx, client.client_id)
+        rng = stream(cfg.seed, TAG_ROUND, round_idx, client.client_id)
     data = client.data
     X_all, y_all = data.features, data.labels
     phi, head = client.phi.copy(), client.head.copy()
@@ -465,7 +457,7 @@ def _local_fit(client, global_state, cfg, rounds, tag):
     """Rounds of local (phi, head) steps only; shared state frozen."""
     out = client.copy()
     for r in range(rounds):
-        rng = _stream(cfg.seed, tag, r, client.client_id)
+        rng = stream(cfg.seed, tag, r, client.client_id)
         _local_steps(
             out.phi, out.head, out.phi_opt, out.head_opt, out.data,
             global_state.alpha, global_state.anchors, cfg, rng, r, out.client_id,
@@ -490,7 +482,7 @@ def run_training(clients, global_state, cfg: RoundConfig, workers: int = 1):
     state = global_state
     for t in range(cfg.rounds):
         t0 = time.perf_counter()
-        active = select_active_clients(b, cfg.participation, _stream(cfg.seed, TAG_SELECT, t))
+        active = select_active_clients(b, cfg.participation, stream(cfg.seed, TAG_SELECT, t))
         down = _down_bytes(state)
         for i in active:
             log.append(t, "down", int(i), "shared_alpha+anchors", down)
@@ -605,7 +597,7 @@ def onboard_new_client(
     n_classes = global_state.anchors.n_classes
     if dataset.classes.min() < 0 or dataset.classes.max() >= n_classes:
         raise ValueError("dataset labels outside the anchor class range")
-    rng = _stream(cfg.seed, TAG_ONBOARD, dataset.client_id)
+    rng = stream(cfg.seed, TAG_ONBOARD, dataset.client_id)
     client = make_client(
         dataset,
         n_classes,

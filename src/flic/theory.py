@@ -10,13 +10,24 @@ estimated embedding equals the oracle one up to a fixed diagonal
 averaged one-step representation updates (with QR re-orthonormalization)
 then recover the oracle column space QA* at a geometric rate, measured
 with the principal angle distance.
+
+The data and the embedding are fixed for the whole run, so a client's
+head solve and its representation gradient depend on its training data
+only through the sufficient statistics ``G_i = Phi_i^T Phi_i`` and
+``c_i = Phi_i^T y_i`` of its embedded training set ``Phi_i``, and its
+test error only through the embedded test set. :func:`make_instance`
+whitens every client's data once and stores these, stacked over
+clients; the rounds never re-embed raw data, so their cost does not
+grow with the number of samples per client.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .rng import stream
 
 __all__ = [
     "TheoryConfig",
@@ -34,10 +45,6 @@ __all__ = [
 _TAG_INSTANCE = 21
 _TAG_SELECT = 22
 _EIG_FLOOR = 1e-12
-
-
-def _stream(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
 
 
 def _random_orthonormal(rng, rows: int, cols: int) -> np.ndarray:
@@ -62,6 +69,8 @@ class TheoryConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.samples_per_client < 1 or self.test_samples < 1:
+            raise ValueError("samples_per_client and test_samples must be at least 1")
         if self.head_dim > self.latent_dim:
             raise ValueError("head_dim must not exceed latent_dim")
         if self.raw_dim_range[0] < self.latent_dim:
@@ -78,6 +87,15 @@ class TheoryConfig:
 
 @dataclass
 class TheoryInstance:
+    """One generated problem and the state of the rounds run on it.
+
+    ``gram``, ``moment`` and ``phi_test`` are the per-client statistics
+    of the estimated embedding ``phi_hat``, stacked over clients: the
+    unnormalized Gram matrix ``Phi_i^T Phi_i`` and moment ``Phi_i^T y_i``
+    of the training set, and the embedded test set. They must agree with
+    the raw data; :func:`make_instance` builds all of them together.
+    """
+
     latent_dim: int
     head_dim: int
     means: list[np.ndarray]
@@ -90,7 +108,10 @@ class TheoryInstance:
     X_train: list[np.ndarray]
     y_train: list[np.ndarray]
     X_test: list[np.ndarray]
-    y_test: list[np.ndarray]
+    y_test: np.ndarray  # (b, n_test)
+    gram: np.ndarray  # (b, k, k)
+    moment: np.ndarray  # (b, k)
+    phi_test: np.ndarray  # (b, n_test, k)
     step_size: float
     A: np.ndarray | None = None
     betas: np.ndarray | None = None
@@ -155,7 +176,7 @@ def _sigma_max_sq_cap(betas_star, active_size, rng, n_subsets) -> float:
 
 
 def make_instance(config: TheoryConfig) -> TheoryInstance:
-    rng = _stream(config.seed, _TAG_INSTANCE)
+    rng = stream(config.seed, _TAG_INSTANCE)
     k, d, b = config.latent_dim, config.head_dim, config.clients
     A_star = _random_orthonormal(rng, k, d)
     betas = rng.standard_normal((b, d))
@@ -164,7 +185,7 @@ def make_instance(config: TheoryConfig) -> TheoryInstance:
     sign_hat = rng.integers(0, 2, size=k) * 2.0 - 1.0
 
     means, eig_vecs, eig_vals = [], [], []
-    X_train, y_train, X_test, y_test = [], [], [], []
+    X_train, X_test = [], []
     lo, hi = config.raw_dim_range
     for i in range(b):
         k_i = int(rng.integers(lo, hi + 1))
@@ -184,6 +205,7 @@ def make_instance(config: TheoryConfig) -> TheoryInstance:
         X_train.append(draw(config.samples_per_client))
         X_test.append(draw(config.test_samples))
 
+    n_test = config.test_samples
     inst = TheoryInstance(
         latent_dim=k,
         head_dim=d,
@@ -197,13 +219,26 @@ def make_instance(config: TheoryConfig) -> TheoryInstance:
         X_train=X_train,
         y_train=[],
         X_test=X_test,
-        y_test=[],
+        y_test=np.empty((b, n_test)),
+        gram=np.empty((b, k, k)),
+        moment=np.empty((b, k)),
+        phi_test=np.empty((b, n_test, k)),
         step_size=config.step_size,
     )
+    # One whitening pass per data array: the oracle embedding gives the
+    # labels, and times Q (exact, a sign flip) the estimated one.
+    Q = inst.Q
     for i in range(b):
         w = A_star @ betas_star[i]
-        inst.y_train.append(oracle_phi_star(inst, i, X_train[i]) @ w)
-        inst.y_test.append(oracle_phi_star(inst, i, X_test[i]) @ w)
+        Z = oracle_phi_star(inst, i, X_train[i])
+        y = Z @ w
+        Phi = Z * Q
+        inst.y_train.append(y)
+        inst.gram[i] = Phi.T @ Phi
+        inst.moment[i] = Phi.T @ y
+        Z = oracle_phi_star(inst, i, X_test[i])
+        inst.y_test[i] = Z @ w
+        inst.phi_test[i] = Z * Q
 
     active_size = max(1, int(np.floor(config.participation * b)))
     cap = _sigma_max_sq_cap(betas_star, active_size, rng, config.subset_samples)
@@ -236,30 +271,35 @@ def init_A0(inst: TheoryInstance) -> np.ndarray:
     return A0 * signs
 
 
-def solve_head(inst: TheoryInstance, i: int, A: np.ndarray) -> np.ndarray:
-    """Exact least-squares head for client i at representation A
-    (normal equations with a tiny diagonal jitter)."""
-    E = phi_hat(inst, i, inst.X_train[i]) @ A
-    G = E.T @ E + 1e-10 * np.eye(A.shape[1])
-    return np.linalg.solve(G, E.T @ inst.y_train[i])
+def solve_head(inst: TheoryInstance, i, A: np.ndarray) -> np.ndarray:
+    """Exact least-squares head at representation A, from the normal
+    equations ``(A^T G_i A + 1e-10 I) beta = A^T c_i`` with the client's
+    Gram matrix and moment. ``i`` is one client index, giving a ``(d,)``
+    head, or an index array, giving one head per row."""
+    G = A.T @ inst.gram[i] @ A + 1e-10 * np.eye(A.shape[1])
+    rhs = inst.moment[i] @ A
+    return np.linalg.solve(G, rhs[..., None])[..., 0]
 
 
 def fedrep_linear_round(inst: TheoryInstance, active) -> TheoryInstance:
-    """One communication round: exact head solves, one averaged gradient
-    step on the representation, QR re-orthonormalization (positive
-    diagonal convention)."""
+    """One communication round: exact head solves for the active clients
+    (one batched solve), one averaged gradient step on the representation,
+    QR re-orthonormalization (positive diagonal convention).
+
+    Client i's squared-loss gradient is ``-(2/n_i)(c_i - G_i A beta_i)
+    beta_i^T``, so the step reads only the per-client statistics."""
     if inst.A is None:
         raise ValueError("initialize inst.A (e.g. via init_A0) first")
+    idx = np.sort(np.asarray(active, dtype=int))
+    if idx.size == 0:
+        raise ValueError("active set is empty")
     A = inst.A
-    proposals = np.zeros_like(A)
-    for i in sorted(int(x) for x in active):
-        Phi = phi_hat(inst, i, inst.X_train[i])
-        beta = solve_head(inst, i, A)
-        inst.betas[i] = beta
-        resid = inst.y_train[i] - (Phi @ A) @ beta
-        grad = -(2.0 / Phi.shape[0]) * np.outer(Phi.T @ resid, beta)
-        proposals += A - inst.step_size * grad
-    A_bar = proposals / len(active)
+    betas = solve_head(inst, idx, A)
+    inst.betas[idx] = betas
+    counts = np.array([inst.y_train[i].size for i in idx], dtype=float)
+    resid = inst.moment[idx] - (inst.gram[idx] @ A @ betas[:, :, None])[:, :, 0]
+    grads = -(2.0 / counts)[:, None, None] * resid[:, :, None] * betas[:, None, :]
+    A_bar = A - inst.step_size * grads.mean(axis=0)
     Qm, R = np.linalg.qr(A_bar)
     s = np.sign(np.diag(R))
     s[s == 0] = 1.0
@@ -296,11 +336,10 @@ def _orthonormalize(M: np.ndarray) -> np.ndarray:
 
 
 def _test_mse(inst: TheoryInstance) -> float:
-    errs = []
-    for i in range(inst.n_clients):
-        pred = phi_hat(inst, i, inst.X_test[i]) @ (inst.A @ inst.betas[i])
-        errs.append(float(np.mean((pred - inst.y_test[i]) ** 2)))
-    return float(np.mean(errs))
+    """Held-out squared error, averaged per client, then over clients."""
+    W = inst.betas @ inst.A.T
+    pred = (inst.phi_test @ W[:, :, None])[:, :, 0]
+    return float(np.mean(np.mean((pred - inst.y_test) ** 2, axis=1)))
 
 
 def run_theory_experiment(config: TheoryConfig):
@@ -313,13 +352,13 @@ def run_theory_experiment(config: TheoryConfig):
     """
     inst = make_instance(config)
     inst.A = init_A0(inst)
-    inst.betas = np.stack([solve_head(inst, i, inst.A) for i in range(inst.n_clients)])
+    inst.betas = solve_head(inst, np.arange(inst.n_clients), inst.A)
     target = inst.QA_star
     rows = [(0, principal_angle_dist(inst.A, target), _test_mse(inst))]
     b = inst.n_clients
     size = max(1, int(np.floor(config.participation * b)))
     for t in range(1, config.rounds + 1):
-        rng = _stream(config.seed, _TAG_SELECT, t)
+        rng = stream(config.seed, _TAG_SELECT, t)
         active = np.sort(rng.choice(b, size=size, replace=False))
         fedrep_linear_round(inst, active)
         rows.append((t, principal_angle_dist(inst.A, target), _test_mse(inst)))

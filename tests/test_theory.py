@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import flic.theory
 from flic.theory import (
     TheoryConfig,
     fedrep_linear_round,
@@ -22,6 +23,8 @@ def identity_instance(k=3, k_i=3, n=50, seed=0):
 
     rng = np.random.default_rng(seed)
     A_star, _ = np.linalg.qr(rng.standard_normal((k, 2)))
+    X_train = rng.standard_normal((n, k_i))
+    X_test = rng.standard_normal((n, k_i))
     inst = TheoryInstance(
         latent_dim=k,
         head_dim=2,
@@ -32,10 +35,13 @@ def identity_instance(k=3, k_i=3, n=50, seed=0):
         sign_hat=np.ones(k),
         A_star=A_star,
         betas_star=np.sqrt(2) * np.array([[1.0, 0.0]]),
-        X_train=[rng.standard_normal((n, k_i))],
+        X_train=[X_train],
         y_train=[np.zeros(n)],
-        X_test=[rng.standard_normal((n, k_i))],
-        y_test=[np.zeros(n)],
+        X_test=[X_test],
+        y_test=np.zeros((1, n)),
+        gram=(X_train.T @ X_train)[None],
+        moment=np.zeros((1, k)),
+        phi_test=X_test[None],
         step_size=0.05,
     )
     return inst
@@ -243,6 +249,98 @@ class TestRunExperiment:
         assert rows_a == rows_b
 
 
+def direct_head(inst, i, A):
+    """The head solve written on the embedded training data itself."""
+    E = phi_hat(inst, i, inst.X_train[i]) @ A
+    G = E.T @ E + 1e-10 * np.eye(A.shape[1])
+    return np.linalg.solve(G, E.T @ inst.y_train[i])
+
+
+def direct_round(inst, active):
+    """One round written on the embedded training data: per-client head,
+    residual and gradient, then the averaged step and the QR fix-up."""
+    A = inst.A
+    proposals = np.zeros_like(A)
+    betas = {}
+    for i in active:
+        Phi = phi_hat(inst, i, inst.X_train[i])
+        beta = direct_head(inst, i, A)
+        betas[i] = beta
+        resid = inst.y_train[i] - (Phi @ A) @ beta
+        grad = -(2.0 / Phi.shape[0]) * np.outer(Phi.T @ resid, beta)
+        proposals += A - inst.step_size * grad
+    Qm, R = np.linalg.qr(proposals / len(active))
+    return Qm * np.sign(np.diag(R)), betas
+
+
+class TestSufficientStatistics:
+    def test_statistics_match_embedded_data(self):
+        inst = make_instance(SMALL)
+        for i in range(inst.n_clients):
+            Phi = phi_hat(inst, i, inst.X_train[i])
+            np.testing.assert_allclose(inst.gram[i], Phi.T @ Phi, rtol=1e-12)
+            np.testing.assert_allclose(inst.moment[i], Phi.T @ inst.y_train[i], rtol=1e-10)
+            np.testing.assert_array_equal(inst.phi_test[i], phi_hat(inst, i, inst.X_test[i]))
+
+    def test_solve_head_matches_direct_formula(self):
+        inst = make_instance(SMALL)
+        A = init_A0(inst)
+        for i in range(inst.n_clients):
+            np.testing.assert_allclose(solve_head(inst, i, A), direct_head(inst, i, A), rtol=1e-10)
+
+    def test_batched_solve_head_matches_single(self):
+        inst = make_instance(SMALL)
+        A = init_A0(inst)
+        idx = np.array([1, 4, 6])
+        batched = solve_head(inst, idx, A)
+        assert batched.shape == (3, inst.head_dim)
+        for row, i in zip(batched, idx):
+            np.testing.assert_allclose(row, solve_head(inst, i, A), rtol=1e-12)
+
+    def test_round_matches_direct_formula(self):
+        inst = make_instance(SMALL)
+        inst.A = init_A0(inst)
+        inst.betas = np.zeros((inst.n_clients, inst.head_dim))
+        active = [0, 2, 3, 5, 7]
+        A_ref, betas_ref = direct_round(inst, active)
+        fedrep_linear_round(inst, np.array(active))
+        np.testing.assert_allclose(inst.A, A_ref, rtol=1e-10)
+        for i in active:
+            np.testing.assert_allclose(inst.betas[i], betas_ref[i], rtol=1e-10)
+        for i in set(range(inst.n_clients)) - set(active):
+            np.testing.assert_array_equal(inst.betas[i], 0.0)
+
+    def test_test_mse_matches_direct_formula(self):
+        inst = make_instance(SMALL)
+        inst.A = init_A0(inst)
+        inst.betas = solve_head(inst, np.arange(inst.n_clients), inst.A)
+        errs = [
+            np.mean((phi_hat(inst, i, inst.X_test[i]) @ (inst.A @ inst.betas[i]) - inst.y_test[i]) ** 2)
+            for i in range(inst.n_clients)
+        ]
+        assert flic.theory._test_mse(inst) == pytest.approx(np.mean(errs), rel=1e-10)
+
+    def test_empty_active_set_rejected(self):
+        inst = make_instance(SMALL)
+        inst.A = init_A0(inst)
+        inst.betas = np.zeros((inst.n_clients, inst.head_dim))
+        with pytest.raises(ValueError, match="empty"):
+            fedrep_linear_round(inst, [])
+
+    def test_rounds_do_not_re_embed(self, monkeypatch):
+        calls = []
+        original = flic.theory.phi_hat
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(flic.theory, "phi_hat", counting)
+        run_theory_experiment(SMALL)
+        # init_A0's one pass; the rounds read the stored statistics
+        assert 0 < len(calls) <= SMALL.clients
+
+
 class TestSolveHead:
     def test_recovers_oracle_at_target(self):
         inst = make_instance(SMALL)
@@ -262,6 +360,12 @@ class TestConfigValidation:
     def test_raw_dim_bound(self):
         with pytest.raises(ValueError):
             TheoryConfig(latent_dim=6, raw_dim_range=(5, 8))
+
+    @pytest.mark.parametrize("field", ["samples_per_client", "test_samples"])
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_sample_counts_at_least_one(self, field, value):
+        with pytest.raises(ValueError, match="at least 1"):
+            TheoryConfig(**{field: value})
 
     def test_active_set_spanning_bound(self):
         with pytest.raises(ValueError, match="span"):
