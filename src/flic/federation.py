@@ -220,7 +220,12 @@ def local_objective_grads(phi, alpha, head, X, y, anchors, lam1, lam2, eps, z_by
               + lam2 * sum_c mean_j CE(c, head(alpha(Z_c[j])))
 
     ``z_by_class`` maps a class to its fixed anchor samples (the noise
-    draws are not needed here). Returns ``(parts, g_phi, g_alpha,
+    draws are not needed here), the same number for every class. The
+    anchor-sample term runs as one batch: the samples of all classes are
+    concatenated and take one forward pass through ``alpha`` and ``head``,
+    one ``cross_entropy`` (scaled by the class count, so the term stays
+    the sum of per-class means) and one backward pass, whose input
+    gradient is split back per class. Returns ``(parts, g_phi, g_alpha,
     g_head, z_input_grads)`` where ``parts`` is a dict of the three loss
     components and ``z_input_grads[c]`` is the gradient with respect to
     the anchor samples of class c (used for anchor updates).
@@ -245,19 +250,22 @@ def local_objective_grads(phi, alpha, head, X, y, anchors, lam1, lam2, eps, z_by
     anchor_loss = 0.0
     z_input_grads = {}
     if lam2 > 0 and z_by_class:
-        for c in sorted(z_by_class):
-            Z = z_by_class[c]
-            Rz, cache_az = forward(alpha, Z)
-            logits_z, cache_hz = forward(head, Rz)
-            loss_z, dlz = cross_entropy(logits_z, np.full(Z.shape[0], c, dtype=int))
-            anchor_loss += loss_z
-            gh_z, dRz = backward(head, cache_hz, dlz)
-            ga_z, dZ = backward(alpha, cache_az, dRz)
-            z_input_grads[c] = dZ
-            for i in range(len(g_head)):
-                g_head[i] = g_head[i] + lam2 * gh_z[i]
-            for i in range(len(g_alpha)):
-                g_alpha[i] = g_alpha[i] + lam2 * ga_z[i]
+        classes = sorted(z_by_class)
+        count = z_by_class[classes[0]].shape[0]
+        if any(z_by_class[c].shape[0] != count for c in classes):
+            raise ValueError("every class needs the same number of anchor samples")
+        Z = np.concatenate([z_by_class[c] for c in classes])
+        Rz, cache_az = forward(alpha, Z)
+        logits_z, cache_hz = forward(head, Rz)
+        # cross_entropy takes the mean over all rows; with equal counts the
+        # class count times it is the sum of the per-class means.
+        mean_z, dlz = cross_entropy(logits_z, np.repeat(classes, count))
+        anchor_loss = len(classes) * mean_z
+        gh_z, dRz = backward(head, cache_hz, len(classes) * dlz)
+        ga_z, dZ = backward(alpha, cache_az, dRz)
+        z_input_grads = dict(zip(classes, np.split(dZ, len(classes))))
+        g_head = [g + lam2 * gz for g, gz in zip(g_head, gh_z)]
+        g_alpha = [g + lam2 * gz for g, gz in zip(g_alpha, ga_z)]
 
     parts = {
         "data": data_loss,
@@ -359,9 +367,10 @@ def client_local_round(
         [p - cfg.lr * g for p, g in zip(alpha_prop.params(), g_alpha)]
     )
     if cfg.alpha_epoch:
-        for _ in range(cfg.local_steps - 1):
+        for j in range(1, cfg.local_steps):
             batch = _draw_batch(rng, data.train_idx, cfg.batch_size)
-            _, _, g_alpha, _, _ = local_objective_grads(
+            _, _, g_alpha, _, _ = _objective(
+                client.client_id, round_idx, cfg.local_steps + j,
                 phi, alpha_prop, head, X_all[batch], y_all[batch],
                 anchors, cfg.lam1, cfg.lam2, cfg.eps, z_for_loss,
             )

@@ -12,6 +12,14 @@ so that gradient steps on ``L`` preserve positive semi-definiteness.
 Everything here is plain float64 numpy; matrices are small (latent
 dimension <= 64). :func:`bures_sq_value_grad` gives B^2 and its gradient
 from one eigendecomposition in factor form; :func:`bures_sq` is the reference.
+
+:func:`bures_sq_batch_value_grad` serves the alignment loss, whose second
+argument is the regularized covariance ``Hc^T Hc / n + eps I`` of a centred
+(n, k) batch. It picks one of two routes from its input, each one eigh:
+the n x n Gram matrix ``Hc Hc^T / n`` when the anchor factor is exactly
+the identity and ``n < k`` (the frozen-anchor default, about 33 rows in 64
+dimensions), and the k x k factor form of :func:`bures_sq_value_grad`
+otherwise. No setting chooses between them.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ __all__ = [
     "matrix_sqrt_psd",
     "bures_sq",
     "bures_sq_value_grad",
+    "bures_sq_batch_value_grad",
     "BuresGradientError",
     "w2_sq_gaussians",
     "empirical_gaussian",
@@ -99,7 +108,13 @@ def bures_sq(A, B) -> float:
 
 
 class BuresGradientError(ValueError):
-    """Raised by :func:`bures_sq_value_grad` on non-finite or singular input."""
+    """Raised by the Bures-gradient kernels on non-finite or singular input."""
+
+
+def _singular(smallest: float) -> BuresGradientError:
+    return BuresGradientError(
+        f"L^T S L is numerically singular: smallest eigenvalue {smallest:.3e}"
+    )
 
 
 def bures_sq_value_grad(L, S) -> tuple[float, np.ndarray]:
@@ -120,12 +135,58 @@ def bures_sq_value_grad(L, S) -> tuple[float, np.ndarray]:
     M = L.T @ S @ L
     mu, V = np.linalg.eigh(0.5 * (M + M.T))
     if not mu[0] > SINGULAR_RTOL * max(1.0, float(mu[-1])):  # NaN from overflow fails too
-        raise BuresGradientError(
-            f"L^T S L is numerically singular: smallest eigenvalue {mu[0]:.3e}"
-        )
+        raise _singular(mu[0])
     value = float(np.sum(L * L) + np.trace(S) - 2.0 * np.sum(np.sqrt(mu)))
     W = (L @ V) * mu**-0.25
     return max(value, 0.0), np.eye(L.shape[0]) - W @ W.T
+
+
+def bures_sq_batch_value_grad(L, Hc, eps: float) -> tuple[float, np.ndarray]:
+    """``bures_sq_value_grad(L, S)`` for a batch covariance, chained into
+    the batch: returns ``(value, Hc @ G)`` for ``S = Hc^T Hc / n + eps I``.
+
+    ``Hc`` is a centred (n, k) slice. When ``L`` is exactly the identity
+    and ``n < k``, everything follows from one eigh of the n x n Gram
+    matrix ``K = Hc Hc^T / n`` (eigenvalues ``lam``, vectors ``U``): ``S``
+    has eigenvalues ``lam + eps`` and, k - n times, ``eps``, so the value
+    is ``k + tr K + k eps - 2 (sum sqrt(lam + eps) + (k - n) sqrt(eps))``;
+    the push-through identity ``Hc f(Hc^T Hc) = f(Hc Hc^T) Hc`` turns the
+    chained gradient ``Hc (I - S^{-1/2})`` into
+    ``Hc - U diag((lam + eps)^{-1/2}) U^T Hc``. Any other input forms
+    ``S`` and takes the k x k route of :func:`bures_sq_value_grad`.
+
+    Both routes raise :class:`BuresGradientError` on non-finite input and
+    on an ``S`` that is numerically singular (same ``SINGULAR_RTOL``
+    floor); the Gram route also raises on an eigenvalue of ``K`` below
+    zero by more than that floor, which no Gram matrix has.
+    """
+    Hc = np.asarray(Hc, dtype=float)
+    L = np.asarray(L, dtype=float)
+    n, k = Hc.shape
+    if not np.all(np.isfinite(Hc)):
+        raise BuresGradientError("batch contains non-finite entries")
+    if n >= k or not np.array_equal(L, np.eye(k)):
+        value, G = bures_sq_value_grad(L, Hc.T @ Hc / n + eps * np.eye(k))
+        return value, Hc @ G
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        K = Hc @ Hc.T / n
+    if not np.all(np.isfinite(K)):
+        raise BuresGradientError("batch Gram matrix contains non-finite entries")
+    lam, U = np.linalg.eigh(K)
+    floor = SINGULAR_RTOL * max(1.0, float(lam[-1]) + eps)
+    smallest = min(float(lam[0]), 0.0) + eps  # smallest eigenvalue of S
+    if not smallest > floor:
+        raise _singular(smallest)
+    if lam[0] < -floor:
+        raise BuresGradientError(
+            f"batch Gram matrix has eigenvalue {lam[0]:.3e} below zero beyond round-off"
+        )
+    value = float(
+        k + np.trace(K) + k * eps
+        - 2.0 * (np.sum(np.sqrt(lam + eps)) + (k - n) * np.sqrt(eps))
+    )
+    W = U * (lam + eps) ** -0.25
+    return max(value, 0.0), Hc - W @ (W.T @ Hc)
 
 
 @dataclass(frozen=True)

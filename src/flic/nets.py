@@ -4,7 +4,10 @@ Forward/backward passes, softmax cross-entropy, the distribution
 alignment loss (squared W2 to per-class anchors, differentiated through
 the batch mean and covariance), and Adam. All arrays are float64; the
 gradient of every path is pinned to central finite differences by the
-test suite, so no approximation shortcuts are taken here.
+test suite, so no approximation shortcuts are taken here. The Bures part
+of the alignment loss comes from
+:func:`flic.gaussian.bures_sq_batch_value_grad`, which decides by itself
+how to decompose each class batch.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import bures_sq_value_grad
+from .gaussian import bures_sq_batch_value_grad
 
 __all__ = [
     "Layer",
@@ -205,9 +208,12 @@ def cross_entropy(logits, labels):
 def alignment_loss_grad(embedded_by_class, anchors, eps: float):
     """Sum of squared W2 distances from per-class batch Gaussians to anchors.
 
-    Per class, one :func:`flic.gaussian.bures_sq_value_grad` call in factor
-    form (anchor factor ``L_c``, batch covariance ``Hc^T Hc / n_c + eps I``
-    with ``Hc`` the centred slice) gives the Bures term and its gradient.
+    Per class, one :func:`flic.gaussian.bures_sq_batch_value_grad` call
+    (anchor factor ``L_c``, centred slice ``Hc``, batch covariance
+    ``Hc^T Hc / n_c + eps I``) gives the Bures term and its gradient
+    already multiplied into the slice, from one eigh: of the n_c x n_c
+    Gram matrix for an identity factor and ``n_c < k``, of the k x k
+    ``L_c^T S L_c`` otherwise.
 
     Parameters
     ----------
@@ -232,16 +238,15 @@ def alignment_loss_grad(embedded_by_class, anchors, eps: float):
         H = np.asarray(embedded_by_class[c], dtype=float)
         if H.ndim != 2 or H.shape[0] < 1:
             raise ValueError(f"class {c} slice is empty")
-        n_c, k = H.shape
+        n_c = H.shape[0]
         m = H.mean(axis=0)
         Hc = H - m
-        S = Hc.T @ Hc / n_c + eps * np.eye(k)
-        bures, G_cov = bures_sq_value_grad(anchors.factors[c], S)
+        bures, Hc_G = bures_sq_batch_value_grad(anchors.factors[c], Hc, eps)
         diff = m - anchors.means[c]
         total += float(diff @ diff) + bures
         # d mean-term / dx_j = 2 (m_hat - v) / n_c; the covariance term
         # chains through d Sigma_hat = (dx (x-m)^T + (x-m) dx^T) / n_c.
-        grads[c] = (2.0 / n_c) * (diff + Hc @ G_cov)
+        grads[c] = (2.0 / n_c) * (diff + Hc_G)
     return total, grads
 
 

@@ -1,0 +1,140 @@
+import numpy as np
+import pytest
+
+from flic import federation
+from flic.anchors import init_anchors, sample_anchor
+from flic.datagen import ClientDataset
+from flic.gaussian import BuresGradientError
+from flic.federation import (
+    DivergenceError,
+    GlobalState,
+    RoundConfig,
+    client_local_round,
+    local_objective_grads,
+    make_client,
+)
+from flic.nets import backward, build_embedding, build_head, build_shared, cross_entropy, forward
+
+D, K, HIDDEN, N_CLASSES = 5, 6, 8, 6
+
+
+def setup(seed, classes, samples=7):
+    rng = np.random.default_rng(seed)
+    phi = build_embedding(D, K, HIDDEN, rng)
+    alpha = build_shared(K, rng)
+    head = build_head(K, N_CLASSES, rng)
+    anchors = init_anchors(N_CLASSES, K, rng)
+    y = rng.choice(classes, size=30)
+    X = rng.standard_normal((30, D))
+    z = {c: sample_anchor(anchors, c, samples, rng) for c in classes}
+    return phi, alpha, head, X, y, anchors, z
+
+
+def per_class_reference(phi, alpha, head, X, y, anchors, lam1, lam2, eps, z_by_class):
+    """The anchor-sample term class by class, each class its own passes."""
+    parts, g_phi, g_alpha, g_head, _ = local_objective_grads(
+        phi, alpha, head, X, y, anchors, lam1, 0.0, eps, None
+    )
+    anchor_loss = 0.0
+    z_grads = {}
+    for c in sorted(z_by_class):
+        Z = z_by_class[c]
+        Rz, cache_az = forward(alpha, Z)
+        logits_z, cache_hz = forward(head, Rz)
+        loss_z, dlz = cross_entropy(logits_z, np.full(Z.shape[0], c))
+        anchor_loss += loss_z
+        gh_z, dRz = backward(head, cache_hz, dlz)
+        ga_z, z_grads[c] = backward(alpha, cache_az, dRz)
+        g_head = [g + lam2 * gz for g, gz in zip(g_head, gh_z)]
+        g_alpha = [g + lam2 * gz for g, gz in zip(g_alpha, ga_z)]
+    parts = dict(parts, anchor=anchor_loss, total=parts["total"] + lam2 * anchor_loss)
+    return parts, g_phi, g_alpha, g_head, z_grads
+
+
+class TestBatchedAnchorPass:
+    @pytest.mark.parametrize("classes", [[2], [0, 3, 5], list(range(N_CLASSES))])
+    def test_matches_per_class_passes(self, classes):
+        phi, alpha, head, X, y, anchors, z = setup(1, classes)
+        got = local_objective_grads(phi, alpha, head, X, y, anchors, 0.01, 0.3, 1e-6, z)
+        ref = per_class_reference(phi, alpha, head, X, y, anchors, 0.01, 0.3, 1e-6, z)
+        for term in ("data", "align", "anchor", "total"):
+            assert got[0][term] == pytest.approx(ref[0][term], rel=1e-12)
+        for g, r in zip(got[1:4], ref[1:4]):
+            assert len(g) == len(r)
+            for a, b in zip(g, r):
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+        assert sorted(got[4]) == sorted(classes)
+        for c in classes:
+            np.testing.assert_allclose(got[4][c], ref[4][c], rtol=1e-12, atol=1e-12 * np.abs(ref[4][c]).max())
+
+    @pytest.mark.parametrize("classes", [[1], [0, 4], list(range(N_CLASSES))])
+    def test_five_forward_and_backward_passes_whatever_the_class_count(self, monkeypatch, classes):
+        phi, alpha, head, X, y, anchors, z = setup(2, classes)
+        counts = {"forward": 0, "backward": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(federation, "forward", counting("forward", forward))
+        monkeypatch.setattr(federation, "backward", counting("backward", backward))
+        local_objective_grads(phi, alpha, head, X, y, anchors, 0.01, 0.3, 1e-6, z)
+        assert counts == {"forward": 5, "backward": 5}
+
+    def test_rejects_unequal_sample_counts(self):
+        phi, alpha, head, X, y, anchors, z = setup(3, [0, 1])
+        z[1] = z[1][:-1]
+        with pytest.raises(ValueError, match="same number of anchor samples"):
+            local_objective_grads(phi, alpha, head, X, y, anchors, 0.01, 0.3, 1e-6, z)
+
+
+class TestAlphaEpochDivergence:
+    """The per-step shared-layer updates of ``alpha_epoch`` go through the
+    same divergence checks as every other objective evaluation."""
+
+    def round_inputs(self):
+        rng = np.random.default_rng(4)
+        labels = np.repeat([0, 2, 3], 20)
+        data = ClientDataset(
+            client_id=3,
+            features=rng.standard_normal((labels.size, D)),
+            labels=labels,
+            classes=[0, 2, 3],
+            train_idx=np.arange(0, labels.size, 2),
+            test_idx=np.arange(1, labels.size, 2),
+        )
+        client = make_client(data, N_CLASSES, K, HIDDEN, lr=1e-3, weight=1.0, rng=rng)
+        state = GlobalState(build_shared(K, rng), init_anchors(N_CLASSES, K, rng))
+        cfg = RoundConfig(local_steps=3, batch_size=12, anchor_samples=5, alpha_epoch=True)
+        return client, state, cfg
+
+    @pytest.mark.parametrize(
+        "fault, term",
+        [("nan", "data"), ("bures", "align")],
+    )
+    def test_fault_at_alpha_proposal_names_client_round_step_and_term(self, monkeypatch, fault, term):
+        client, state, cfg = self.round_inputs()
+        original = federation.local_objective_grads
+
+        def faulty(phi, alpha, *args):
+            out = original(phi, alpha, *args)
+            if alpha is state.alpha:  # local steps and the first shared step
+                return out
+            if fault == "bures":
+                raise BuresGradientError("L^T S L is numerically singular: smallest eigenvalue 0")
+            return (dict(out[0], data=np.nan, total=np.nan), *out[1:])
+
+        monkeypatch.setattr(federation, "local_objective_grads", faulty)
+        with pytest.raises(DivergenceError) as info:
+            client_local_round(client, state, cfg, round_idx=2)
+        err = info.value
+        assert (err.client_id, err.round_idx, err.step, err.term) == (3, 2, cfg.local_steps + 1, term)
+        assert f"loss term '{term}' diverged on client 3 at round 2, step {cfg.local_steps + 1}" in str(err)
+
+    def test_finite_run_completes(self):
+        client, state, cfg = self.round_inputs()
+        result = client_local_round(client, state, cfg, round_idx=2)
+        assert np.isfinite(result.train_loss)
+        assert all(np.all(np.isfinite(p)) for p in result.alpha_proposal.params())

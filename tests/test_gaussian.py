@@ -5,13 +5,14 @@ from flic.gaussian import (
     BuresGradientError,
     Gaussian,
     bures_sq,
+    bures_sq_batch_value_grad,
     bures_sq_value_grad,
     empirical_gaussian,
     matrix_sqrt_psd,
     w2_sq_gaussians,
 )
 
-from helpers import fd_grad, quantile_w2_sq_1d, random_psd, rel_err
+from helpers import count_eigh, fd_grad, quantile_w2_sq_1d, random_psd, rel_err
 
 
 class TestMatrixSqrt:
@@ -227,6 +228,94 @@ class TestBuresCovGradient:
                     E[j, i] += 0.5
                     fd[i, j] = (bures_sq(A, B + h * E) - bures_sq(A, B - h * E)) / (2 * h)
             assert rel_err(grad, fd) < 1e-4
+
+
+def centred(rng, n, k, scale=1.0):
+    H = scale * rng.standard_normal((n, k))
+    return H - H.mean(axis=0)
+
+
+def factor_route(L, Hc, eps):
+    """The k x k route written out: ``bures_sq_value_grad`` on the formed
+    batch covariance, its gradient multiplied into the slice."""
+    n, k = Hc.shape
+    value, G = bures_sq_value_grad(L, Hc.T @ Hc / n + eps * np.eye(k))
+    return value, Hc @ G
+
+
+class TestBuresBatchValueGrad:
+    def test_gram_route_matches_factor_route(self):
+        rng = np.random.default_rng(21)
+        k, eps = 12, 1e-6
+        slices = [
+            centred(rng, n, k, scale)
+            for n in range(2, k)
+            for scale in (1e-3, 1e-1, 1.0, 10.0, 1e2)
+        ]
+        duplicated = rng.standard_normal((3, k))[[0, 1, 1, 2, 0, 0]]
+        slices.append(duplicated - duplicated.mean(axis=0))
+        for Hc in slices:
+            value, HG = bures_sq_batch_value_grad(np.eye(k), Hc, eps)
+            ref_value, ref_HG = factor_route(np.eye(k), Hc, eps)
+            assert value == pytest.approx(ref_value, rel=1e-10)
+            np.testing.assert_allclose(HG, ref_HG, rtol=1e-10, atol=1e-10 * np.abs(ref_HG).max())
+
+    @pytest.mark.parametrize("n", [8, 9, 20])
+    def test_slices_with_at_least_k_rows_take_factor_route(self, monkeypatch, n):
+        rng = np.random.default_rng(25)
+        Hc = centred(rng, n, 8)
+        calls = count_eigh(monkeypatch)
+        value, HG = bures_sq_batch_value_grad(np.eye(8), Hc, 1e-6)
+        assert calls == [(8, 8)]
+        ref_value, ref_HG = factor_route(np.eye(8), Hc, 1e-6)
+        assert value == ref_value
+        np.testing.assert_array_equal(HG, ref_HG)
+
+    def test_non_identity_factor_takes_factor_route(self, monkeypatch):
+        rng = np.random.default_rng(26)
+        k = 8
+        Hc = centred(rng, 5, k)
+        for L in (2.0 * np.eye(k), np.eye(k) + 1e-12 * np.tri(k), random_psd(rng, k)):
+            calls = count_eigh(monkeypatch)
+            value, HG = bures_sq_batch_value_grad(L, Hc, 1e-6)
+            assert calls == [(k, k)]
+            ref_value, ref_HG = factor_route(L, Hc, 1e-6)
+            assert value == ref_value
+            np.testing.assert_array_equal(HG, ref_HG)
+
+    def test_rejects_non_finite_input(self):
+        Hc = np.zeros((3, 5))
+        for bad in (np.nan, np.inf):
+            Hc[1, 2] = bad
+            with pytest.raises(BuresGradientError, match="non-finite"):
+                bures_sq_batch_value_grad(np.eye(5), Hc, 1e-6)
+
+    def test_rejects_overflowing_gram_matrix(self):
+        Hc = np.zeros((2, 5))
+        Hc[0, 0], Hc[1, 0] = 1e200, -1e200
+        with pytest.raises(BuresGradientError, match="non-finite"):
+            bures_sq_batch_value_grad(np.eye(5), Hc, 1e-6)
+
+    def test_rejects_numerically_singular_covariance(self):
+        # eps is below 1e-14 of the batch's spectral scale in both routes
+        rng = np.random.default_rng(27)
+        for n in (4, 8):
+            with pytest.raises(BuresGradientError, match="numerically singular"):
+                bures_sq_batch_value_grad(np.eye(8), centred(rng, n, 8, 1e8), 1e-6)
+
+    def test_rejects_negative_gram_eigenvalue_beyond_round_off(self, monkeypatch):
+        rng = np.random.default_rng(28)
+        Hc = centred(rng, 4, 8)
+        original = np.linalg.eigh
+
+        def shifted(a, *args, **kwargs):
+            w, V = original(a, *args, **kwargs)
+            return w - 1e-8, V
+
+        monkeypatch.setattr(np.linalg, "eigh", shifted)
+        # smallest eigenvalue of S stays eps - 1e-8 > 0: only the sign check can catch it
+        with pytest.raises(BuresGradientError, match="below zero"):
+            bures_sq_batch_value_grad(np.eye(8), Hc, 1e-6)
 
 
 class TestEmpiricalGaussian:

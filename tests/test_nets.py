@@ -201,7 +201,28 @@ class TestAlignmentLoss:
         anchors = AnchorSet(rng.standard_normal((4, k)), factors, cov_learnable=True)
         calls = count_eigh(monkeypatch)
         alignment_loss_grad(batches, anchors, eps=1e-6)
-        assert len(calls) == len(batches)
+        assert calls == [(k, k)] * len(batches)
+
+    def test_identity_anchors_decompose_the_small_gram_matrix(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        k = 8
+        batches = {0: rng.standard_normal((3, k)), 2: rng.standard_normal((7, k)),
+                   3: rng.standard_normal((8, k)), 4: rng.standard_normal((11, k))}
+        calls = count_eigh(monkeypatch)
+        alignment_loss_grad(batches, identity_anchors(5, k), eps=1e-6)
+        assert calls == [(3, 3), (7, 7), (k, k), (k, k)]
+
+    def test_short_slice_gradient_matches_fd(self):
+        rng = np.random.default_rng(13)
+        k, n = 7, 4
+        X = rng.standard_normal((n, k))
+        anchors = identity_anchors(1, k, means=rng.standard_normal((1, k)))
+        _, grads = alignment_loss_grad({0: X}, anchors, eps=1e-2)
+        fd = fd_grad(
+            lambda v: alignment_loss_grad({0: v.reshape(n, k)}, anchors, 1e-2)[0],
+            X.ravel(),
+        )
+        assert rel_err(grads[0].ravel(), fd) < 1e-4
 
     def test_mean_term_dominates_when_covariances_match(self):
         # anchor covariance I, batch built with covariance exactly I:
