@@ -9,11 +9,9 @@ heads are trained FedRep-style under partial participation.
 
 from .anchors import (
     AnchorSet,
-    RegressionAnchor,
     barycenter_average,
     init_anchors,
     local_anchor_update,
-    regression_anchor_mean,
     sample_anchor,
 )
 from .config import ConfigError, ExperimentConfig, parse_config, serialize_config

@@ -17,12 +17,10 @@ from .gaussian import Gaussian, bures_sq_value_grad
 
 __all__ = [
     "AnchorSet",
-    "RegressionAnchor",
     "init_anchors",
     "sample_anchor",
     "local_anchor_update",
     "barycenter_average",
-    "regression_anchor_mean",
 ]
 
 
@@ -157,29 +155,3 @@ def barycenter_average(
     else:
         factors = ref.factors.copy()
     return AnchorSet(means, factors, ref.cov_learnable)
-
-
-@dataclass(frozen=True)
-class RegressionAnchor:
-    """Anchor family for scalar regression: the target ``y`` indexes a
-    unit-variance Gaussian whose mean interpolates two endpoints."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if a.shape != b.shape or a.ndim != 1:
-            raise ValueError("endpoints must be vectors of equal dimension")
-        if np.array_equal(a, b):
-            raise ValueError("endpoints must differ")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-
-def regression_anchor_mean(anchor: RegressionAnchor, y: float) -> np.ndarray:
-    """Mean of the anchor Gaussian for target ``y``: ``y*a + (1-y)*b``."""
-    if not np.isfinite(y):
-        raise ValueError("target must be finite")
-    return y * anchor.a + (1.0 - y) * anchor.b

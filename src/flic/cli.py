@@ -27,34 +27,17 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="path to a flat JSON config file")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", help="override the output directory")
-    parser.add_argument("--workers", type=int, help="bound on concurrent client workers")
     parser.add_argument(
         "--mode", choices=["flic", "local", "theory"], help="override the run mode"
     )
 
 
 def _load_config(args: argparse.Namespace, forced_mode: str | None = None):
+    flags = {"seed": args.seed, "out_dir": args.out, "mode": forced_mode or args.mode}
+    overrides = {key: value for key, value in flags.items() if value is not None}
     if args.config is not None:
-        cfg = parse_config(args.config)
-    else:
-        cfg = build_config({})
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if getattr(args, "workers", None) is not None:
-        overrides["workers"] = args.workers
-    mode = forced_mode or getattr(args, "mode", None)
-    if mode is not None:
-        overrides["mode"] = mode
-    if overrides:
-        from dataclasses import asdict
-
-        doc = asdict(cfg)
-        doc.update(overrides)
-        cfg = build_config(doc, apply_env=False)
-    return cfg
+        return parse_config(args.config, overrides=overrides)
+    return build_config({}, overrides=overrides)
 
 
 def _cmd_datagen(args) -> int:
@@ -121,7 +104,7 @@ def _cmd_onboard(args) -> int:
     client = onboard_new_client(
         by_id[args.client_id],
         state,
-        cfg.round_config(),
+        cfg.training,
         hidden_dim=cfg.hidden_dim,
         rounds=rounds,
     )

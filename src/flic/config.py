@@ -5,13 +5,22 @@ falls back to a documented default. Unknown keys are rejected.
 Environment variables named ``FLIC_<KEY>`` (uppercased) override file
 values; command-line flags override both. ``serialize_config`` followed
 by ``parse_config`` is the identity.
+
+``ExperimentConfig`` holds the top-level settings and the three
+component configs a run uses: the round schedule and loss weights
+(``RoundConfig``), the toy dataset (``ToyDatasetSpec``) and the theory
+harness (``TheoryConfig``). ``COMPONENT_KEYS`` is the one place a flat
+key of a component is defined; the component dataclass gives its
+default, its type and its range check. All three components are built,
+and so validated, in every mode.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .datagen import ToyDatasetSpec
@@ -23,7 +32,6 @@ __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "serialize_config"
 ENV_PREFIX = "FLIC_"
 
 MODES = ("flic", "local", "theory")
-VARIANTS = ("nf", "lm")
 
 
 class ConfigError(ValueError):
@@ -36,107 +44,87 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: str = "out"
     workers: int = 1
-
-    # dataset (either a pre-generated directory or an inline toy spec)
-    dataset_path: str | None = None
-    variant: str = "lm"
-    n_classes: int = 20
-    samples_per_class: int = 2000
-    base_dim: int = 5
-    clients: int = 100
-    classes_per_client: int = 3
-    noise_dim_min: int = 1
-    noise_dim_max: int = 10
-    map_dim_min: int = 5
-    map_dim_max: int = 50
-    imbalance_min: float = 0.1
-    imbalance_max: float = 1.0
-    mean_scale: float = 2.0
-    test_fraction: float = 0.2
-
-    # federated round schedule and losses
-    rounds: int = 50
-    participation: float = 0.1
-    local_steps: int = 10
-    batch_size: int = 100
-    lr: float = 0.001
-    lambda1: float = 0.001
-    lambda2: float = 0.001
-    anchor_samples: int = 100
-    eps: float = 1e-6
-    alpha_epoch: bool = False
-    final_local_rounds: int = 0
-    onboard_rounds: int | None = None
-
-    # model and anchors
+    dataset_path: str | None = None  # a ``flic datagen`` directory instead of ``data``
     latent_dim: int = 64
     hidden_dim: int = 64
     cov_learnable: bool = False
     anchor_init_scale: float | None = None
-
-    # theory harness
-    theory_clients: int = 20
-    theory_samples: int = 500
-    theory_test_samples: int = 200
-    theory_latent_dim: int = 5
-    theory_head_dim: int = 3
-    theory_raw_dim_min: int = 8
-    theory_raw_dim_max: int = 16
-    theory_participation: float = 1.0
-    theory_rounds: int = 100
-    theory_step_size: float = 0.05
-
-    def round_config(self) -> RoundConfig:
-        return RoundConfig(
-            rounds=self.rounds,
-            participation=self.participation,
-            local_steps=self.local_steps,
-            batch_size=self.batch_size,
-            lr=self.lr,
-            lam1=self.lambda1,
-            lam2=self.lambda2,
-            anchor_samples=self.anchor_samples,
-            eps=self.eps,
-            seed=self.seed,
-            alpha_epoch=self.alpha_epoch,
-            final_local_rounds=self.final_local_rounds,
-        )
-
-    def dataset_spec(self) -> ToyDatasetSpec:
-        return ToyDatasetSpec(
-            variant=self.variant,
-            n_classes=self.n_classes,
-            samples_per_class=self.samples_per_class,
-            base_dim=self.base_dim,
-            clients=self.clients,
-            classes_per_client=self.classes_per_client,
-            noise_dim_range=(self.noise_dim_min, self.noise_dim_max),
-            map_dim_range=(self.map_dim_min, self.map_dim_max),
-            imbalance_range=(self.imbalance_min, self.imbalance_max),
-            mean_scale=self.mean_scale,
-            test_fraction=self.test_fraction,
-            seed=self.seed,
-        )
+    onboard_rounds: int | None = None
+    training: RoundConfig = field(default_factory=RoundConfig)
+    data: ToyDatasetSpec = field(default_factory=ToyDatasetSpec)
+    theory: TheoryConfig = field(default_factory=TheoryConfig)
 
     def theory_config(self) -> TheoryConfig:
-        return TheoryConfig(
-            clients=self.theory_clients,
-            samples_per_client=self.theory_samples,
-            test_samples=self.theory_test_samples,
-            latent_dim=self.theory_latent_dim,
-            head_dim=self.theory_head_dim,
-            raw_dim_range=(self.theory_raw_dim_min, self.theory_raw_dim_max),
-            participation=self.theory_participation,
-            rounds=self.theory_rounds,
-            step_size=self.theory_step_size,
-            seed=self.seed,
-        )
+        # The benchmark's child process (perfbench/child.py) calls this.
+        return self.theory
 
 
+# Flat key -> (component, field), or (component, field, index) for one
+# end of a range pair. Each component's ``seed`` is the top-level seed.
+COMPONENT_KEYS = {
+    "rounds": ("training", "rounds"),
+    "participation": ("training", "participation"),
+    "local_steps": ("training", "local_steps"),
+    "batch_size": ("training", "batch_size"),
+    "lr": ("training", "lr"),
+    "lambda1": ("training", "lam1"),
+    "lambda2": ("training", "lam2"),
+    "anchor_samples": ("training", "anchor_samples"),
+    "eps": ("training", "eps"),
+    "alpha_epoch": ("training", "alpha_epoch"),
+    "final_local_rounds": ("training", "final_local_rounds"),
+    "variant": ("data", "variant"),
+    "n_classes": ("data", "n_classes"),
+    "samples_per_class": ("data", "samples_per_class"),
+    "base_dim": ("data", "base_dim"),
+    "clients": ("data", "clients"),
+    "classes_per_client": ("data", "classes_per_client"),
+    "noise_dim_min": ("data", "noise_dim_range", 0),
+    "noise_dim_max": ("data", "noise_dim_range", 1),
+    "map_dim_min": ("data", "map_dim_range", 0),
+    "map_dim_max": ("data", "map_dim_range", 1),
+    "imbalance_min": ("data", "imbalance_range", 0),
+    "imbalance_max": ("data", "imbalance_range", 1),
+    "mean_scale": ("data", "mean_scale"),
+    "test_fraction": ("data", "test_fraction"),
+    "theory_clients": ("theory", "clients"),
+    "theory_samples": ("theory", "samples_per_client"),
+    "theory_test_samples": ("theory", "test_samples"),
+    "theory_latent_dim": ("theory", "latent_dim"),
+    "theory_head_dim": ("theory", "head_dim"),
+    "theory_raw_dim_min": ("theory", "raw_dim_range", 0),
+    "theory_raw_dim_max": ("theory", "raw_dim_range", 1),
+    "theory_participation": ("theory", "participation"),
+    "theory_rounds": ("theory", "rounds"),
+    "theory_step_size": ("theory", "step_size"),
+}
+COMPONENTS = ("training", "data", "theory")
 _OPTIONAL = {"dataset_path": str, "anchor_init_scale": float, "onboard_rounds": int}
 
 
-def _coerce(key: str, value, target_type):
+def _flat_value(cfg: ExperimentConfig, key: str):
+    if key not in COMPONENT_KEYS:
+        return getattr(cfg, key)
+    component, name, *index = COMPONENT_KEYS[key]
+    value = getattr(getattr(cfg, component), name)
+    return value[index[0]] if index else value
+
+
+_DEFAULTS = ExperimentConfig()
+_TYPES = {
+    **{
+        f.name: _OPTIONAL.get(f.name) or type(getattr(_DEFAULTS, f.name))
+        for f in fields(ExperimentConfig)
+        if f.name not in COMPONENTS
+    },
+    **{key: type(_flat_value(_DEFAULTS, key)) for key in COMPONENT_KEYS},
+}
+
+
+def _coerce(key: str, value):
+    target_type = _TYPES[key]
+    if value is None and key in _OPTIONAL:
+        return None
     if target_type is bool:
         if isinstance(value, bool):
             return value
@@ -148,15 +136,17 @@ def _coerce(key: str, value, target_type):
     if target_type is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{key}: expected a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{key}: expected a finite number, got {value!r}")
         return float(value)
-    if target_type is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"{key}: expected a string, got {value!r}")
-        return value
-    raise ConfigError(f"{key}: unsupported type")
+    if not isinstance(value, str):
+        raise ConfigError(f"{key}: expected a string, got {value!r}")
+    return value
 
 
-def _coerce_env(key: str, raw: str, target_type):
+def _parse_env(key: str, raw: str):
+    """The value of ``FLIC_<KEY>`` as the Python value ``_coerce`` checks."""
+    target_type = _TYPES[key]
     if target_type is bool:
         low = raw.strip().lower()
         if low in ("true", "1", "yes"):
@@ -174,82 +164,69 @@ def _coerce_env(key: str, raw: str, target_type):
     return raw
 
 
-def _field_types() -> dict[str, type]:
-    out = {}
-    for f in fields(ExperimentConfig):
-        if f.name in _OPTIONAL:
-            out[f.name] = _OPTIONAL[f.name]
-        else:
-            out[f.name] = type(getattr(ExperimentConfig(), f.name))
-    return out
-
-
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
-    def fail(key, msg):
-        raise ConfigError(f"{key}: {msg}")
-
+    """Top-level checks; each component checks its own fields."""
     if cfg.mode not in MODES:
-        fail("mode", f"must be one of {MODES}")
-    if cfg.variant not in VARIANTS:
-        fail("variant", f"must be one of {VARIANTS}")
-    if cfg.workers < 1:
-        fail("workers", "must be >= 1")
-    if not 0 < cfg.participation <= 1:
-        fail("participation", "must lie in (0, 1]")
-    if cfg.rounds < 0:
-        fail("rounds", "must be >= 0")
-    if cfg.local_steps < 1:
-        fail("local_steps", "must be >= 1")
-    if cfg.batch_size < 1:
-        fail("batch_size", "must be >= 1")
-    if cfg.anchor_samples < 1:
-        fail("anchor_samples", "must be >= 1")
-    if cfg.lambda1 < 0 or cfg.lambda2 < 0:
-        fail("lambda1", "regularization weights must be >= 0")
-    if cfg.eps <= 0:
-        fail("eps", "must be > 0")
-    if cfg.lr < 0:
-        fail("lr", "must be >= 0")
-    if cfg.latent_dim < 1 or cfg.hidden_dim < 1:
-        fail("latent_dim", "model dimensions must be >= 1")
-    if cfg.final_local_rounds < 0:
-        fail("final_local_rounds", "must be >= 0")
+        raise ConfigError(f"mode: must be one of {MODES}")
+    if cfg.workers != 1:
+        raise ConfigError("workers: must be 1; clients run one after another")
+    if cfg.latent_dim < 1:
+        raise ConfigError("latent_dim: must be >= 1")
+    if cfg.hidden_dim < 1:
+        raise ConfigError("hidden_dim: must be >= 1")
     if cfg.onboard_rounds is not None and cfg.onboard_rounds < 0:
-        fail("onboard_rounds", "must be >= 0")
-    if cfg.mode != "theory":
-        try:
-            cfg.dataset_spec()
-        except ValueError as exc:
-            raise ConfigError(f"dataset spec: {exc}") from exc
-    else:
-        try:
-            cfg.theory_config()
-        except ValueError as exc:
-            raise ConfigError(f"theory config: {exc}") from exc
+        raise ConfigError("onboard_rounds: must be >= 0")
     return cfg
 
 
-def build_config(values: dict, apply_env: bool = True) -> ExperimentConfig:
-    """Validate a flat dict of overrides against the documented keys."""
-    types = _field_types()
-    unknown = sorted(set(values) - set(types))
+def _assemble(values: dict) -> ExperimentConfig:
+    """Build and validate a config from checked flat values."""
+    top = {key: value for key, value in values.items() if key not in COMPONENT_KEYS}
+    seed = top.get("seed", _DEFAULTS.seed)
+    changes = {component: {"seed": seed} for component in COMPONENTS}
+    for key, value in values.items():
+        if key not in COMPONENT_KEYS:
+            continue
+        component, name, *index = COMPONENT_KEYS[key]
+        if index:
+            pair = changes[component].get(name, getattr(getattr(_DEFAULTS, component), name))
+            value = (value, pair[1]) if index[0] == 0 else (pair[0], value)
+        changes[component][name] = value
+    for component in COMPONENTS:
+        default = getattr(_DEFAULTS, component)
+        try:
+            top[component] = replace(default, **changes[component])
+        except ValueError as exc:
+            raise ConfigError(f"{type(default).__name__}: {exc}") from exc
+    return _validate(ExperimentConfig(**top))
+
+
+def build_config(
+    values: dict, apply_env: bool = True, overrides: dict | None = None
+) -> ExperimentConfig:
+    """Validate a flat dict of values against the documented keys.
+
+    ``FLIC_<KEY>`` environment variables (when ``apply_env``) take
+    precedence over ``values``, and ``overrides`` (command-line flags)
+    over both.
+    """
+    overrides = overrides or {}
+    unknown = sorted((set(values) | set(overrides)) - set(_TYPES))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    merged = {}
-    for key, value in values.items():
-        if value is None and key in _OPTIONAL:
-            merged[key] = None
-        else:
-            merged[key] = _coerce(key, value, types[key])
+    merged = {key: _coerce(key, value) for key, value in values.items()}
     if apply_env:
-        for key, target_type in types.items():
+        for key in _TYPES:
             raw = os.environ.get(ENV_PREFIX + key.upper())
             if raw is not None:
-                merged[key] = _coerce_env(key, raw, target_type)
-    return _validate(ExperimentConfig(**merged))
+                merged[key] = _coerce(key, _parse_env(key, raw))
+    merged.update((key, _coerce(key, value)) for key, value in overrides.items())
+    return _assemble(merged)
 
 
-def parse_config(path, apply_env: bool = True) -> ExperimentConfig:
+def parse_config(
+    path, apply_env: bool = True, overrides: dict | None = None
+) -> ExperimentConfig:
     """Load a config file; an empty file means all defaults."""
     p = Path(path)
     if not p.is_file():
@@ -264,9 +241,9 @@ def parse_config(path, apply_env: bool = True) -> ExperimentConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(values, dict):
             raise ConfigError("config must be a flat JSON object")
-    return build_config(values, apply_env=apply_env)
+    return build_config(values, apply_env=apply_env, overrides=overrides)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    doc = {f.name: getattr(cfg, f.name) for f in fields(ExperimentConfig)}
+    doc = {key: _flat_value(cfg, key) for key in _TYPES}
     return json.dumps(doc, indent=2, sort_keys=True)

@@ -61,7 +61,7 @@ class ToyDatasetSpec:
         if not 1 <= self.classes_per_client <= self.n_classes:
             raise ValueError("classes_per_client must lie in [1, n_classes]")
         if self.clients * self.classes_per_client < self.n_classes:
-            raise ValueError("not enough client slots to cover every class")
+            raise ValueError("clients * classes_per_client must be >= n_classes")
         if self.noise_dim_range[0] < 0 or self.noise_dim_range[0] > self.noise_dim_range[1]:
             raise ValueError("invalid noise_dim_range")
         if self.map_dim_range[0] < 1 or self.map_dim_range[0] > self.map_dim_range[1]:

@@ -33,7 +33,7 @@ __all__ = ["build_federation", "load_or_generate", "run_command"]
 def load_or_generate(cfg: ExperimentConfig):
     if cfg.dataset_path is not None:
         return load_clients(cfg.dataset_path)
-    return generate(cfg.dataset_spec()), cfg.n_classes
+    return generate(cfg.data), cfg.data.n_classes
 
 
 def build_federation(datasets, n_classes: int, cfg: ExperimentConfig):
@@ -54,7 +54,7 @@ def build_federation(datasets, n_classes: int, cfg: ExperimentConfig):
             n_classes,
             latent_dim=cfg.latent_dim,
             hidden_dim=cfg.hidden_dim,
-            lr=cfg.lr,
+            lr=cfg.training.lr,
             weight=ds.n_samples / total,
             rng=stream(cfg.seed, TAG_INIT, 1, ds.client_id),
         )
@@ -78,13 +78,13 @@ def run_command(cfg: ExperimentConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     if cfg.mode == "theory":
-        _, rows = run_theory_experiment(cfg.theory_config())
+        _, rows = run_theory_experiment(cfg.theory)
         write_theory_trace(rows, out / "trace.csv")
         write_summary(
             {
                 "mode": "theory",
                 "seed": cfg.seed,
-                "rounds": cfg.theory_rounds,
+                "rounds": cfg.theory.rounds,
                 "final_dist": rows[-1][1],
                 "final_mse": rows[-1][2],
             },
@@ -94,12 +94,8 @@ def run_command(cfg: ExperimentConfig) -> int:
 
     datasets, n_classes = load_or_generate(cfg)
     clients, state = build_federation(datasets, n_classes, cfg)
-    rc = cfg.round_config()
-
     if cfg.mode == "flic":
-        clients, state, metrics, log = run_training(
-            clients, state, rc, workers=cfg.workers
-        )
+        clients, state, metrics, log = run_training(clients, state, cfg.training)
         accs, mean_acc = evaluate(clients, state)
         write_metrics(metrics, out / "metrics.csv")
         log.write(out / "messages.log")
@@ -107,7 +103,7 @@ def run_command(cfg: ExperimentConfig) -> int:
         summary = {
             "mode": "flic",
             "seed": cfg.seed,
-            "rounds": cfg.rounds,
+            "rounds": cfg.training.rounds,
             "n_clients": len(clients),
             "messages_down": sum(1 for m in log.entries if m.direction == "down"),
             "messages_up": sum(1 for m in log.entries if m.direction == "up"),
@@ -119,13 +115,13 @@ def run_command(cfg: ExperimentConfig) -> int:
         return 0
 
     # local baseline: no communication at all
-    clients, accs, mean_acc = local_baseline(clients, state, rc, workers=cfg.workers)
+    clients, accs, mean_acc = local_baseline(clients, state, cfg.training)
     write_metrics([], out / "metrics.csv")
     (out / "messages.log").write_text("")
     summary = {
         "mode": "local",
         "seed": cfg.seed,
-        "rounds": cfg.rounds,
+        "rounds": cfg.training.rounds,
         "n_clients": len(clients),
         "messages_down": 0,
         "messages_up": 0,
@@ -138,12 +134,12 @@ def run_command(cfg: ExperimentConfig) -> int:
 
 
 def write_dataset(cfg: ExperimentConfig, out_dir) -> int:
-    datasets = generate(cfg.dataset_spec())
+    datasets = generate(cfg.data)
     save_clients(
         datasets,
         out_dir,
-        cfg.n_classes,
-        extra={"variant": cfg.variant, "seed": cfg.seed},
+        cfg.data.n_classes,
+        extra={"variant": cfg.data.variant, "seed": cfg.seed},
     )
     sizes = np.asarray([ds.n_samples for ds in datasets])
     print(

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -107,16 +106,14 @@ class RoundConfig:
     def __post_init__(self):
         if not 0 < self.participation <= 1:
             raise ValueError("participation must lie in (0, 1]")
-        if self.rounds < 0 or self.local_steps < 1 or self.anchor_samples < 1:
-            raise ValueError("rounds >= 0, local_steps >= 1, anchor_samples >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.lam1 < 0 or self.lam2 < 0:
-            raise ValueError("regularization weights must be nonnegative")
+        for name, low in (
+            ("rounds", 0), ("local_steps", 1), ("batch_size", 1), ("anchor_samples", 1),
+            ("final_local_rounds", 0), ("lr", 0), ("lam1", 0), ("lam2", 0),
+        ):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
         if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.lr < 0:
-            raise ValueError("learning rate must be nonnegative")
+            raise ValueError("eps must be > 0")
 
 
 @dataclass
@@ -168,9 +165,6 @@ class MessageLog:
 
     def append(self, round_idx, direction, client_id, kind, nbytes):
         self.entries.append(Message(round_idx, direction, client_id, kind, nbytes))
-
-    def for_round(self, round_idx: int) -> list[Message]:
-        return [m for m in self.entries if m.round == round_idx]
 
     def total_bytes(self, direction: str) -> int:
         return sum(m.nbytes for m in self.entries if m.direction == direction)
@@ -451,17 +445,6 @@ def _anchor_bytes(anchors: AnchorSet) -> int:
     return n
 
 
-def _run_round_clients(clients, active, global_state, cfg, round_idx, workers):
-    def work(i):
-        return client_local_round(clients[i], global_state, cfg, round_idx)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {i: pool.submit(work, i) for i in active}
-            return {i: futures[i].result() for i in active}
-    return {i: work(i) for i in active}
-
-
 def _local_fit(client, global_state, cfg, rounds, tag):
     """Rounds of local (phi, head) steps only; shared state frozen."""
     out = client.copy()
@@ -474,7 +457,7 @@ def _local_fit(client, global_state, cfg, rounds, tag):
     return out
 
 
-def run_training(clients, global_state, cfg: RoundConfig, workers: int = 1):
+def run_training(clients, global_state, cfg: RoundConfig):
     """Full training loop.
 
     Returns ``(clients, global_state, metrics, log)`` where metrics is a
@@ -495,7 +478,7 @@ def run_training(clients, global_state, cfg: RoundConfig, workers: int = 1):
         down = _down_bytes(state)
         for i in active:
             log.append(t, "down", int(i), "shared_alpha+anchors", down)
-        results = _run_round_clients(clients, active, state, cfg, t, workers)
+        results = {i: client_local_round(clients[i], state, cfg, t) for i in active}
         proposals, anchor_props, weights = [], [], []
         up_total = 0
         for i in sorted(results):
@@ -526,17 +509,9 @@ def run_training(clients, global_state, cfg: RoundConfig, workers: int = 1):
             )
         )
     if cfg.final_local_rounds > 0:
-        def fit(i):
-            return _local_fit(clients[i], state, cfg, cfg.final_local_rounds, TAG_FINAL)
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = {i: pool.submit(fit, i) for i in range(b)}
-                for i in range(b):
-                    clients[i] = futures[i].result()
-        else:
-            for i in range(b):
-                clients[i] = fit(i)
+        clients = [
+            _local_fit(c, state, cfg, cfg.final_local_rounds, TAG_FINAL) for c in clients
+        ]
     return clients, state, metrics, log
 
 
@@ -558,7 +533,7 @@ def evaluate(clients, global_state: GlobalState):
     return accs, float(np.mean(list(accs.values())))
 
 
-def local_baseline(clients, global_template: GlobalState, cfg: RoundConfig, workers: int = 1):
+def local_baseline(clients, global_template: GlobalState, cfg: RoundConfig):
     """Isolated per-client training with the same round structure and step
     budget as the federated run, but no communication and no alignment.
 
@@ -566,8 +541,8 @@ def local_baseline(clients, global_template: GlobalState, cfg: RoundConfig, work
     shared layer. Returns ``(clients, per_client_accuracy, mean)``.
     """
     cfg0 = replace(cfg, lam1=0.0, lam2=0.0)
-
-    def work(client):
+    out_clients, accs = [], {}
+    for client in clients:
         state = GlobalState(global_template.alpha.copy(), global_template.anchors.copy())
         out = client
         for t in range(cfg.rounds):
@@ -576,16 +551,8 @@ def local_baseline(clients, global_template: GlobalState, cfg: RoundConfig, work
             state = GlobalState(r.alpha_proposal, r.anchor_proposal, t + 1)
         if cfg.final_local_rounds > 0:
             out = _local_fit(out, state, cfg0, cfg.final_local_rounds, TAG_FINAL)
-        return out, client_accuracy(out, state.alpha)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(work, c) for c in clients]
-            results = [f.result() for f in futures]
-    else:
-        results = [work(c) for c in clients]
-    out_clients = [r[0] for r in results]
-    accs = {c.client_id: acc for c, (_, acc) in zip(clients, results)}
+        out_clients.append(out)
+        accs[client.client_id] = client_accuracy(out, state.alpha)
     return out_clients, accs, float(np.mean(list(accs.values())))
 
 

@@ -42,20 +42,10 @@ def _leaky_deriv(z):
     return np.where(z > 0, 1.0, 0.01)
 
 
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 ACTIVATIONS = {
     "identity": (lambda z: z, lambda z: np.ones_like(z)),
     "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0).astype(float)),
     "leaky_relu": (_leaky, _leaky_deriv),
-    "sigmoid": (_sigmoid, lambda z: _sigmoid(z) * (1.0 - _sigmoid(z))),
 }
 
 

@@ -74,9 +74,11 @@ class TheoryConfig:
         if self.head_dim > self.latent_dim:
             raise ValueError("head_dim must not exceed latent_dim")
         if self.raw_dim_range[0] < self.latent_dim:
-            raise ValueError("raw dimensions must be at least latent_dim")
+            raise ValueError("raw_dim_range must start at latent_dim or above")
         if not 0 < self.participation <= 1:
             raise ValueError("participation must lie in (0, 1]")
+        if not self.step_size > 0:
+            raise ValueError("step_size must be > 0")
         active = int(np.floor(self.participation * self.clients))
         if active < self.head_dim:
             raise ValueError(

@@ -3,11 +3,9 @@ import pytest
 
 from flic.anchors import (
     AnchorSet,
-    RegressionAnchor,
     barycenter_average,
     init_anchors,
     local_anchor_update,
-    regression_anchor_mean,
     sample_anchor,
 )
 from flic.gaussian import Gaussian, bures_sq, empirical_gaussian
@@ -207,35 +205,3 @@ class TestBarycenter:
         b = make_anchors(np.random.default_rng(16), C=3, k=3)
         with pytest.raises(ValueError):
             barycenter_average([a, b], [0.5, 0.5], 2)
-
-
-class TestRegressionAnchor:
-    def setup_method(self):
-        self.anchor = RegressionAnchor(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-
-    def test_endpoints(self):
-        np.testing.assert_allclose(regression_anchor_mean(self.anchor, 1.0), self.anchor.a)
-        np.testing.assert_allclose(regression_anchor_mean(self.anchor, 0.0), self.anchor.b)
-
-    def test_midpoint(self):
-        np.testing.assert_allclose(
-            regression_anchor_mean(self.anchor, 0.5), (self.anchor.a + self.anchor.b) / 2
-        )
-
-    def test_affine_identity(self):
-        rng = np.random.default_rng(17)
-        y1, y2 = rng.standard_normal(2)
-        lhs = (
-            regression_anchor_mean(self.anchor, y1)
-            + regression_anchor_mean(self.anchor, y2)
-            - regression_anchor_mean(self.anchor, y1 + y2)
-        )
-        np.testing.assert_allclose(lhs, self.anchor.b, atol=1e-12)
-
-    def test_equal_endpoints_rejected(self):
-        with pytest.raises(ValueError, match="differ"):
-            RegressionAnchor(np.ones(2), np.ones(2))
-
-    def test_non_finite_target(self):
-        with pytest.raises(ValueError):
-            regression_anchor_mean(self.anchor, np.nan)

@@ -38,3 +38,50 @@ def test_theory_sample_counts_below_one_exit_with_config_code(values, tmp_path, 
     assert code == cli.EXIT_CONFIG
     assert "at least 1" in capsys.readouterr().err
     assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def _run(values, tmp_path, monkeypatch, env=None):
+    for key in [k for k in os.environ if k.startswith("FLIC_")]:
+        monkeypatch.delenv(key)
+    for key, value in (env or {}).items():
+        monkeypatch.setenv(key, value)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values))
+    return cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+
+
+SMALL_FLIC = {"rounds": 1, "clients": 20, "samples_per_class": 50}
+
+
+@pytest.mark.parametrize(
+    "values,env,key",
+    [
+        ({**SMALL_FLIC, "lr": float("nan")}, {}, "lr"),
+        ({**SMALL_FLIC, "lr": float("inf")}, {}, "lr"),
+        (SMALL_FLIC, {"FLIC_LR": "nan"}, "lr"),
+        (SMALL_FLIC, {"FLIC_LAMBDA1": "-inf"}, "lambda1"),
+        ({"mode": "theory", "theory_step_size": float("nan"), "theory_rounds": 3}, {},
+         "theory_step_size"),
+    ],
+)
+def test_non_finite_numbers_exit_with_config_code(values, env, key, tmp_path, monkeypatch, capsys):
+    assert _run(values, tmp_path, monkeypatch, env) == cli.EXIT_CONFIG
+    assert re.search(rf"config error: {key}: expected a finite number", capsys.readouterr().err)
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("step", [0, -1])
+def test_non_positive_theory_step_exits_with_config_code(step, tmp_path, monkeypatch, capsys):
+    values = {"mode": "theory", "theory_step_size": step, "theory_rounds": 3}
+    assert _run(values, tmp_path, monkeypatch) == cli.EXIT_CONFIG
+    assert "step_size must be > 0" in capsys.readouterr().err
+
+
+def test_workers_other_than_one_exit_with_config_code(tmp_path, monkeypatch, capsys):
+    assert _run({**SMALL_FLIC, "workers": 2}, tmp_path, monkeypatch) == cli.EXIT_CONFIG
+    assert "one after another" in capsys.readouterr().err
+
+
+def test_workers_flag_is_gone(capsys):
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["run", "--workers", "2"])

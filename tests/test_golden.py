@@ -53,7 +53,7 @@ def golden_run(values: dict) -> dict:
     cfg = build_config(values, apply_env=False)
     datasets, n_classes = load_or_generate(cfg)
     clients, state = build_federation(datasets, n_classes, cfg)
-    clients, state, metrics, _ = run_training(clients, state, cfg.round_config())
+    clients, state, metrics, _ = run_training(clients, state, cfg.training)
     accs, _ = evaluate(clients, state)
     return {
         "per_client_accuracy": {str(k): accs[k] for k in sorted(accs)},

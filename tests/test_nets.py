@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -46,13 +48,14 @@ class TestForward:
 
     def test_against_straight_line_evaluation(self):
         rng = np.random.default_rng(1)
-        net = random_net(rng, [4, 5, 2], ["sigmoid", "identity"])
+        net = random_net(rng, [4, 5, 2], ["leaky_relu", "identity"])
         X = rng.standard_normal((6, 4))
         out, _ = forward(net, X)
         # independent re-implementation
         W1, b1 = net.layers[0].W, net.layers[0].b
         W2, b2 = net.layers[1].W, net.layers[1].b
-        hidden = 1.0 / (1.0 + np.exp(-(X @ W1 + b1)))
+        pre = X @ W1 + b1
+        hidden = np.where(pre > 0, pre, 0.01 * pre)
         expected = hidden @ W2 + b2
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
@@ -80,26 +83,16 @@ class TestBackward:
         assert all(np.all(g == 0) for g in grads)
         np.testing.assert_array_equal(g_in, np.zeros_like(X))
 
-    def test_scalar_sigmoid_hand_derivative(self):
-        w, b, x = 0.7, -0.2, 1.3
-        net = Mlp([Layer(np.array([[w]]), np.array([b]), "sigmoid")])
-        out, cache = forward(net, np.array([[x]]))
-        grads, g_in = backward(net, cache, np.ones((1, 1)))
-        s = 1.0 / (1.0 + np.exp(-(w * x + b)))
-        assert grads[0][0, 0] == pytest.approx(s * (1 - s) * x, abs=1e-10)
-        assert grads[1][0] == pytest.approx(s * (1 - s), abs=1e-10)
-        assert g_in[0, 0] == pytest.approx(s * (1 - s) * w, abs=1e-10)
-
     @pytest.mark.parametrize(
         "dims,acts",
         [
             ([3, 5, 2], ["relu", "identity"]),
-            ([2, 4, 4, 3], ["leaky_relu", "sigmoid", "identity"]),
-            ([4, 3], ["sigmoid"]),
+            ([2, 4, 4, 3], ["leaky_relu", "relu", "identity"]),
+            ([4, 3], ["leaky_relu"]),
         ],
     )
     def test_param_gradients_match_fd(self, dims, acts):
-        rng = np.random.default_rng(hash((tuple(dims), tuple(acts))) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(repr((dims, acts)).encode()))
         net = random_net(rng, dims, acts)
         X = rng.standard_normal((7, dims[0]))
         direction = rng.standard_normal((7, dims[-1]))
