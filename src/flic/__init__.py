@@ -15,7 +15,7 @@ from .anchors import (
     sample_anchor,
 )
 from .config import ConfigError, ExperimentConfig, parse_config, serialize_config
-from .datagen import ClientDataset, ToyDatasetSpec, gen_toy_lm, gen_toy_nf
+from .datagen import ClientDataset, ToyDatasetSpec, generate
 from .federation import (
     ClientState,
     DivergenceError,

@@ -49,14 +49,13 @@ class AnchorSet:
     def latent_dim(self) -> int:
         return self.means.shape[1]
 
-    def gaussian(self, c: int) -> Gaussian:
-        return Gaussian(self.means[c].copy(), self.factors[c].copy())
-
     def copy(self) -> "AnchorSet":
         return AnchorSet(self.means.copy(), self.factors.copy(), self.cov_learnable)
 
     def nbytes(self) -> int:
-        return self.means.nbytes + self.factors.nbytes
+        """Bytes a message carries: the means, and the factors only when
+        they are learned."""
+        return self.means.nbytes + (self.factors.nbytes if self.cov_learnable else 0)
 
 
 def init_anchors(

@@ -1,9 +1,8 @@
 """Command-line entry point.
 
 Subcommands: ``datagen`` (write a toy dataset), ``run`` (flic / local /
-theory experiment), ``theory`` (shortcut for the regression harness),
-``eval`` (score a checkpoint on a dataset), ``onboard`` (fit a new
-client against a trained checkpoint).
+theory experiment), ``eval`` (score a checkpoint on a dataset),
+``onboard`` (fit a new client against a trained checkpoint).
 
 Exit codes: 0 success, 2 configuration error, 3 runtime divergence,
 4 I/O error.
@@ -32,8 +31,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_config(args: argparse.Namespace, forced_mode: str | None = None):
-    flags = {"seed": args.seed, "out_dir": args.out, "mode": forced_mode or args.mode}
+def _load_config(args: argparse.Namespace):
+    flags = {"seed": args.seed, "out_dir": args.out, "mode": args.mode}
     overrides = {key: value for key, value in flags.items() if value is not None}
     if args.config is not None:
         return parse_config(args.config, overrides=overrides)
@@ -47,10 +46,10 @@ def _cmd_datagen(args) -> int:
     return write_dataset(cfg, args.out or cfg.out_dir)
 
 
-def _cmd_run(args, forced_mode: str | None = None) -> int:
+def _cmd_run(args) -> int:
     from .experiment import run_command
 
-    cfg = _load_config(args, forced_mode=forced_mode)
+    cfg = _load_config(args)
     return run_command(cfg)
 
 
@@ -126,9 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a federated / local / theory experiment")
     _add_common(p)
 
-    p = sub.add_parser("theory", help="run the linear-regression recovery harness")
-    _add_common(p)
-
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
@@ -150,8 +146,6 @@ def main(argv=None) -> int:
             return _cmd_datagen(args)
         if args.command == "run":
             return _cmd_run(args)
-        if args.command == "theory":
-            return _cmd_run(args, forced_mode="theory")
         if args.command == "eval":
             return _cmd_eval(args)
         if args.command == "onboard":

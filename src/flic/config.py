@@ -71,7 +71,6 @@ COMPONENT_KEYS = {
     "lambda2": ("training", "lam2"),
     "anchor_samples": ("training", "anchor_samples"),
     "eps": ("training", "eps"),
-    "alpha_epoch": ("training", "alpha_epoch"),
     "final_local_rounds": ("training", "final_local_rounds"),
     "variant": ("data", "variant"),
     "n_classes": ("data", "n_classes"),

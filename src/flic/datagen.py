@@ -12,6 +12,13 @@ Each class pool is shared evenly among the clients holding that class,
 clients are randomly subsampled to create size imbalance, and every
 client gets a stratified train/test split. Generation is a pure
 function of the spec (seed included).
+
+``flic datagen`` writes a dataset directory with :func:`save_clients`:
+one ``arrays.npz`` holding ``client<id>.features``, ``.labels``,
+``.classes``, ``.train_idx`` and ``.test_idx`` for every client, dtypes
+kept, and a ``manifest.json`` listing the client ids and the class
+count. It is the layout of a checkpoint (:mod:`flic.reporting`), and
+:func:`load_clients` reads it back exactly.
 """
 
 from __future__ import annotations
@@ -27,8 +34,7 @@ from .rng import stream
 __all__ = [
     "ToyDatasetSpec",
     "ClientDataset",
-    "gen_toy_nf",
-    "gen_toy_lm",
+    "generate",
     "partition_clients",
     "save_clients",
     "load_clients",
@@ -38,6 +44,9 @@ _TAG_MEANS = 11
 _TAG_BASE = 12
 _TAG_PARTITION = 13
 _TAG_CLIENT = 14
+
+# The per-client arrays of a dataset directory, in ``ClientDataset`` order.
+CLIENT_ARRAYS = ("features", "labels", "classes", "train_idx", "test_idx")
 
 
 @dataclass(frozen=True)
@@ -58,6 +67,9 @@ class ToyDatasetSpec:
     def __post_init__(self):
         if self.variant not in ("nf", "lm"):
             raise ValueError(f"unknown variant {self.variant!r}")
+        for name in ("samples_per_class", "base_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not 1 <= self.classes_per_client <= self.n_classes:
             raise ValueError("classes_per_client must lie in [1, n_classes]")
         if self.clients * self.classes_per_client < self.n_classes:
@@ -192,155 +204,77 @@ def partition_clients(pools: dict[int, np.ndarray], spec: ToyDatasetSpec, rng):
     return out
 
 
-def _materialize(parts, base: np.ndarray, labels: np.ndarray, transform, spec):
-    """Turn id partitions into ClientDatasets, applying a per-client feature
-    transform ``transform(client_id, rows) -> array``."""
+def generate(spec: ToyDatasetSpec) -> list[ClientDataset]:
+    """Draw the class pools in the base space, share them among the
+    clients, and give each client its own feature space.
+
+    Class means are ``mean_scale`` times standard normals. In ``lm`` each
+    class also gets a random diagonal covariance, and a client sees
+    ``rows @ M`` for its own standard-normal ``M`` of ``base_dim`` rows and
+    a dimension drawn from ``map_dim_range``. In ``nf`` classes have unit
+    covariance, and a client sees its rows followed by a count, drawn from
+    ``noise_dim_range``, of standard-normal noise columns.
+    """
+    rng_means = stream(spec.seed, _TAG_MEANS)
+    shape = (spec.n_classes, spec.base_dim)
+    means = spec.mean_scale * rng_means.standard_normal(shape)
+    if spec.variant == "lm":
+        scales = np.sqrt(rng_means.uniform(0.5, 2.0, size=shape))
+    else:
+        scales = np.ones(shape)
+    n = spec.samples_per_class
+    rng_base = stream(spec.seed, _TAG_BASE)
+    base = np.concatenate(
+        [means[c] + rng_base.standard_normal((n, spec.base_dim)) * scales[c]
+         for c in range(spec.n_classes)]
+    )
+    labels = np.repeat(np.arange(spec.n_classes), n)
+    pools = {c: np.arange(c * n, (c + 1) * n) for c in range(spec.n_classes)}
+    parts = partition_clients(pools, spec, stream(spec.seed, _TAG_PARTITION))
+
     datasets = []
     for i, part in enumerate(parts):
-        ids = np.concatenate([part["ids"][c] for c in sorted(part["ids"])])
-        feats = transform(i, base[ids])
-        labs = labels[ids]
-        pos = {int(g): j for j, g in enumerate(ids)}
-        train = np.asarray(
-            [pos[int(g)] for c in sorted(part["train"]) for g in part["train"][c]],
-            dtype=int,
-        )
-        test = np.asarray(
-            [pos[int(g)] for c in sorted(part["test"]) for g in part["test"][c]],
-            dtype=int,
-        )
-        datasets.append(
-            ClientDataset(
-                client_id=i,
-                features=feats,
-                labels=labs,
-                classes=sorted(part["ids"]),
-                train_idx=train,
-                test_idx=test,
-            )
-        )
+        classes = sorted(part["ids"])
+        # Pools are consecutive id ranges in class order, so ``ids`` is
+        # sorted and a sample's row is its position in ``ids``.
+        ids = np.concatenate([part["ids"][c] for c in classes])
+        rng = stream(spec.seed, _TAG_CLIENT, i)
+        if spec.variant == "lm":
+            out_dim = int(rng.integers(spec.map_dim_range[0], spec.map_dim_range[1] + 1))
+            feats = base[ids] @ rng.standard_normal((spec.base_dim, out_dim))
+        else:
+            extra = int(rng.integers(spec.noise_dim_range[0], spec.noise_dim_range[1] + 1))
+            feats = np.hstack([base[ids], rng.standard_normal((len(ids), extra))])
+        train = np.searchsorted(ids, np.concatenate([part["train"][c] for c in classes]))
+        test = np.searchsorted(ids, np.concatenate([part["test"][c] for c in classes]))
+        datasets.append(ClientDataset(i, feats, labels[ids], classes, train, test))
     return datasets
 
 
-def _base_pools(spec):
-    n_total = spec.n_classes * spec.samples_per_class
-    labels = np.repeat(np.arange(spec.n_classes), spec.samples_per_class)
-    pools = {
-        c: np.arange(c * spec.samples_per_class, (c + 1) * spec.samples_per_class)
-        for c in range(spec.n_classes)
-    }
-    return n_total, labels, pools
-
-
-def gen_toy_nf(spec: ToyDatasetSpec) -> list[ClientDataset]:
-    """Noisy-features variant: informative base coordinates identical in law
-    across clients, plus client-specific standard-normal noise columns."""
-    if spec.variant != "nf":
-        raise ValueError("spec.variant must be 'nf'")
-    means = spec.mean_scale * stream(spec.seed, _TAG_MEANS).standard_normal(
-        (spec.n_classes, spec.base_dim)
-    )
-    _, labels, pools = _base_pools(spec)
-    rng_base = stream(spec.seed, _TAG_BASE)
-    base = np.concatenate(
-        [
-            means[c] + rng_base.standard_normal((spec.samples_per_class, spec.base_dim))
-            for c in range(spec.n_classes)
-        ]
-    )
-    parts = partition_clients(pools, spec, stream(spec.seed, _TAG_PARTITION))
-
-    def add_noise(i, rows):
-        rng = stream(spec.seed, _TAG_CLIENT, i)
-        lo, hi = spec.noise_dim_range
-        extra = int(rng.integers(lo, hi + 1)) if hi > 0 else 0
-        if extra == 0:
-            return rows.copy()
-        return np.hstack([rows, rng.standard_normal((rows.shape[0], extra))])
-
-    return _materialize(parts, base, labels, add_noise, spec)
-
-
-def gen_toy_lm(spec: ToyDatasetSpec, map_factory=None) -> list[ClientDataset]:
-    """Linear-mapping variant: base Gaussians with random mean and random
-    diagonal covariance, pushed through a client-specific random linear map
-    to a client-specific dimension.
-
-    `map_factory(rng, base_dim, out_dim)` may be overridden (e.g. with an
-    identity map) for testing; the default draws standard-normal entries.
-    """
-    if spec.variant != "lm":
-        raise ValueError("spec.variant must be 'lm'")
-    rng_means = stream(spec.seed, _TAG_MEANS)
-    means = spec.mean_scale * rng_means.standard_normal((spec.n_classes, spec.base_dim))
-    diag_vars = rng_means.uniform(0.5, 2.0, size=(spec.n_classes, spec.base_dim))
-    _, labels, pools = _base_pools(spec)
-    rng_base = stream(spec.seed, _TAG_BASE)
-    base = np.concatenate(
-        [
-            means[c]
-            + rng_base.standard_normal((spec.samples_per_class, spec.base_dim))
-            * np.sqrt(diag_vars[c])
-            for c in range(spec.n_classes)
-        ]
-    )
-    parts = partition_clients(pools, spec, stream(spec.seed, _TAG_PARTITION))
-
-    if map_factory is None:
-        def map_factory(rng, base_dim, out_dim):
-            return rng.standard_normal((base_dim, out_dim))
-
-    def apply_map(i, rows):
-        rng = stream(spec.seed, _TAG_CLIENT, i)
-        lo, hi = spec.map_dim_range
-        out_dim = int(rng.integers(lo, hi + 1))
-        return rows @ map_factory(rng, spec.base_dim, out_dim)
-
-    return _materialize(parts, base, labels, apply_map, spec)
-
-
-def generate(spec: ToyDatasetSpec) -> list[ClientDataset]:
-    return gen_toy_nf(spec) if spec.variant == "nf" else gen_toy_lm(spec)
-
-
 def save_clients(datasets: list[ClientDataset], out_dir, n_classes: int, extra=None):
-    """Write one self-describing JSON document per client plus a manifest."""
+    """Write a dataset directory: ``arrays.npz`` holds every client's
+    arrays as ``client<id>.<name>`` for the names in ``CLIENT_ARRAYS``,
+    dtypes kept, and ``manifest.json`` lists the client ids and the class
+    count, plus any ``extra`` entries."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    files = []
-    for ds in datasets:
-        name = f"client_{ds.client_id:04d}.json"
-        doc = {
-            "client_id": int(ds.client_id),
-            "dim": int(ds.dim),
-            "classes": [int(c) for c in ds.classes],
-            "features": ds.features.tolist(),
-            "labels": ds.labels.tolist(),
-            "train_idx": ds.train_idx.tolist(),
-            "test_idx": ds.test_idx.tolist(),
-        }
-        (out / name).write_text(json.dumps(doc))
-        files.append(name)
-    manifest = {"clients": files, "n_classes": int(n_classes)}
-    if extra:
-        manifest.update(extra)
+    arrays = {
+        f"client{ds.client_id}.{name}": getattr(ds, name)
+        for ds in datasets
+        for name in CLIENT_ARRAYS
+    }
+    np.savez(out / "arrays.npz", **arrays)
+    manifest = {"clients": [int(ds.client_id) for ds in datasets], "n_classes": int(n_classes)}
+    manifest.update(extra or {})
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
 
 def load_clients(data_dir) -> tuple[list[ClientDataset], int]:
     root = Path(data_dir)
     manifest = json.loads((root / "manifest.json").read_text())
-    datasets = []
-    for name in manifest["clients"]:
-        doc = json.loads((root / name).read_text())
-        datasets.append(
-            ClientDataset(
-                client_id=doc["client_id"],
-                features=np.asarray(doc["features"], dtype=float),
-                labels=np.asarray(doc["labels"], dtype=int),
-                classes=doc["classes"],
-                train_idx=doc["train_idx"],
-                test_idx=doc["test_idx"],
-            )
-        )
+    with np.load(root / "arrays.npz") as arrays:
+        datasets = [
+            ClientDataset(cid, *(arrays[f"client{cid}.{name}"] for name in CLIENT_ARRAYS))
+            for cid in manifest["clients"]
+        ]
     return datasets, int(manifest["n_classes"])

@@ -100,7 +100,6 @@ class RoundConfig:
     anchor_samples: int = 100
     eps: float = 1e-6
     seed: int = 0
-    alpha_epoch: bool = False  # step alpha once per local step instead of once
     final_local_rounds: int = 0  # extra all-client local rounds before evaluation
 
     def __post_init__(self):
@@ -360,17 +359,6 @@ def client_local_round(
     alpha_prop.set_params(
         [p - cfg.lr * g for p, g in zip(alpha_prop.params(), g_alpha)]
     )
-    if cfg.alpha_epoch:
-        for j in range(1, cfg.local_steps):
-            batch = _draw_batch(rng, data.train_idx, cfg.batch_size)
-            _, _, g_alpha, _, _ = _objective(
-                client.client_id, round_idx, cfg.local_steps + j,
-                phi, alpha_prop, head, X_all[batch], y_all[batch],
-                anchors, cfg.lam1, cfg.lam2, cfg.eps, z_for_loss,
-            )
-            alpha_prop.set_params(
-                [p - cfg.lr * g for p, g in zip(alpha_prop.params(), g_alpha)]
-            )
 
     if cfg.lam1 > 0 or cfg.lam2 > 0:
         H_train = forward(phi, X_all[data.train_idx])[0]
@@ -434,17 +422,6 @@ def aggregate_alpha(proposals: list[Mlp], weights, total_clients: int) -> Mlp:
     return out
 
 
-def _down_bytes(global_state: GlobalState) -> int:
-    return global_state.alpha.nbytes() + _anchor_bytes(global_state.anchors)
-
-
-def _anchor_bytes(anchors: AnchorSet) -> int:
-    n = anchors.means.nbytes
-    if anchors.cov_learnable:
-        n += anchors.factors.nbytes
-    return n
-
-
 def _local_fit(client, global_state, cfg, rounds, tag):
     """Rounds of local (phi, head) steps only; shared state frozen."""
     out = client.copy()
@@ -475,7 +452,7 @@ def run_training(clients, global_state, cfg: RoundConfig):
     for t in range(cfg.rounds):
         t0 = time.perf_counter()
         active = select_active_clients(b, cfg.participation, stream(cfg.seed, TAG_SELECT, t))
-        down = _down_bytes(state)
+        down = state.alpha.nbytes() + state.anchors.nbytes()
         for i in active:
             log.append(t, "down", int(i), "shared_alpha+anchors", down)
         results = {i: client_local_round(clients[i], state, cfg, t) for i in active}
@@ -483,7 +460,7 @@ def run_training(clients, global_state, cfg: RoundConfig):
         up_total = 0
         for i in sorted(results):
             r = results[i]
-            up = r.alpha_proposal.nbytes() + _anchor_bytes(r.anchor_proposal)
+            up = r.alpha_proposal.nbytes() + r.anchor_proposal.nbytes()
             log.append(t, "up", int(i), "alpha_proposal+anchor_proposal", up)
             up_total += up
             clients[i] = r.client

@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "MetricsRecord",
     "write_metrics",
-    "read_metrics",
     "write_summary",
     "save_checkpoint",
     "load_checkpoint",
@@ -74,28 +73,6 @@ def write_metrics(records: list[MetricsRecord], path) -> None:
                     r.bytes_down,
                 ]
             )
-
-
-def read_metrics(path) -> list[MetricsRecord]:
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != METRICS_HEADER:
-            raise ValueError(f"unexpected metrics header: {reader.fieldnames}")
-        for row in reader:
-            out.append(
-                MetricsRecord(
-                    round=int(row["round"]),
-                    train_loss=float(row["train_loss"]),
-                    mean_accuracy=float(row["mean_accuracy"]),
-                    min_accuracy=float(row["min_accuracy"]),
-                    max_accuracy=float(row["max_accuracy"]),
-                    wall_ms=float(row["wall_ms"]),
-                    bytes_up=int(row["bytes_up"]),
-                    bytes_down=int(row["bytes_down"]),
-                )
-            )
-    return out
 
 
 def write_theory_trace(rows, path) -> None:

@@ -45,6 +45,7 @@ __all__ = [
 _TAG_INSTANCE = 21
 _TAG_SELECT = 22
 _EIG_FLOOR = 1e-12
+_SUBSET_SAMPLES = 50  # active subsets probed for the step-size cap
 
 
 def _random_orthonormal(rng, rows: int, cols: int) -> np.ndarray:
@@ -65,16 +66,17 @@ class TheoryConfig:
     participation: float = 1.0
     rounds: int = 100
     step_size: float = 0.05
-    subset_samples: int = 50  # subsets probed for the step-size cap
     seed: int = 0
 
     def __post_init__(self):
         if self.samples_per_client < 1 or self.test_samples < 1:
             raise ValueError("samples_per_client and test_samples must be at least 1")
-        if self.head_dim > self.latent_dim:
-            raise ValueError("head_dim must not exceed latent_dim")
+        if not 1 <= self.head_dim <= self.latent_dim:
+            raise ValueError("head_dim must lie in [1, latent_dim]")
         if self.raw_dim_range[0] < self.latent_dim:
             raise ValueError("raw_dim_range must start at latent_dim or above")
+        if self.raw_dim_range[0] > self.raw_dim_range[1]:
+            raise ValueError("raw_dim_range must not end below its start")
         if not 0 < self.participation <= 1:
             raise ValueError("participation must lie in (0, 1]")
         if not self.step_size > 0:
@@ -161,7 +163,7 @@ def phi_hat(inst: TheoryInstance, i: int, X) -> np.ndarray:
     return _embed(inst, i, X, inst.sign_hat)
 
 
-def _sigma_max_sq_cap(betas_star, active_size, rng, n_subsets) -> float:
+def _sigma_max_sq_cap(betas_star, active_size, rng) -> float:
     """Largest squared singular value of B*/sqrt(|A|) over probed subsets."""
     b = betas_star.shape[0]
     worst = 0.0
@@ -169,7 +171,7 @@ def _sigma_max_sq_cap(betas_star, active_size, rng, n_subsets) -> float:
         subsets = [np.arange(b)]
     else:
         subsets = [
-            rng.choice(b, size=active_size, replace=False) for _ in range(n_subsets)
+            rng.choice(b, size=active_size, replace=False) for _ in range(_SUBSET_SAMPLES)
         ]
     for sel in subsets:
         s = np.linalg.svd(betas_star[sel] / np.sqrt(len(sel)), compute_uv=False)
@@ -243,7 +245,7 @@ def make_instance(config: TheoryConfig) -> TheoryInstance:
         inst.phi_test[i] = Z * Q
 
     active_size = max(1, int(np.floor(config.participation * b)))
-    cap = _sigma_max_sq_cap(betas_star, active_size, rng, config.subset_samples)
+    cap = _sigma_max_sq_cap(betas_star, active_size, rng)
     inst.step_size = min(config.step_size, 1.0 / (4.0 * cap))
     return inst
 

@@ -53,6 +53,12 @@ class TestSampling:
         np.testing.assert_allclose(Z, anchors.means[0] + xi @ anchors.factors[0].T)
 
 
+@pytest.mark.parametrize("cov_learnable", [False, True])
+def test_nbytes_counts_factors_only_when_learnable(cov_learnable):
+    anchors = make_anchors(np.random.default_rng(0), C=4, k=3, cov_learnable=cov_learnable)
+    assert anchors.nbytes() == 8 * (4 * 3 + cov_learnable * 4 * 3 * 3)
+
+
 class TestLocalUpdate:
     def test_stationary_point(self):
         rng = np.random.default_rng(7)

@@ -85,3 +85,69 @@ def test_workers_other_than_one_exit_with_config_code(tmp_path, monkeypatch, cap
 def test_workers_flag_is_gone(capsys):
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["run", "--workers", "2"])
+
+
+@pytest.mark.parametrize(
+    "values,name",
+    [
+        ({"samples_per_class": 0, "rounds": 1, "clients": 20}, "samples_per_class"),
+        ({**SMALL_FLIC, "base_dim": 0}, "base_dim"),
+        ({"mode": "theory", "theory_raw_dim_max": 6}, "raw_dim_range"),
+        ({"mode": "theory", "theory_head_dim": 0}, "head_dim"),
+    ],
+)
+def test_unrunnable_data_and_theory_shapes_exit_with_config_code(
+    values, name, tmp_path, monkeypatch, capsys
+):
+    assert _run(values, tmp_path, monkeypatch) == cli.EXIT_CONFIG
+    assert re.search(rf"config error: .*\b{name}\b", capsys.readouterr().err)
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def _file_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_datagen_run_eval_onboard_end_to_end(tmp_path, monkeypatch, capsys):
+    """A dataset directory feeds ``run``; ``eval`` on the checkpoint prints
+    the accuracies of summary.json; ``onboard`` leaves the checkpoint as
+    it was."""
+    for key in [k for k in os.environ if k.startswith("FLIC_")]:
+        monkeypatch.delenv(key)
+    data, out = tmp_path / "data", tmp_path / "out"
+    values = {
+        "clients": 20, "samples_per_class": 20, "rounds": 2, "participation": 0.25,
+        "latent_dim": 6, "hidden_dim": 8, "local_steps": 2, "cov_learnable": True,
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values))
+    assert cli.main(["datagen", "--config", str(config), "--out", str(data)]) == cli.EXIT_OK
+    config.write_text(json.dumps({**values, "dataset_path": str(data)}))
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == cli.EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    capsys.readouterr()
+
+    ckpt = out / "checkpoint"
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == cli.EXIT_OK
+    accs = summary["per_client_accuracy"]
+    expected = [f"client {c}: accuracy {accs[c]:.4f}" for c in sorted(accs, key=int)]
+    expected.append(f"mean_accuracy {summary['mean_accuracy']:.4f}")
+    assert capsys.readouterr().out.splitlines() == expected
+
+    # every message carries exactly the shared layer and the anchor set
+    k, n_classes = values["latent_dim"], 20
+    payload = 8 * (k * k + k) + 8 * n_classes * (k + k * k)
+    messages = [json.loads(line) for line in (out / "messages.log").read_text().splitlines()]
+    assert messages and {m["nbytes"] for m in messages} == {payload}
+
+    before = _file_bytes(ckpt)
+    argv = ["onboard", "--config", str(config), "--checkpoint", str(ckpt), "--data", str(data),
+            "--client-id", "0", "--rounds", "1"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert re.fullmatch(r"onboarded client 0: accuracy \d\.\d{4}\n", capsys.readouterr().out)
+    assert _file_bytes(ckpt) == before
+
+
+def test_theory_subcommand_is_gone(capsys):
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["theory"])

@@ -18,7 +18,6 @@ from flic.config import ConfigError, build_config, parse_config, serialize_confi
 # Every key of the flat format with its default; a change to this dict is
 # a change to the file format.
 DEFAULTS = {
-    "alpha_epoch": False,
     "anchor_init_scale": None,
     "anchor_samples": 100,
     "base_dim": 5,
@@ -78,7 +77,7 @@ def flat(cfg) -> dict:
 
 def test_defaults_are_the_documented_keys_and_values():
     doc = flat(build_config({}, apply_env=False))
-    assert len(DEFAULTS) == 45
+    assert len(DEFAULTS) == 44
     assert doc == DEFAULTS
     # types too: 1e-06 == 1e-6 either way, but 1 == 1.0 would hide a float
     assert {k: type(v) for k, v in doc.items()} == {k: type(v) for k, v in DEFAULTS.items()}
@@ -140,7 +139,6 @@ def valid_values(draw):
         "lambda2": st.floats(0.0, 10.0),
         "anchor_samples": st.integers(1, 200),
         "eps": st.floats(1e-12, 1.0),
-        "alpha_epoch": st.booleans(),
         "final_local_rounds": st.integers(0, 5),
         "onboard_rounds": st.none() | st.integers(0, 50),
         "latent_dim": st.integers(1, 128),
@@ -189,14 +187,14 @@ def test_serialize_then_parse_is_the_identity(values):
 
 def test_environment_overrides_file_values(tmp_path, monkeypatch):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"lambda1": 0.5, "noise_dim_min": 2, "alpha_epoch": False}))
+    path.write_text(json.dumps({"lambda1": 0.5, "noise_dim_min": 2, "cov_learnable": False}))
     monkeypatch.setenv("FLIC_LAMBDA1", "0.25")
     monkeypatch.setenv("FLIC_NOISE_DIM_MIN", "3")
-    monkeypatch.setenv("FLIC_ALPHA_EPOCH", "yes")
+    monkeypatch.setenv("FLIC_COV_LEARNABLE", "yes")
     doc = flat(parse_config(path))
-    assert (doc["lambda1"], doc["noise_dim_min"], doc["alpha_epoch"]) == (0.25, 3, True)
+    assert (doc["lambda1"], doc["noise_dim_min"], doc["cov_learnable"]) == (0.25, 3, True)
     doc = flat(parse_config(path, apply_env=False))
-    assert (doc["lambda1"], doc["noise_dim_min"], doc["alpha_epoch"]) == (0.5, 2, False)
+    assert (doc["lambda1"], doc["noise_dim_min"], doc["cov_learnable"]) == (0.5, 2, False)
 
 
 # Cheap in either mode, so a precedence mistake cannot start a long run.
@@ -257,16 +255,21 @@ INVALID = [
     ({"imbalance_min": 0.9, "imbalance_max": 0.5}, ["imbalance_min", "imbalance_range"]),
     ({"test_fraction": 0.0}, ["test_fraction"]),
     ({"test_fraction": 1.0}, ["test_fraction"]),
+    ({"samples_per_class": 0}, ["samples_per_class"]),
+    ({"base_dim": 0}, ["base_dim"]),
     ({"mode": "theory", "theory_samples": 0}, ["theory_samples", "samples_per_client"]),
     ({"mode": "theory", "theory_test_samples": 0}, ["theory_test_samples", "test_samples"]),
     ({"mode": "theory", "theory_head_dim": 6}, ["theory_head_dim", "head_dim"]),
     ({"mode": "theory", "theory_raw_dim_min": 4}, ["theory_raw_dim_min", "raw_dim_range"]),
     ({"mode": "theory", "theory_participation": 0.0}, ["theory_participation", "participation"]),
     ({"mode": "theory", "theory_clients": 2}, ["theory_clients", "clients"]),
+    ({"mode": "theory", "theory_head_dim": 0}, ["theory_head_dim", "head_dim"]),
+    ({"mode": "theory", "theory_raw_dim_max": 6}, ["theory_raw_dim_max", "raw_dim_range"]),
     ({"rounds": 1.5}, ["rounds"]),
     ({"lr": "fast"}, ["lr"]),
     ({"cov_learnable": 1}, ["cov_learnable"]),
     ({"no_such_key": 1}, ["no_such_key"]),
+    ({"alpha_epoch": True}, ["alpha_epoch"]),
 ]
 
 

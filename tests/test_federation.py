@@ -91,8 +91,9 @@ class TestBatchedAnchorPass:
 
 
 class TestAlphaEpochDivergence:
-    """The per-step shared-layer updates of ``alpha_epoch`` go through the
-    same divergence checks as every other objective evaluation."""
+    """The single shared-layer step of a round, the one objective
+    evaluation after the ``local_steps`` Adam steps, goes through the same
+    divergence checks as every other evaluation."""
 
     def round_inputs(self):
         rng = np.random.default_rng(4)
@@ -107,7 +108,7 @@ class TestAlphaEpochDivergence:
         )
         client = make_client(data, N_CLASSES, K, HIDDEN, lr=1e-3, weight=1.0, rng=rng)
         state = GlobalState(build_shared(K, rng), init_anchors(N_CLASSES, K, rng))
-        cfg = RoundConfig(local_steps=3, batch_size=12, anchor_samples=5, alpha_epoch=True)
+        cfg = RoundConfig(local_steps=3, batch_size=12, anchor_samples=5)
         return client, state, cfg
 
     @pytest.mark.parametrize(
@@ -117,10 +118,12 @@ class TestAlphaEpochDivergence:
     def test_fault_at_alpha_proposal_names_client_round_step_and_term(self, monkeypatch, fault, term):
         client, state, cfg = self.round_inputs()
         original = federation.local_objective_grads
+        calls = []
 
-        def faulty(phi, alpha, *args):
-            out = original(phi, alpha, *args)
-            if alpha is state.alpha:  # local steps and the first shared step
+        def faulty(*args):
+            out = original(*args)
+            calls.append(None)
+            if len(calls) <= cfg.local_steps:  # the Adam steps
                 return out
             if fault == "bures":
                 raise BuresGradientError("L^T S L is numerically singular: smallest eigenvalue 0")
@@ -130,8 +133,9 @@ class TestAlphaEpochDivergence:
         with pytest.raises(DivergenceError) as info:
             client_local_round(client, state, cfg, round_idx=2)
         err = info.value
-        assert (err.client_id, err.round_idx, err.step, err.term) == (3, 2, cfg.local_steps + 1, term)
-        assert f"loss term '{term}' diverged on client 3 at round 2, step {cfg.local_steps + 1}" in str(err)
+        assert len(calls) == cfg.local_steps + 1
+        assert (err.client_id, err.round_idx, err.step, err.term) == (3, 2, cfg.local_steps, term)
+        assert f"loss term '{term}' diverged on client 3 at round 2, step {cfg.local_steps}" in str(err)
 
     def test_finite_run_completes(self):
         client, state, cfg = self.round_inputs()
