@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import Gaussian, bures_sq_value_grad
+from .gaussian import Gaussian, bures_sq_value_grad, is_identity
 
 __all__ = [
     "AnchorSet",
@@ -77,14 +77,17 @@ def sample_anchor(anchors: AnchorSet, c: int, count: int, rng, return_noise=Fals
     """Draw ``count`` reparameterized samples ``z = v_c + L_c xi``.
 
     With ``return_noise=True`` also returns the standard-normal draws
-    ``xi``, which carry the pathwise gradient to the factor.
+    ``xi``, which carry the pathwise gradient to the factor. A factor that
+    is exactly the identity (the frozen default) adds ``xi`` as it is;
+    the product it skips would give the same samples.
     """
     if not 0 <= c < anchors.n_classes:
         raise ValueError(f"unknown class {c}")
     if count < 1:
         raise ValueError("count must be >= 1")
     xi = rng.standard_normal((count, anchors.latent_dim))
-    Z = anchors.means[c] + xi @ anchors.factors[c].T
+    L = anchors.factors[c]
+    Z = anchors.means[c] + (xi if is_identity(L) else xi @ L.T)
     return (Z, xi) if return_noise else Z
 
 

@@ -32,6 +32,7 @@ import numpy as np
 from .rng import stream
 
 __all__ = [
+    "PoolTooSmallError",
     "ToyDatasetSpec",
     "ClientDataset",
     "generate",
@@ -47,6 +48,13 @@ _TAG_CLIENT = 14
 
 # The per-client arrays of a dataset directory, in ``ClientDataset`` order.
 CLIENT_ARRAYS = ("features", "labels", "classes", "train_idx", "test_idx")
+
+
+class PoolTooSmallError(ValueError):
+    """A class pool has fewer samples than the clients holding the class.
+
+    The holder counts are drawn at random, so the spec cannot be checked
+    for this before the partition is drawn."""
 
 
 @dataclass(frozen=True)
@@ -174,11 +182,13 @@ def partition_clients(pools: dict[int, np.ndarray], spec: ToyDatasetSpec, rng):
     for c in range(spec.n_classes):
         if not holders[c]:
             raise ValueError(f"class {c} has zero holders")
+        if len(pools[c]) < len(holders[c]):
+            raise PoolTooSmallError(
+                f"class {c} pool of {len(pools[c])} samples is smaller than "
+                f"its {len(holders[c])} holders"
+            )
         pool = rng.permutation(np.asarray(pools[c]))
-        chunks = np.array_split(pool, len(holders[c]))
-        for i, chunk in zip(holders[c], chunks):
-            if len(chunk) == 0:
-                raise ValueError(f"class {c} pool too small for its holders")
+        for i, chunk in zip(holders[c], np.array_split(pool, len(holders[c]))):
             shares[i][c] = chunk
 
     out = []

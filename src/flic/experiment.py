@@ -6,12 +6,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig
-from .datagen import generate, load_clients, save_clients
+from .config import ConfigError, ExperimentConfig
+from .datagen import PoolTooSmallError, generate, load_clients, save_clients
 from .federation import (
     TAG_INIT,
     GlobalState,
-    evaluate,
     local_baseline,
     make_client,
     run_training,
@@ -30,10 +29,17 @@ from .theory import run_theory_experiment
 __all__ = ["build_federation", "load_or_generate", "run_command"]
 
 
+def _generate(cfg: ExperimentConfig):
+    try:
+        return generate(cfg.data)
+    except PoolTooSmallError as exc:
+        raise ConfigError(f"samples_per_class: {exc}") from exc
+
+
 def load_or_generate(cfg: ExperimentConfig):
     if cfg.dataset_path is not None:
         return load_clients(cfg.dataset_path)
-    return generate(cfg.data), cfg.data.n_classes
+    return _generate(cfg), cfg.data.n_classes
 
 
 def build_federation(datasets, n_classes: int, cfg: ExperimentConfig):
@@ -63,10 +69,10 @@ def build_federation(datasets, n_classes: int, cfg: ExperimentConfig):
     return clients, GlobalState(alpha, anchors)
 
 
-def _acc_summary(accs: dict, mean_acc: float) -> dict:
+def _acc_summary(accs: dict) -> dict:
     return {
         "per_client_accuracy": {str(k): accs[k] for k in sorted(accs)},
-        "mean_accuracy": mean_acc,
+        "mean_accuracy": float(np.mean(list(accs.values()))),
         "min_accuracy": min(accs.values()),
         "max_accuracy": max(accs.values()),
     }
@@ -95,8 +101,7 @@ def run_command(cfg: ExperimentConfig) -> int:
     datasets, n_classes = load_or_generate(cfg)
     clients, state = build_federation(datasets, n_classes, cfg)
     if cfg.mode == "flic":
-        clients, state, metrics, log = run_training(clients, state, cfg.training)
-        accs, mean_acc = evaluate(clients, state)
+        clients, state, metrics, log, accs = run_training(clients, state, cfg.training)
         write_metrics(metrics, out / "metrics.csv")
         log.write(out / "messages.log")
         save_checkpoint(out / "checkpoint", state, clients)
@@ -110,12 +115,12 @@ def run_command(cfg: ExperimentConfig) -> int:
             "bytes_down": log.total_bytes("down"),
             "bytes_up": log.total_bytes("up"),
         }
-        summary.update(_acc_summary(accs, mean_acc))
+        summary.update(_acc_summary(accs))
         write_summary(summary, out / "summary.json")
         return 0
 
     # local baseline: no communication at all
-    clients, accs, mean_acc = local_baseline(clients, state, cfg.training)
+    clients, accs, _ = local_baseline(clients, state, cfg.training)
     write_metrics([], out / "metrics.csv")
     (out / "messages.log").write_text("")
     summary = {
@@ -128,13 +133,13 @@ def run_command(cfg: ExperimentConfig) -> int:
         "bytes_down": 0,
         "bytes_up": 0,
     }
-    summary.update(_acc_summary(accs, mean_acc))
+    summary.update(_acc_summary(accs))
     write_summary(summary, out / "summary.json")
     return 0
 
 
 def write_dataset(cfg: ExperimentConfig, out_dir) -> int:
-    datasets = generate(cfg.data)
+    datasets = _generate(cfg)
     save_clients(
         datasets,
         out_dir,

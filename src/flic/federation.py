@@ -76,10 +76,11 @@ class DivergenceError(RuntimeError):
         )
 
 
-def _objective(client_id, round_idx, step, *args):
-    """``local_objective_grads(*args)``; a divergence raises DivergenceError."""
+def _objective(client_id, round_idx, step, *args, **kwargs):
+    """``local_objective_grads(*args, **kwargs)``; a divergence raises
+    DivergenceError."""
     try:
-        out = local_objective_grads(*args)
+        out = local_objective_grads(*args, **kwargs)
     except BuresGradientError as exc:
         raise DivergenceError(client_id, round_idx, step, "align", str(exc)) from exc
     if not np.isfinite(out[0]["total"]):
@@ -205,7 +206,8 @@ def select_active_clients(b: int, rate: float, rng) -> np.ndarray:
     return np.sort(rng.choice(b, size=size, replace=False))
 
 
-def local_objective_grads(phi, alpha, head, X, y, anchors, lam1, lam2, eps, z_by_class):
+def local_objective_grads(phi, alpha, head, X, y, anchors, lam1, lam2, eps, z_by_class,
+                          shared_grads=True):
     """Per-client objective on a fixed batch and its exact gradients.
 
     objective = mean data cross-entropy
@@ -222,13 +224,20 @@ def local_objective_grads(phi, alpha, head, X, y, anchors, lam1, lam2, eps, z_by
     g_head, z_input_grads)`` where ``parts`` is a dict of the three loss
     components and ``z_input_grads[c]`` is the gradient with respect to
     the anchor samples of class c (used for anchor updates).
+
+    ``shared_grads=False`` is for the local steps, which move only phi
+    and the head: the data path's pass back through ``alpha`` forms only
+    the gradient ``phi`` needs, and the anchor-sample term stops after
+    the head's parameter gradients. ``g_alpha`` is then ``None`` and
+    ``z_input_grads`` empty; ``parts``, ``g_phi`` and ``g_head`` are the
+    same bit for bit.
     """
     H, cache_phi = forward(phi, X)
     R, cache_alpha = forward(alpha, H)
     logits, cache_head = forward(head, R)
     data_loss, dlogits = cross_entropy(logits, y)
     g_head, dR = backward(head, cache_head, dlogits)
-    g_alpha, dH = backward(alpha, cache_alpha, dR)
+    g_alpha, dH = backward(alpha, cache_alpha, dR, param_grads=shared_grads)
 
     align_loss = 0.0
     if lam1 > 0:
@@ -238,7 +247,7 @@ def local_objective_grads(phi, alpha, head, X, y, anchors, lam1, lam2, eps, z_by
         for c, g in align_grads.items():
             dH_align[y == c] = g
         dH = dH + lam1 * dH_align
-    g_phi, _ = backward(phi, cache_phi, dH)
+    g_phi, _ = backward(phi, cache_phi, dH, input_grad=False)
 
     anchor_loss = 0.0
     z_input_grads = {}
@@ -254,11 +263,12 @@ def local_objective_grads(phi, alpha, head, X, y, anchors, lam1, lam2, eps, z_by
         # class count times it is the sum of the per-class means.
         mean_z, dlz = cross_entropy(logits_z, np.repeat(classes, count))
         anchor_loss = len(classes) * mean_z
-        gh_z, dRz = backward(head, cache_hz, len(classes) * dlz)
-        ga_z, dZ = backward(alpha, cache_az, dRz)
-        z_input_grads = dict(zip(classes, np.split(dZ, len(classes))))
+        gh_z, dRz = backward(head, cache_hz, len(classes) * dlz, input_grad=shared_grads)
         g_head = [g + lam2 * gz for g, gz in zip(g_head, gh_z)]
-        g_alpha = [g + lam2 * gz for g, gz in zip(g_alpha, ga_z)]
+        if shared_grads:
+            ga_z, dZ = backward(alpha, cache_az, dRz)
+            z_input_grads = dict(zip(classes, np.split(dZ, len(classes))))
+            g_alpha = [g + lam2 * gz for g, gz in zip(g_alpha, ga_z)]
 
     parts = {
         "data": data_loss,
@@ -305,6 +315,7 @@ def _local_steps(phi, head, phi_opt, head_opt, data, alpha, anchors, cfg, rng,
         parts, g_phi, _, g_head, _ = _objective(
             client_id, round_idx, m,
             phi, alpha, head, Xb, yb, anchors, cfg.lam1, cfg.lam2, cfg.eps, z,
+            shared_grads=False,
         )
         phi.set_params(adam_step(phi_opt, phi.params(), g_phi))
         head.set_params(adam_step(head_opt, head.params(), g_head))
@@ -437,10 +448,12 @@ def _local_fit(client, global_state, cfg, rounds, tag):
 def run_training(clients, global_state, cfg: RoundConfig):
     """Full training loop.
 
-    Returns ``(clients, global_state, metrics, log)`` where metrics is a
-    list of per-round :class:`flic.reporting.MetricsRecord`. Input
-    states are not mutated; inactive clients' states pass through
-    untouched each round.
+    Returns ``(clients, global_state, metrics, log, accs)`` where metrics
+    is a list of per-round :class:`flic.reporting.MetricsRecord` and
+    ``accs`` maps each client id to its final test accuracy: the last
+    round's evaluation, which is repeated only when there was no round or
+    the final local rounds changed the clients. Input states are not
+    mutated; inactive clients' states pass through untouched each round.
     """
     if not clients:
         raise ValueError("need at least one client")
@@ -449,6 +462,7 @@ def run_training(clients, global_state, cfg: RoundConfig):
     log = MessageLog()
     metrics = []
     state = global_state
+    accs = None
     for t in range(cfg.rounds):
         t0 = time.perf_counter()
         active = select_active_clients(b, cfg.participation, stream(cfg.seed, TAG_SELECT, t))
@@ -489,7 +503,10 @@ def run_training(clients, global_state, cfg: RoundConfig):
         clients = [
             _local_fit(c, state, cfg, cfg.final_local_rounds, TAG_FINAL) for c in clients
         ]
-    return clients, state, metrics, log
+        accs = None
+    if accs is None:
+        accs, _ = evaluate(clients, state)
+    return clients, state, metrics, log, accs
 
 
 def client_accuracy(client: ClientState, alpha: Mlp) -> float:

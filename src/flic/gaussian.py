@@ -34,6 +34,7 @@ __all__ = [
     "bures_sq",
     "bures_sq_value_grad",
     "bures_sq_batch_value_grad",
+    "is_identity",
     "BuresGradientError",
     "w2_sq_gaussians",
     "empirical_gaussian",
@@ -44,6 +45,12 @@ PSD_CLAMP = 1e-10
 SYM_TOL = 1e-8
 # Eigenvalues of L^T S L below this share of max(1, largest) are round-off.
 SINGULAR_RTOL = 1e-14
+
+
+def is_identity(L) -> bool:
+    """Whether the square factor ``L`` is exactly the identity, entry by
+    entry: the test that picks the identity fast paths."""
+    return np.array_equal(L, np.eye(L.shape[0]))
 
 
 def _as_square(S, name: str) -> np.ndarray:
@@ -165,7 +172,7 @@ def bures_sq_batch_value_grad(L, Hc, eps: float) -> tuple[float, np.ndarray]:
     n, k = Hc.shape
     if not np.all(np.isfinite(Hc)):
         raise BuresGradientError("batch contains non-finite entries")
-    if n >= k or not np.array_equal(L, np.eye(k)):
+    if n >= k or not is_identity(L):
         value, G = bures_sq_value_grad(L, Hc.T @ Hc / n + eps * np.eye(k))
         return value, Hc @ G
     with np.errstate(over="ignore", invalid="ignore"):  # checked next

@@ -35,7 +35,8 @@ __all__ = [
 
 
 def _leaky(z):
-    return np.where(z > 0, z, 0.01 * z)
+    # Equal to np.where(z > 0, z, 0.01 * z) bit for bit, -0.0 included.
+    return np.maximum(z, 0.01 * z)
 
 
 def _leaky_deriv(z):
@@ -154,28 +155,33 @@ def forward(mlp: Mlp, X):
     return A, cache
 
 
-def backward(mlp: Mlp, cache, output_grad):
+def backward(mlp: Mlp, cache, output_grad, param_grads=True, input_grad=True):
     """Reverse-mode gradients for a prior :func:`forward` call.
 
     Returns ``(param_grads, input_grad)`` where ``param_grads`` matches
     ``mlp.params()`` order and ``input_grad`` is the gradient with
     respect to the batch itself (used to chain alignment losses through
-    the embedding).
+    the embedding). A caller that needs only one of the two passes
+    ``param_grads=False`` or ``input_grad=False``: that part is not
+    formed and comes back as ``None``, and the other is unchanged.
     """
     if len(cache) != len(mlp.layers):
         raise ValueError("cache does not match network depth")
     G = np.asarray(output_grad, dtype=float)
     if G.shape != (cache[-1][1].shape[0], mlp.output_dim):
         raise ValueError("output_grad shape mismatch")
-    param_grads: list[np.ndarray | None] = [None] * (2 * len(mlp.layers))
+    grads: list[np.ndarray | None] | None = [None] * (2 * len(mlp.layers)) if param_grads else None
     for idx in range(len(mlp.layers) - 1, -1, -1):
         layer = mlp.layers[idx]
         A_in, Z = cache[idx]
         dZ = G * ACTIVATIONS[layer.activation][1](Z)
-        param_grads[2 * idx] = A_in.T @ dZ
-        param_grads[2 * idx + 1] = dZ.sum(axis=0)
+        if param_grads:
+            grads[2 * idx] = A_in.T @ dZ
+            grads[2 * idx + 1] = dZ.sum(axis=0)
+        if idx == 0 and not input_grad:
+            return grads, None
         G = dZ @ layer.W.T
-    return param_grads, G
+    return grads, G
 
 
 def cross_entropy(logits, labels):

@@ -14,11 +14,14 @@ with the principal angle distance.
 The data and the embedding are fixed for the whole run, so a client's
 head solve and its representation gradient depend on its training data
 only through the sufficient statistics ``G_i = Phi_i^T Phi_i`` and
-``c_i = Phi_i^T y_i`` of its embedded training set ``Phi_i``, and its
-test error only through the embedded test set. :func:`make_instance`
-whitens every client's data once and stores these, stacked over
-clients; the rounds never re-embed raw data, so their cost does not
-grow with the number of samples per client.
+``c_i = Phi_i^T y_i`` of its embedded training set ``Phi_i``, the
+spectral initialization only through the label-weighted second moment
+``(Phi_i * y_i^2)^T Phi_i / n_i``, and its test error only through the
+embedded test set. :func:`make_instance` whitens every client's raw
+draws once, as it draws them, and keeps only these, stacked over
+clients; nothing re-embeds raw data, so the rounds' cost and the
+instance's memory do not grow with the number of training samples per
+client.
 """
 
 from __future__ import annotations
@@ -93,11 +96,14 @@ class TheoryConfig:
 class TheoryInstance:
     """One generated problem and the state of the rounds run on it.
 
-    ``gram``, ``moment`` and ``phi_test`` are the per-client statistics
-    of the estimated embedding ``phi_hat``, stacked over clients: the
-    unnormalized Gram matrix ``Phi_i^T Phi_i`` and moment ``Phi_i^T y_i``
-    of the training set, and the embedded test set. They must agree with
-    the raw data; :func:`make_instance` builds all of them together.
+    The raw data are not kept. ``gram``, ``moment``, ``label_moment``,
+    ``n_train`` and ``phi_test`` are the per-client statistics of the
+    estimated embedding ``phi_hat``, stacked over clients: of the
+    training set, the unnormalized Gram matrix ``Phi_i^T Phi_i``, the
+    moment ``Phi_i^T y_i``, the label-weighted second moment
+    ``(Phi_i * y_i^2)^T Phi_i / n_i`` and the sample count ``n_i``; and
+    the embedded test set. They must agree with one draw of raw data;
+    :func:`make_instance` builds all of them together.
     """
 
     latent_dim: int
@@ -109,12 +115,11 @@ class TheoryInstance:
     sign_hat: np.ndarray  # diagonal of the estimate's +-1 matrix, shared
     A_star: np.ndarray  # (k, d), orthonormal columns
     betas_star: np.ndarray  # (b, d), rows of norm sqrt(d)
-    X_train: list[np.ndarray]
-    y_train: list[np.ndarray]
-    X_test: list[np.ndarray]
     y_test: np.ndarray  # (b, n_test)
     gram: np.ndarray  # (b, k, k)
     moment: np.ndarray  # (b, k)
+    label_moment: np.ndarray  # (b, k, k)
+    n_train: np.ndarray  # (b,)
     phi_test: np.ndarray  # (b, n_test, k)
     step_size: float
     A: np.ndarray | None = None
@@ -179,68 +184,75 @@ def _sigma_max_sq_cap(betas_star, active_size, rng) -> float:
     return worst
 
 
-def make_instance(config: TheoryConfig) -> TheoryInstance:
-    rng = stream(config.seed, _TAG_INSTANCE)
-    k, d, b = config.latent_dim, config.head_dim, config.clients
+def _draw_oracle(rng, config: TheoryConfig):
+    """The shared draws: ``(A_star, betas_star, sign_star, sign_hat)``."""
+    k, d = config.latent_dim, config.head_dim
     A_star = _random_orthonormal(rng, k, d)
-    betas = rng.standard_normal((b, d))
+    betas = rng.standard_normal((config.clients, d))
     betas_star = np.sqrt(d) * betas / np.linalg.norm(betas, axis=1, keepdims=True)
     sign_star = rng.integers(0, 2, size=k) * 2.0 - 1.0
     sign_hat = rng.integers(0, 2, size=k) * 2.0 - 1.0
+    return A_star, betas_star, sign_star, sign_hat
 
-    means, eig_vecs, eig_vals = [], [], []
-    X_train, X_test = [], []
+
+def _draw_client(rng, config: TheoryConfig, i: int):
+    """Client i's draws, in stream order: ``(mean, eig_vecs, eig_vals,
+    X_train, X_test)``, the raw sets from ``N(mean, P diag(vals) P^T)``."""
     lo, hi = config.raw_dim_range
-    for i in range(b):
-        k_i = int(rng.integers(lo, hi + 1))
-        m_i = rng.standard_normal(k_i)
-        P_i = _random_orthonormal(rng, k_i, k_i)
-        vals = np.sort(rng.uniform(0.5, 2.0, size=k_i))[::-1]
-        if vals[k - 1] < _EIG_FLOOR:
-            raise ValueError(f"client {i}: degenerate top-{k} spectrum")
-        means.append(m_i)
-        eig_vecs.append(P_i)
-        eig_vals.append(vals)
+    k_i = int(rng.integers(lo, hi + 1))
+    m_i = rng.standard_normal(k_i)
+    P_i = _random_orthonormal(rng, k_i, k_i)
+    vals = np.sort(rng.uniform(0.5, 2.0, size=k_i))[::-1]
+    if vals[config.latent_dim - 1] < _EIG_FLOOR:
+        raise ValueError(f"client {i}: degenerate top-{config.latent_dim} spectrum")
 
-        def draw(n):
-            xi = rng.standard_normal((n, k_i))
-            return m_i + (xi * np.sqrt(vals)) @ P_i.T
+    def draw(n):
+        xi = rng.standard_normal((n, k_i))
+        return m_i + (xi * np.sqrt(vals)) @ P_i.T
 
-        X_train.append(draw(config.samples_per_client))
-        X_test.append(draw(config.test_samples))
+    return m_i, P_i, vals, draw(config.samples_per_client), draw(config.test_samples)
 
-    n_test = config.test_samples
+
+def make_instance(config: TheoryConfig) -> TheoryInstance:
+    rng = stream(config.seed, _TAG_INSTANCE)
+    k, b, n_test = config.latent_dim, config.clients, config.test_samples
+    A_star, betas_star, sign_star, sign_hat = _draw_oracle(rng, config)
     inst = TheoryInstance(
         latent_dim=k,
-        head_dim=d,
-        means=means,
-        eig_vecs=eig_vecs,
-        eig_vals=eig_vals,
+        head_dim=config.head_dim,
+        means=[],
+        eig_vecs=[],
+        eig_vals=[],
         sign_star=sign_star,
         sign_hat=sign_hat,
         A_star=A_star,
         betas_star=betas_star,
-        X_train=X_train,
-        y_train=[],
-        X_test=X_test,
         y_test=np.empty((b, n_test)),
         gram=np.empty((b, k, k)),
         moment=np.empty((b, k)),
+        label_moment=np.empty((b, k, k)),
+        n_train=np.empty(b, dtype=int),
         phi_test=np.empty((b, n_test, k)),
         step_size=config.step_size,
     )
-    # One whitening pass per data array: the oracle embedding gives the
-    # labels, and times Q (exact, a sign flip) the estimated one.
+    # Each client's raw sets are reduced to its statistics before the next
+    # client is drawn. One whitening pass per set: the oracle embedding
+    # gives the labels, and times Q (exact, a sign flip) the estimated one.
     Q = inst.Q
     for i in range(b):
+        m_i, P_i, vals, X_train, X_test = _draw_client(rng, config, i)
+        inst.means.append(m_i)
+        inst.eig_vecs.append(P_i)
+        inst.eig_vals.append(vals)
         w = A_star @ betas_star[i]
-        Z = oracle_phi_star(inst, i, X_train[i])
+        Z = oracle_phi_star(inst, i, X_train)
         y = Z @ w
         Phi = Z * Q
-        inst.y_train.append(y)
         inst.gram[i] = Phi.T @ Phi
         inst.moment[i] = Phi.T @ y
-        Z = oracle_phi_star(inst, i, X_test[i])
+        inst.label_moment[i] = (Phi * (y**2)[:, None]).T @ Phi / y.size
+        inst.n_train[i] = y.size
+        Z = oracle_phi_star(inst, i, X_test)
         inst.y_test[i] = Z @ w
         inst.phi_test[i] = Z * Q
 
@@ -253,16 +265,11 @@ def make_instance(config: TheoryConfig) -> TheoryInstance:
 def init_A0(inst: TheoryInstance) -> np.ndarray:
     """Spectral initialization from label-weighted second moments.
 
-    Each client contributes ``(1/n) sum_j y_j^2 phi_hat(x_j) phi_hat(x_j)^T``;
-    the top-d eigenvectors of the client average seed the representation.
+    Each client contributes ``(1/n) sum_j y_j^2 phi_hat(x_j) phi_hat(x_j)^T``,
+    stored as ``inst.label_moment``; the top-d eigenvectors of the client
+    average seed the representation.
     """
-    k = inst.latent_dim
-    M = np.zeros((k, k))
-    for i in range(inst.n_clients):
-        Phi = phi_hat(inst, i, inst.X_train[i])
-        w = inst.y_train[i] ** 2
-        M += (Phi * w[:, None]).T @ Phi / Phi.shape[0]
-    M /= inst.n_clients
+    M = inst.label_moment.sum(axis=0) / inst.n_clients
     vals, vecs = np.linalg.eigh(M)
     d = inst.head_dim
     if vals[-d] <= _EIG_FLOOR * max(vals[-1], 1.0):
@@ -300,7 +307,7 @@ def fedrep_linear_round(inst: TheoryInstance, active) -> TheoryInstance:
     A = inst.A
     betas = solve_head(inst, idx, A)
     inst.betas[idx] = betas
-    counts = np.array([inst.y_train[i].size for i in idx], dtype=float)
+    counts = inst.n_train[idx].astype(float)
     resid = inst.moment[idx] - (inst.gram[idx] @ A @ betas[:, :, None])[:, :, 0]
     grads = -(2.0 / counts)[:, None, None] * resid[:, :, None] * betas[:, None, :]
     A_bar = A - inst.step_size * grads.mean(axis=0)

@@ -53,6 +53,20 @@ class TestSampling:
         np.testing.assert_allclose(Z, anchors.means[0] + xi @ anchors.factors[0].T)
 
 
+    @pytest.mark.parametrize("identity", [True, False])
+    def test_samples_equal_the_factor_product_bit_for_bit(self, identity):
+        k = 64
+        anchors = make_anchors(np.random.default_rng(7), C=2, k=k, cov_learnable=True)
+        if not identity:
+            anchors.factors[1] = np.eye(k) + 0.1 * np.random.default_rng(8).standard_normal((k, k))
+        L = anchors.factors[1]
+        Z, xi = sample_anchor(anchors, 1, 100, np.random.default_rng(9), return_noise=True)
+        np.testing.assert_array_equal(xi, np.random.default_rng(9).standard_normal((100, k)))
+        np.testing.assert_array_equal(Z, anchors.means[1] + xi @ L.T)
+        if not identity:
+            assert not np.array_equal(Z, anchors.means[1] + xi)
+
+
 @pytest.mark.parametrize("cov_learnable", [False, True])
 def test_nbytes_counts_factors_only_when_learnable(cov_learnable):
     anchors = make_anchors(np.random.default_rng(0), C=4, k=3, cov_learnable=cov_learnable)

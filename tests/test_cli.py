@@ -104,6 +104,35 @@ def test_unrunnable_data_and_theory_shapes_exit_with_config_code(
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "datagen"])
+def test_class_pool_smaller_than_its_holders_exits_with_config_code(
+    command, tmp_path, monkeypatch, capsys
+):
+    for key in [k for k in os.environ if k.startswith("FLIC_")]:
+        monkeypatch.delenv(key)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"samples_per_class": 2, "clients": 20, "rounds": 1}))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert re.search(r"config error: samples_per_class: class \d+ pool of 2 samples",
+                     capsys.readouterr().err)
+    assert not (out / "summary.json").exists() and not (out / "arrays.npz").exists()
+
+
+def test_unwritable_output_directory_exits_with_io_code(tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file, not a directory")
+    values = {"mode": "theory", "theory_rounds": 3}
+    for key in [k for k in os.environ if k.startswith("FLIC_")]:
+        monkeypatch.delenv(key)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values))
+    code = cli.main(["run", "--config", str(config), "--out", str(blocker / "out")])
+    assert code == cli.EXIT_IO
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert blocker.read_text() == "a regular file, not a directory"
+
+
 def _file_bytes(root):
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 

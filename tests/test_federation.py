@@ -10,9 +10,13 @@ from flic.federation import (
     GlobalState,
     RoundConfig,
     client_local_round,
+    evaluate,
     local_objective_grads,
     make_client,
+    run_training,
 )
+from flic.config import build_config
+from flic.experiment import build_federation, load_or_generate
 from flic.nets import backward, build_embedding, build_head, build_shared, cross_entropy, forward
 
 D, K, HIDDEN, N_CLASSES = 5, 6, 8, 6
@@ -82,6 +86,22 @@ class TestBatchedAnchorPass:
         monkeypatch.setattr(federation, "backward", counting("backward", backward))
         local_objective_grads(phi, alpha, head, X, y, anchors, 0.01, 0.3, 1e-6, z)
         assert counts == {"forward": 5, "backward": 5}
+        # Without the shared-layer gradients the anchor samples stop at the head.
+        counts.update(forward=0, backward=0)
+        local_objective_grads(phi, alpha, head, X, y, anchors, 0.01, 0.3, 1e-6, z,
+                              shared_grads=False)
+        assert counts == {"forward": 5, "backward": 4}
+
+    @pytest.mark.parametrize("classes", [[2], [0, 3, 5], list(range(N_CLASSES))])
+    def test_without_shared_grads_the_rest_is_bit_identical(self, classes):
+        phi, alpha, head, X, y, anchors, z = setup(1, classes)
+        args = (phi, alpha, head, X, y, anchors, 0.01, 0.3, 1e-6, z)
+        full = local_objective_grads(*args)
+        local = local_objective_grads(*args, shared_grads=False)
+        assert local[0] == full[0]
+        for got, ref in zip(local[1] + local[3], full[1] + full[3]):
+            np.testing.assert_array_equal(got, ref)
+        assert local[2] is None and local[4] == {}
 
     def test_rejects_unequal_sample_counts(self):
         phi, alpha, head, X, y, anchors, z = setup(3, [0, 1])
@@ -120,8 +140,8 @@ class TestAlphaEpochDivergence:
         original = federation.local_objective_grads
         calls = []
 
-        def faulty(*args):
-            out = original(*args)
+        def faulty(*args, **kwargs):
+            out = original(*args, **kwargs)
             calls.append(None)
             if len(calls) <= cfg.local_steps:  # the Adam steps
                 return out
@@ -142,3 +162,29 @@ class TestAlphaEpochDivergence:
         result = client_local_round(client, state, cfg, round_idx=2)
         assert np.isfinite(result.train_loss)
         assert all(np.all(np.isfinite(p)) for p in result.alpha_proposal.params())
+
+
+@pytest.mark.parametrize(
+    "rounds, final_local_rounds, evaluations", [(2, 0, 2), (2, 1, 3), (0, 0, 1)]
+)
+def test_final_accuracies_reuse_the_last_evaluation(monkeypatch, rounds, final_local_rounds,
+                                                     evaluations):
+    cfg = build_config(
+        {"clients": 20, "samples_per_class": 20, "rounds": rounds, "participation": 0.25,
+         "latent_dim": 6, "hidden_dim": 8, "local_steps": 2,
+         "final_local_rounds": final_local_rounds},
+        apply_env=False,
+    )
+    clients, state = build_federation(*load_or_generate(cfg), cfg)
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return evaluate(*args)
+
+    monkeypatch.setattr(federation, "evaluate", counting)
+    clients, state, metrics, _, accs = run_training(clients, state, cfg.training)
+    assert len(calls) == evaluations
+    assert accs == evaluate(clients, state)[0]
+    if rounds and not final_local_rounds:
+        assert metrics[-1].mean_accuracy == float(np.mean(list(accs.values())))

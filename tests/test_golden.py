@@ -25,7 +25,7 @@ import pytest
 
 from flic.config import build_config
 from flic.experiment import build_federation, load_or_generate
-from flic.federation import evaluate, run_training
+from flic.federation import run_training
 from flic.theory import TheoryConfig, run_theory_experiment
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden.json"
@@ -53,8 +53,7 @@ def golden_run(values: dict) -> dict:
     cfg = build_config(values, apply_env=False)
     datasets, n_classes = load_or_generate(cfg)
     clients, state = build_federation(datasets, n_classes, cfg)
-    clients, state, metrics, _ = run_training(clients, state, cfg.training)
-    accs, _ = evaluate(clients, state)
+    _, _, metrics, _, accs = run_training(clients, state, cfg.training)
     return {
         "per_client_accuracy": {str(k): accs[k] for k in sorted(accs)},
         "train_loss": [m.train_loss for m in metrics],

@@ -6,6 +6,7 @@ import pytest
 from flic.anchors import AnchorSet
 from flic.gaussian import Gaussian, empirical_gaussian, w2_sq_gaussians
 from flic.nets import (
+    ACTIVATIONS,
     AdamState,
     Layer,
     Mlp,
@@ -108,6 +109,20 @@ class TestBackward:
         fd = fd_grad(f, pack(net.params()))
         assert rel_err(pack(grads), fd) < 1e-4
 
+    def test_skipped_parts_leave_the_rest_unchanged(self):
+        rng = np.random.default_rng(14)
+        net = random_net(rng, [3, 6, 5, 2], ["relu", "leaky_relu", "identity"])
+        X = rng.standard_normal((9, 3))
+        direction = rng.standard_normal((9, 2))
+        _, cache = forward(net, X)
+        grads, g_in = backward(net, cache, direction)
+        no_params, g_in_only = backward(net, cache, direction, param_grads=False)
+        params_only, no_input = backward(net, cache, direction, input_grad=False)
+        assert no_params is None and no_input is None
+        np.testing.assert_array_equal(g_in_only, g_in)
+        for got, ref in zip(params_only, grads):
+            np.testing.assert_array_equal(got, ref)
+
     def test_input_gradient_matches_fd(self):
         rng = np.random.default_rng(5)
         net = random_net(rng, [3, 6, 2], ["leaky_relu", "identity"])
@@ -117,6 +132,16 @@ class TestBackward:
         _, g_in = backward(net, cache, direction)
         fd = fd_grad(lambda v: net_loss(net, v.reshape(X.shape), direction), X.ravel())
         assert rel_err(g_in.ravel(), fd) < 1e-4
+
+
+def test_leaky_relu_matches_the_where_form_bit_for_bit():
+    tiny = np.finfo(float).smallest_subnormal
+    z = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, -3 * tiny, 1e-310, -1e-310,
+                  np.finfo(float).tiny, -np.finfo(float).tiny, 1.5, -1.5, np.inf, -np.inf])
+    got = ACTIVATIONS["leaky_relu"][0](z)
+    ref = np.where(z > 0, z, 0.01 * z)
+    assert got.tobytes() == ref.tobytes()
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
 
 
 class TestCrossEntropy:

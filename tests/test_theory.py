@@ -1,7 +1,11 @@
+from dataclasses import fields
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import flic.theory
+from flic.rng import stream
 from flic.theory import (
     TheoryConfig,
     fedrep_linear_round,
@@ -15,6 +19,21 @@ from flic.theory import (
 )
 
 SMALL = TheoryConfig(clients=8, samples_per_client=300, test_samples=100, rounds=30, seed=3)
+
+
+def raw_data(config, inst):
+    """The raw training sets, their labels and the raw test sets of
+    ``make_instance(config)``, drawn again as it draws them; the instance
+    itself keeps only statistics."""
+    rng = stream(config.seed, flic.theory._TAG_INSTANCE)
+    flic.theory._draw_oracle(rng, config)
+    raw = SimpleNamespace(X_train=[], y_train=[], X_test=[])
+    for i in range(config.clients):
+        *_, X_train, X_test = flic.theory._draw_client(rng, config, i)
+        raw.X_train.append(X_train)
+        raw.y_train.append(oracle_phi_star(inst, i, X_train) @ (inst.A_star @ inst.betas_star[i]))
+        raw.X_test.append(X_test)
+    return raw
 
 
 def identity_instance(k=3, k_i=3, n=50, seed=0):
@@ -35,12 +54,11 @@ def identity_instance(k=3, k_i=3, n=50, seed=0):
         sign_hat=np.ones(k),
         A_star=A_star,
         betas_star=np.sqrt(2) * np.array([[1.0, 0.0]]),
-        X_train=[X_train],
-        y_train=[np.zeros(n)],
-        X_test=[X_test],
         y_test=np.zeros((1, n)),
         gram=(X_train.T @ X_train)[None],
         moment=np.zeros((1, k)),
+        label_moment=np.zeros((1, k, k)),
+        n_train=np.array([n]),
         phi_test=X_test[None],
         step_size=0.05,
     )
@@ -81,14 +99,14 @@ class TestEmbeddings:
 
     def test_componentwise_magnitudes_agree(self):
         inst = make_instance(SMALL)
-        X = inst.X_train[2]
+        X = raw_data(SMALL, inst).X_train[2]
         np.testing.assert_allclose(
             np.abs(phi_hat(inst, 2, X)), np.abs(oracle_phi_star(inst, 2, X)), atol=1e-12
         )
 
     def test_recovered_sign_matrix(self):
         inst = make_instance(SMALL)
-        X = inst.X_train[0][:50]
+        X = raw_data(SMALL, inst).X_train[0][:50]
         ratio = phi_hat(inst, 0, X) / oracle_phi_star(inst, 0, X)
         np.testing.assert_allclose(ratio, np.tile(inst.Q, (50, 1)), atol=1e-12)
 
@@ -126,9 +144,10 @@ class TestFedrepRound:
         fedrep_linear_round(inst, np.arange(inst.n_clients))
         assert principal_angle_dist(inst.A, target) < 1e-8
         # recovered heads reproduce the training labels exactly
+        raw = raw_data(SMALL, inst)
         for i in range(inst.n_clients):
-            pred = phi_hat(inst, i, inst.X_train[i]) @ (inst.A @ inst.betas[i])
-            np.testing.assert_allclose(pred, inst.y_train[i], atol=1e-6)
+            pred = phi_hat(inst, i, raw.X_train[i]) @ (inst.A @ inst.betas[i])
+            np.testing.assert_allclose(pred, raw.y_train[i], atol=1e-6)
 
     def test_zero_step_size_is_qr_idempotent(self):
         inst = make_instance(SMALL)
@@ -249,24 +268,24 @@ class TestRunExperiment:
         assert rows_a == rows_b
 
 
-def direct_head(inst, i, A):
+def direct_head(inst, raw, i, A):
     """The head solve written on the embedded training data itself."""
-    E = phi_hat(inst, i, inst.X_train[i]) @ A
+    E = phi_hat(inst, i, raw.X_train[i]) @ A
     G = E.T @ E + 1e-10 * np.eye(A.shape[1])
-    return np.linalg.solve(G, E.T @ inst.y_train[i])
+    return np.linalg.solve(G, E.T @ raw.y_train[i])
 
 
-def direct_round(inst, active):
+def direct_round(inst, raw, active):
     """One round written on the embedded training data: per-client head,
     residual and gradient, then the averaged step and the QR fix-up."""
     A = inst.A
     proposals = np.zeros_like(A)
     betas = {}
     for i in active:
-        Phi = phi_hat(inst, i, inst.X_train[i])
-        beta = direct_head(inst, i, A)
+        Phi = phi_hat(inst, i, raw.X_train[i])
+        beta = direct_head(inst, raw, i, A)
         betas[i] = beta
-        resid = inst.y_train[i] - (Phi @ A) @ beta
+        resid = raw.y_train[i] - (Phi @ A) @ beta
         grad = -(2.0 / Phi.shape[0]) * np.outer(Phi.T @ resid, beta)
         proposals += A - inst.step_size * grad
     Qm, R = np.linalg.qr(proposals / len(active))
@@ -276,17 +295,46 @@ def direct_round(inst, active):
 class TestSufficientStatistics:
     def test_statistics_match_embedded_data(self):
         inst = make_instance(SMALL)
+        raw = raw_data(SMALL, inst)
         for i in range(inst.n_clients):
-            Phi = phi_hat(inst, i, inst.X_train[i])
+            Phi = phi_hat(inst, i, raw.X_train[i])
+            y = raw.y_train[i]
             np.testing.assert_allclose(inst.gram[i], Phi.T @ Phi, rtol=1e-12)
-            np.testing.assert_allclose(inst.moment[i], Phi.T @ inst.y_train[i], rtol=1e-10)
-            np.testing.assert_array_equal(inst.phi_test[i], phi_hat(inst, i, inst.X_test[i]))
+            np.testing.assert_allclose(inst.moment[i], Phi.T @ y, rtol=1e-10)
+            np.testing.assert_array_equal(
+                inst.label_moment[i], (Phi * (y**2)[:, None]).T @ Phi / y.size
+            )
+            assert inst.n_train[i] == SMALL.samples_per_client == y.size
+            np.testing.assert_array_equal(inst.phi_test[i], phi_hat(inst, i, raw.X_test[i]))
+
+    def test_init_A0_matches_the_moment_summed_over_raw_data(self):
+        inst = make_instance(SMALL)
+        raw = raw_data(SMALL, inst)
+        M = np.zeros((inst.latent_dim, inst.latent_dim))
+        for i in range(inst.n_clients):
+            Phi = phi_hat(inst, i, raw.X_train[i])
+            M += (Phi * (raw.y_train[i] ** 2)[:, None]).T @ Phi / Phi.shape[0]
+        M /= inst.n_clients
+        vecs = np.linalg.eigh(M)[1][:, -inst.head_dim:][:, ::-1]
+        A0 = init_A0(inst)
+        np.testing.assert_array_equal(np.abs(A0), np.abs(vecs))
+
+    def test_instance_memory_does_not_grow_with_training_samples(self):
+        def array_bytes(samples):
+            inst = make_instance(TheoryConfig(clients=8, samples_per_client=samples, seed=3))
+            return sum(getattr(inst, f.name).nbytes for f in fields(inst)
+                       if isinstance(getattr(inst, f.name), np.ndarray))
+
+        assert array_bytes(300) == array_bytes(3000)
 
     def test_solve_head_matches_direct_formula(self):
         inst = make_instance(SMALL)
+        raw = raw_data(SMALL, inst)
         A = init_A0(inst)
         for i in range(inst.n_clients):
-            np.testing.assert_allclose(solve_head(inst, i, A), direct_head(inst, i, A), rtol=1e-10)
+            np.testing.assert_allclose(
+                solve_head(inst, i, A), direct_head(inst, raw, i, A), rtol=1e-10
+            )
 
     def test_batched_solve_head_matches_single(self):
         inst = make_instance(SMALL)
@@ -302,7 +350,7 @@ class TestSufficientStatistics:
         inst.A = init_A0(inst)
         inst.betas = np.zeros((inst.n_clients, inst.head_dim))
         active = [0, 2, 3, 5, 7]
-        A_ref, betas_ref = direct_round(inst, active)
+        A_ref, betas_ref = direct_round(inst, raw_data(SMALL, inst), active)
         fedrep_linear_round(inst, np.array(active))
         np.testing.assert_allclose(inst.A, A_ref, rtol=1e-10)
         for i in active:
@@ -314,8 +362,9 @@ class TestSufficientStatistics:
         inst = make_instance(SMALL)
         inst.A = init_A0(inst)
         inst.betas = solve_head(inst, np.arange(inst.n_clients), inst.A)
+        raw = raw_data(SMALL, inst)
         errs = [
-            np.mean((phi_hat(inst, i, inst.X_test[i]) @ (inst.A @ inst.betas[i]) - inst.y_test[i]) ** 2)
+            np.mean((phi_hat(inst, i, raw.X_test[i]) @ (inst.A @ inst.betas[i]) - inst.y_test[i]) ** 2)
             for i in range(inst.n_clients)
         ]
         assert flic.theory._test_mse(inst) == pytest.approx(np.mean(errs), rel=1e-10)
@@ -329,27 +378,29 @@ class TestSufficientStatistics:
 
     def test_rounds_do_not_re_embed(self, monkeypatch):
         calls = []
-        original = flic.theory.phi_hat
+        original = flic.theory._embed
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(flic.theory, "phi_hat", counting)
+        monkeypatch.setattr(flic.theory, "_embed", counting)
         run_theory_experiment(SMALL)
-        # init_A0's one pass; the rounds read the stored statistics
-        assert 0 < len(calls) <= SMALL.clients
+        # make_instance's one pass over each raw training and test set;
+        # init_A0 and the rounds read the stored statistics
+        assert len(calls) == 2 * SMALL.clients
 
 
 class TestSolveHead:
     def test_recovers_oracle_at_target(self):
         inst = make_instance(SMALL)
+        raw = raw_data(SMALL, inst)
         A = inst.QA_star
         for i in range(3):
             beta = solve_head(inst, i, A)
             # labels are exactly linear in phi_hat @ A at the target
-            pred = (phi_hat(inst, i, inst.X_train[i]) @ A) @ beta
-            np.testing.assert_allclose(pred, inst.y_train[i], atol=1e-6)
+            pred = (phi_hat(inst, i, raw.X_train[i]) @ A) @ beta
+            np.testing.assert_allclose(pred, raw.y_train[i], atol=1e-6)
 
 
 class TestConfigValidation:
