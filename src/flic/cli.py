@@ -57,34 +57,32 @@ def _cmd_eval(args) -> int:
     import numpy as np
 
     from .datagen import load_clients
-    from .federation import ClientState, evaluate
-    from .nets import AdamState
+    from .federation import client_accuracy
     from .reporting import load_checkpoint
 
     state, models = load_checkpoint(args.checkpoint)
     datasets, _ = load_clients(args.data)
     by_id = {ds.client_id: ds for ds in datasets}
-    clients = []
+    accs = {}
     for cid in sorted(models):
         if cid not in by_id:
             raise ConfigError(f"checkpoint client {cid} missing from dataset")
-        phi, head, classes, weight = models[cid]
-        clients.append(
-            ClientState(
-                client_id=cid,
-                data=by_id[cid],
-                classes=np.asarray(classes),
-                phi=phi,
-                head=head,
-                phi_opt=AdamState.for_params(phi.params(), 0.0),
-                head_opt=AdamState.for_params(head.params(), 0.0),
-                weight=weight,
+        phi, head, classes, _ = models[cid]
+        data = by_id[cid]
+        if data.classes.tolist() != classes:
+            raise ConfigError(
+                f"client {cid}: dataset holds classes {data.classes.tolist()}, "
+                f"the checkpoint was trained on {classes}"
             )
-        )
-    accs, mean_acc = evaluate(clients, state)
-    for cid in sorted(accs):
-        print(f"client {cid}: accuracy {accs[cid]:.4f}")
-    print(f"mean_accuracy {mean_acc:.4f}")
+        if data.dim != phi.input_dim:
+            raise ConfigError(
+                f"client {cid}: dataset features have dimension {data.dim}, "
+                f"the checkpoint's embedding takes {phi.input_dim}"
+            )
+        accs[cid] = client_accuracy(phi, head, state.alpha, data)
+    for cid, acc in accs.items():
+        print(f"client {cid}: accuracy {acc:.4f}")
+    print(f"mean_accuracy {float(np.mean(list(accs.values()))):.4f}")
     return EXIT_OK
 
 
@@ -94,20 +92,24 @@ def _cmd_onboard(args) -> int:
     from .reporting import load_checkpoint
 
     cfg = _load_config(args)
+    if args.rounds is not None and args.rounds < 0:
+        raise ConfigError(f"--rounds: must be >= 0, got {args.rounds}")
     state, _ = load_checkpoint(args.checkpoint)
     datasets, _ = load_clients(args.data)
     by_id = {ds.client_id: ds for ds in datasets}
     if args.client_id not in by_id:
         raise ConfigError(f"client {args.client_id} not present in dataset")
+    data = by_id[args.client_id]
+    n_classes = state.anchors.n_classes
+    if data.classes.min() < 0 or data.classes.max() >= n_classes:
+        raise ConfigError(
+            f"client {args.client_id} holds classes {data.classes.tolist()}, "
+            f"outside the checkpoint's {n_classes} anchor classes"
+        )
     rounds = args.rounds if args.rounds is not None else cfg.onboard_rounds
-    client = onboard_new_client(
-        by_id[args.client_id],
-        state,
-        cfg.training,
-        hidden_dim=cfg.hidden_dim,
-        rounds=rounds,
-    )
-    acc = client_accuracy(client, state.alpha)
+    client = onboard_new_client(data, state, cfg.training, hidden_dim=cfg.hidden_dim,
+                                rounds=rounds)
+    acc = client_accuracy(client.phi, client.head, state.alpha, data)
     print(f"onboarded client {args.client_id}: accuracy {acc:.4f}")
     return EXIT_OK
 

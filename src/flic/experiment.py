@@ -11,6 +11,7 @@ from .datagen import PoolTooSmallError, generate, load_clients, save_clients
 from .federation import (
     TAG_INIT,
     GlobalState,
+    MessageLog,
     local_baseline,
     make_client,
     run_training,
@@ -102,36 +103,21 @@ def run_command(cfg: ExperimentConfig) -> int:
     clients, state = build_federation(datasets, n_classes, cfg)
     if cfg.mode == "flic":
         clients, state, metrics, log, accs = run_training(clients, state, cfg.training)
-        write_metrics(metrics, out / "metrics.csv")
-        log.write(out / "messages.log")
         save_checkpoint(out / "checkpoint", state, clients)
-        summary = {
-            "mode": "flic",
-            "seed": cfg.seed,
-            "rounds": cfg.training.rounds,
-            "n_clients": len(clients),
-            "messages_down": sum(1 for m in log.entries if m.direction == "down"),
-            "messages_up": sum(1 for m in log.entries if m.direction == "up"),
-            "bytes_down": log.total_bytes("down"),
-            "bytes_up": log.total_bytes("up"),
-        }
-        summary.update(_acc_summary(accs))
-        write_summary(summary, out / "summary.json")
-        return 0
-
-    # local baseline: no communication at all
-    clients, accs, _ = local_baseline(clients, state, cfg.training)
-    write_metrics([], out / "metrics.csv")
-    (out / "messages.log").write_text("")
+    else:  # local baseline: no communication, so no rounds to report
+        accs = local_baseline(clients, state, cfg.training)
+        metrics, log = [], MessageLog()
+    write_metrics(metrics, out / "metrics.csv")
+    log.write(out / "messages.log")
     summary = {
-        "mode": "local",
+        "mode": cfg.mode,
         "seed": cfg.seed,
         "rounds": cfg.training.rounds,
         "n_clients": len(clients),
-        "messages_down": 0,
-        "messages_up": 0,
-        "bytes_down": 0,
-        "bytes_up": 0,
+        "messages_down": sum(1 for m in log.entries if m.direction == "down"),
+        "messages_up": sum(1 for m in log.entries if m.direction == "up"),
+        "bytes_down": log.total_bytes("down"),
+        "bytes_up": log.total_bytes("up"),
     }
     summary.update(_acc_summary(accs))
     write_summary(summary, out / "summary.json")

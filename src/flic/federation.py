@@ -9,6 +9,12 @@ plain gradient step each on its copy of the shared layer and on the
 anchors it holds; the server averages the uploaded proposals. Clients
 never upload features or labels — the simulated message log records
 exactly what crosses the boundary.
+
+Clients run one after another and each client's embedding, head and
+Adam states are updated in place; the global state is never mutated,
+each round builds a new one. Every random draw is keyed by
+(seed, tag, round, client), so the result does not depend on the order
+in which clients run.
 """
 
 from __future__ import annotations
@@ -120,24 +126,11 @@ class RoundConfig:
 class ClientState:
     client_id: int
     data: ClientDataset
-    classes: np.ndarray
     phi: Mlp
     head: Mlp
     phi_opt: AdamState
     head_opt: AdamState
     weight: float
-
-    def copy(self) -> "ClientState":
-        return ClientState(
-            client_id=self.client_id,
-            data=self.data,
-            classes=self.classes.copy(),
-            phi=self.phi.copy(),
-            head=self.head.copy(),
-            phi_opt=self.phi_opt.copy(),
-            head_opt=self.head_opt.copy(),
-            weight=self.weight,
-        )
 
 
 @dataclass
@@ -145,9 +138,6 @@ class GlobalState:
     alpha: Mlp
     anchors: AnchorSet
     round: int = 0
-
-    def copy(self) -> "GlobalState":
-        return GlobalState(self.alpha.copy(), self.anchors.copy(), self.round)
 
 
 @dataclass
@@ -189,7 +179,6 @@ def make_client(
     return ClientState(
         client_id=dataset.client_id,
         data=dataset,
-        classes=dataset.classes.copy(),
         phi=phi,
         head=head,
         phi_opt=AdamState.for_params(phi.params(), lr),
@@ -279,134 +268,91 @@ def local_objective_grads(phi, alpha, head, X, y, anchors, lam1, lam2, eps, z_by
     return parts, g_phi, g_alpha, g_head, z_input_grads
 
 
-@dataclass
-class RoundResult:
-    client: ClientState
-    alpha_proposal: Mlp
-    anchor_proposal: AnchorSet
-    train_loss: float
-
-
 def _draw_batch(rng, train_idx, batch_size):
     size = min(batch_size, len(train_idx))
     return rng.choice(train_idx, size=size, replace=False)
 
 
 def _sample_z(anchors, classes, count, rng):
-    out = {}
-    for c in classes:
-        Z, xi = sample_anchor(anchors, int(c), count, rng, return_noise=True)
-        out[int(c)] = (Z, xi)
-    return out
+    """``{class: (samples, noise)}``, drawn class by class in the given order."""
+    return {int(c): sample_anchor(anchors, int(c), count, rng, return_noise=True) for c in classes}
 
 
-def _local_steps(phi, head, phi_opt, head_opt, data, alpha, anchors, cfg, rng,
-                 round_idx, client_id):
-    """M Adam steps on (phi, head); mutates the passed copies in place."""
-    X_all, y_all = data.features, data.labels
+def _local_steps(client, alpha, anchors, cfg, rng, round_idx):
+    """M Adam steps on the client's (phi, head), in place; returns the
+    per-step losses."""
+    data, phi, head = client.data, client.phi, client.head
     losses = []
     for m in range(cfg.local_steps):
         batch = _draw_batch(rng, data.train_idx, cfg.batch_size)
-        Xb, yb = X_all[batch], y_all[batch]
+        Xb, yb = data.features[batch], data.labels[batch]
         z = None
         if cfg.lam2 > 0:
             present = np.unique(yb)
             z = {c: Zxi[0] for c, Zxi in _sample_z(anchors, present, cfg.anchor_samples, rng).items()}
         parts, g_phi, _, g_head, _ = _objective(
-            client_id, round_idx, m,
+            client.client_id, round_idx, m,
             phi, alpha, head, Xb, yb, anchors, cfg.lam1, cfg.lam2, cfg.eps, z,
             shared_grads=False,
         )
-        phi.set_params(adam_step(phi_opt, phi.params(), g_phi))
-        head.set_params(adam_step(head_opt, head.params(), g_head))
+        phi.set_params(adam_step(client.phi_opt, phi.params(), g_phi))
+        head.set_params(adam_step(client.head_opt, head.params(), g_head))
         losses.append(parts["total"])
     return losses
 
 
-def client_local_round(
-    client: ClientState,
-    global_state: GlobalState,
-    cfg: RoundConfig,
-    round_idx: int,
-    rng=None,
-) -> RoundResult:
-    """One client's work for one round; inputs are never mutated.
+def client_local_round(client: ClientState, global_state: GlobalState, cfg: RoundConfig,
+                       round_idx: int) -> tuple[Mlp, AnchorSet, float]:
+    """One client's work for one round.
 
-    M local steps update (phi, head) by Adam; then a single plain
-    gradient step on a copy of the shared layer and on the anchors of
-    the client's classes, all evaluated at the final local parameters
-    on a fresh batch.
+    M local steps update the client's (phi, head) and Adam states in
+    place; then a single plain gradient step on a copy of the shared
+    layer and on the anchors of the client's classes, all evaluated at
+    the final local parameters on a fresh batch. The global state is not
+    mutated. Returns ``(alpha_proposal, anchor_proposal, train_loss)``,
+    the loss being the mean over the local steps.
     """
-    if len(client.classes) == 0:
-        raise ValueError(f"client {client.client_id} holds no classes")
-    if rng is None:
-        rng = stream(cfg.seed, TAG_ROUND, round_idx, client.client_id)
     data = client.data
-    X_all, y_all = data.features, data.labels
-    phi, head = client.phi.copy(), client.head.copy()
-    phi_opt, head_opt = client.phi_opt.copy(), client.head_opt.copy()
-    alpha = global_state.alpha
-    anchors = global_state.anchors
-
-    losses = _local_steps(
-        phi, head, phi_opt, head_opt, data, alpha, anchors, cfg, rng,
-        round_idx, client.client_id,
-    )
+    if len(data.classes) == 0:
+        raise ValueError(f"client {client.client_id} holds no classes")
+    rng = stream(cfg.seed, TAG_ROUND, round_idx, client.client_id)
+    alpha, anchors = global_state.alpha, global_state.anchors
+    losses = _local_steps(client, alpha, anchors, cfg, rng, round_idx)
 
     # Global-parameter phase: fresh batch, anchor samples for every held
     # class, single plain gradient steps.
     batch = _draw_batch(rng, data.train_idx, cfg.batch_size)
-    Xb, yb = X_all[batch], y_all[batch]
-    z_full = None
-    z_for_loss = None
+    z_full = z_for_loss = None
     if cfg.lam2 > 0:
-        z_full = _sample_z(anchors, client.classes, cfg.anchor_samples, rng)
+        z_full = _sample_z(anchors, data.classes, cfg.anchor_samples, rng)
         z_for_loss = {c: Zxi[0] for c, Zxi in z_full.items()}
     _, _, g_alpha, _, z_grads = _objective(
-        client.client_id, round_idx, cfg.local_steps,
-        phi, alpha, head, Xb, yb, anchors, cfg.lam1, cfg.lam2, cfg.eps, z_for_loss,
+        client.client_id, round_idx, cfg.local_steps, client.phi, alpha, client.head,
+        data.features[batch], data.labels[batch], anchors, cfg.lam1, cfg.lam2, cfg.eps,
+        z_for_loss,
     )
     alpha_prop = alpha.copy()
-    alpha_prop.set_params(
-        [p - cfg.lr * g for p, g in zip(alpha_prop.params(), g_alpha)]
-    )
+    alpha_prop.set_params([p - cfg.lr * g for p, g in zip(alpha.params(), g_alpha)])
 
     if cfg.lam1 > 0 or cfg.lam2 > 0:
-        H_train = forward(phi, X_all[data.train_idx])[0]
-        y_train = y_all[data.train_idx]
+        H_train = forward(client.phi, data.features[data.train_idx])[0]
+        y_train = data.labels[data.train_idx]
         emp = {
             int(c): empirical_gaussian(H_train[y_train == c], cfg.eps)
-            for c in client.classes
+            for c in data.classes
         }
         class_grads = None
         if cfg.lam2 > 0:
-            class_grads = {}
-            for c in sorted(z_grads):
-                dZ = z_grads[c]
-                xi = z_full[c][1]
-                class_grads[c] = (dZ.sum(axis=0), dZ.T @ xi)
+            class_grads = {c: (dZ.sum(axis=0), dZ.T @ z_full[c][1]) for c, dZ in z_grads.items()}
         try:
-            anchor_prop = local_anchor_update(
-                anchors, emp, class_grads, cfg.lr, cfg.lam1, cfg.lam2
-            )
+            anchor_prop = local_anchor_update(anchors, emp, class_grads, cfg.lr, cfg.lam1, cfg.lam2)
         except BuresGradientError as exc:
             raise DivergenceError(
                 client.client_id, round_idx, cfg.local_steps, "align", str(exc)
             ) from exc
     else:
         anchor_prop = anchors.copy()
-
-    new_client = ClientState(
-        client_id=client.client_id,
-        data=client.data,
-        classes=client.classes.copy(),
-        phi=phi,
-        head=head,
-        phi_opt=phi_opt,
-        head_opt=head_opt,
-        weight=client.weight,
-    )
-    return RoundResult(new_client, alpha_prop, anchor_prop, float(np.mean(losses)))
+    return alpha_prop, anchor_prop, float(np.mean(losses))
 
 
 def aggregate_alpha(proposals: list[Mlp], weights, total_clients: int) -> Mlp:
@@ -434,15 +380,11 @@ def aggregate_alpha(proposals: list[Mlp], weights, total_clients: int) -> Mlp:
 
 
 def _local_fit(client, global_state, cfg, rounds, tag):
-    """Rounds of local (phi, head) steps only; shared state frozen."""
-    out = client.copy()
+    """Rounds of local (phi, head) steps only, in place; shared state frozen."""
     for r in range(rounds):
         rng = stream(cfg.seed, tag, r, client.client_id)
-        _local_steps(
-            out.phi, out.head, out.phi_opt, out.head_opt, out.data,
-            global_state.alpha, global_state.anchors, cfg, rng, r, out.client_id,
-        )
-    return out
+        _local_steps(client, global_state.alpha, global_state.anchors, cfg, rng, r)
+    return client
 
 
 def run_training(clients, global_state, cfg: RoundConfig):
@@ -452,8 +394,9 @@ def run_training(clients, global_state, cfg: RoundConfig):
     is a list of per-round :class:`flic.reporting.MetricsRecord` and
     ``accs`` maps each client id to its final test accuracy: the last
     round's evaluation, which is repeated only when there was no round or
-    the final local rounds changed the clients. Input states are not
-    mutated; inactive clients' states pass through untouched each round.
+    the final local rounds changed the clients. The clients are updated
+    in place, the active ones each round and all of them in the final
+    local rounds; ``global_state`` is not mutated.
     """
     if not clients:
         raise ValueError("need at least one client")
@@ -469,22 +412,21 @@ def run_training(clients, global_state, cfg: RoundConfig):
         down = state.alpha.nbytes() + state.anchors.nbytes()
         for i in active:
             log.append(t, "down", int(i), "shared_alpha+anchors", down)
-        results = {i: client_local_round(clients[i], state, cfg, t) for i in active}
-        proposals, anchor_props, weights = [], [], []
+        proposals, anchor_props, weights, losses = [], [], [], []
         up_total = 0
-        for i in sorted(results):
-            r = results[i]
-            up = r.alpha_proposal.nbytes() + r.anchor_proposal.nbytes()
+        for i in active:
+            alpha_prop, anchor_prop, loss = client_local_round(clients[i], state, cfg, t)
+            up = alpha_prop.nbytes() + anchor_prop.nbytes()
             log.append(t, "up", int(i), "alpha_proposal+anchor_proposal", up)
             up_total += up
-            clients[i] = r.client
-            proposals.append(r.alpha_proposal)
-            anchor_props.append(r.anchor_proposal)
+            proposals.append(alpha_prop)
+            anchor_props.append(anchor_prop)
             weights.append(clients[i].weight)
+            losses.append(loss)
         alpha_new = aggregate_alpha(proposals, weights, b)
         anchors_new = barycenter_average(anchor_props, weights, b)
         state = GlobalState(alpha_new, anchors_new, t + 1)
-        train_loss = float(np.mean([results[i].train_loss for i in sorted(results)]))
+        train_loss = float(np.mean(losses))
         accs, mean_acc = evaluate(clients, state)
         wall_ms = (time.perf_counter() - t0) * 1e3
         metrics.append(
@@ -500,54 +442,48 @@ def run_training(clients, global_state, cfg: RoundConfig):
             )
         )
     if cfg.final_local_rounds > 0:
-        clients = [
-            _local_fit(c, state, cfg, cfg.final_local_rounds, TAG_FINAL) for c in clients
-        ]
+        for c in clients:
+            _local_fit(c, state, cfg, cfg.final_local_rounds, TAG_FINAL)
         accs = None
     if accs is None:
         accs, _ = evaluate(clients, state)
     return clients, state, metrics, log, accs
 
 
-def client_accuracy(client: ClientState, alpha: Mlp) -> float:
-    data = client.data
+def client_accuracy(phi: Mlp, head: Mlp, alpha: Mlp, data: ClientDataset) -> float:
+    """Test accuracy of ``head(alpha(phi(x)))`` on the client's test split."""
     if len(data.test_idx) == 0:
-        raise ValueError(f"client {client.client_id} has no test data")
-    X = data.features[data.test_idx]
-    y = data.labels[data.test_idx]
-    H = forward(client.phi, X)[0]
-    R = forward(alpha, H)[0]
-    logits = forward(client.head, R)[0]
-    return float(np.mean(np.argmax(logits, axis=1) == y))
+        raise ValueError(f"client {data.client_id} has no test data")
+    H = forward(phi, data.features[data.test_idx])[0]
+    logits = forward(head, forward(alpha, H)[0])[0]
+    return float(np.mean(np.argmax(logits, axis=1) == data.labels[data.test_idx]))
 
 
 def evaluate(clients, global_state: GlobalState):
     """Per-client test accuracy and its unweighted mean."""
-    accs = {c.client_id: client_accuracy(c, global_state.alpha) for c in clients}
+    accs = {
+        c.client_id: client_accuracy(c.phi, c.head, global_state.alpha, c.data) for c in clients
+    }
     return accs, float(np.mean(list(accs.values())))
 
 
-def local_baseline(clients, global_template: GlobalState, cfg: RoundConfig):
-    """Isolated per-client training with the same round structure and step
-    budget as the federated run, but no communication and no alignment.
+def local_baseline(clients, global_template: GlobalState, cfg: RoundConfig) -> dict:
+    """Isolated per-client training: no communication and no alignment.
 
-    Each client trains (phi, head) and its own private copy of the
-    shared layer. Returns ``(clients, per_client_accuracy, mean)``.
+    Each client runs alone as a federation of one, with weight 1 and
+    ``lam1 = lam2 = 0``: every round it takes the local steps on
+    (phi, head) and one plain step on its own private copy of the shared
+    layer, for all ``cfg.rounds`` rounds whatever ``cfg.participation``,
+    then the final local rounds. A federated client at participation < 1
+    trains only in the rounds it is selected, so the two step budgets
+    differ. The clients are updated in place; ``global_template`` is not
+    mutated. Returns the per-client test accuracies.
     """
     cfg0 = replace(cfg, lam1=0.0, lam2=0.0)
-    out_clients, accs = [], {}
+    accs = {}
     for client in clients:
-        state = GlobalState(global_template.alpha.copy(), global_template.anchors.copy())
-        out = client
-        for t in range(cfg.rounds):
-            r = client_local_round(out, state, cfg0, t)
-            out = r.client
-            state = GlobalState(r.alpha_proposal, r.anchor_proposal, t + 1)
-        if cfg.final_local_rounds > 0:
-            out = _local_fit(out, state, cfg0, cfg.final_local_rounds, TAG_FINAL)
-        out_clients.append(out)
-        accs[client.client_id] = client_accuracy(out, state.alpha)
-    return out_clients, accs, float(np.mean(list(accs.values())))
+        accs.update(run_training([replace(client, weight=1.0)], global_template, cfg0)[4])
+    return accs
 
 
 def onboard_new_client(

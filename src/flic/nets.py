@@ -264,23 +264,11 @@ class AdamState:
             v=[np.zeros_like(p) for p in params],
         )
 
-    def copy(self) -> "AdamState":
-        return AdamState(
-            lr=self.lr,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            eps=self.eps,
-            t=self.t,
-            m=[x.copy() for x in self.m],
-            v=[x.copy() for x in self.v],
-        )
-
 
 def adam_step(state: AdamState, params, grads):
     """One bias-corrected Adam update.
 
-    Returns the new parameter arrays; ``state`` is advanced in place
-    (it is owned by a single worker).
+    Returns the new parameter arrays; ``state`` is advanced in place.
     """
     if len(params) != len(state.m) or len(grads) != len(state.m):
         raise ValueError("parameter/gradient count mismatch")

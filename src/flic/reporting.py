@@ -138,7 +138,7 @@ def save_checkpoint(out_dir, global_state, clients) -> None:
                 "id": int(c.client_id),
                 "phi_activations": _mlp_meta(c.phi),
                 "head_activations": _mlp_meta(c.head),
-                "classes": [int(x) for x in c.classes],
+                "classes": [int(x) for x in c.data.classes],
                 "weight": float(c.weight),
             }
         )

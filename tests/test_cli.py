@@ -180,3 +180,86 @@ def test_datagen_run_eval_onboard_end_to_end(tmp_path, monkeypatch, capsys):
 def test_theory_subcommand_is_gone(capsys):
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["theory"])
+
+
+TINY = {"clients": 20, "samples_per_class": 20, "rounds": 1, "participation": 0.25,
+        "latent_dim": 6, "hidden_dim": 8, "local_steps": 2}
+
+
+def _datagen(values, out, tmp_path, monkeypatch):
+    for key in [k for k in os.environ if k.startswith("FLIC_")]:
+        monkeypatch.delenv(key)
+    config = tmp_path / f"{out.name}.json"
+    config.write_text(json.dumps(values))
+    assert cli.main(["datagen", "--config", str(config), "--out", str(out)]) == cli.EXIT_OK
+    return config
+
+
+@pytest.fixture
+def trained(tmp_path, monkeypatch):
+    """(config, dataset directory, checkpoint) of a one-round run."""
+    data, out = tmp_path / "data", tmp_path / "out"
+    config = _datagen(TINY, data, tmp_path, monkeypatch)
+    config.write_text(json.dumps({**TINY, "dataset_path": str(data)}))
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == cli.EXIT_OK
+    return config, data, out / "checkpoint"
+
+
+def test_onboard_negative_rounds_exits_with_config_code(trained, capsys):
+    config, data, ckpt = trained
+    argv = ["onboard", "--config", str(config), "--checkpoint", str(ckpt), "--data", str(data),
+            "--client-id", "0", "--rounds", "-5"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    out = capsys.readouterr()
+    assert "config error: --rounds: must be >= 0, got -5" in out.err
+    assert "accuracy" not in out.out
+
+
+def test_onboard_client_outside_the_anchor_classes_exits_with_config_code(
+    trained, tmp_path, monkeypatch, capsys
+):
+    from flic.datagen import load_clients
+
+    config, _, ckpt = trained
+    wide = tmp_path / "wide"
+    _datagen({**TINY, "n_classes": 30}, wide, tmp_path, monkeypatch)
+    client = next(ds for ds in load_clients(wide)[0] if ds.classes.max() >= 20)
+    argv = ["onboard", "--config", str(config), "--checkpoint", str(ckpt), "--data", str(wide),
+            "--client-id", str(client.client_id)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"client {client.client_id} holds classes {client.classes.tolist()}" in err
+    assert "outside the checkpoint's 20 anchor classes" in err
+
+
+@pytest.mark.parametrize(
+    "change, pattern",
+    [
+        ({"seed": 1}, r"client \d+: dataset (holds classes|features have dimension)"),
+        ({"n_classes": 30}, r"client \d+: dataset holds classes \[[\d, ]+\], "
+                            r"the checkpoint was trained on \[[\d, ]+\]"),
+    ],
+)
+def test_eval_on_a_mismatched_dataset_exits_with_config_code(
+    change, pattern, trained, tmp_path, monkeypatch, capsys
+):
+    _, _, ckpt = trained
+    other = tmp_path / "other"
+    _datagen({**TINY, **change}, other, tmp_path, monkeypatch)
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(other)]) == cli.EXIT_CONFIG
+    out = capsys.readouterr()
+    assert re.search(rf"config error: {pattern}", out.err)
+    assert out.out == ""
+
+
+def test_eval_names_a_client_whose_feature_dimension_differs(trained, monkeypatch, capsys):
+    from flic.datagen import load_clients, save_clients
+
+    _, data, ckpt = trained
+    datasets, n_classes = load_clients(data)
+    datasets[4].features = datasets[4].features[:, :-1]
+    save_clients(datasets, data, n_classes)
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == cli.EXIT_CONFIG
+    assert re.search(r"config error: client 4: dataset features have dimension \d+, "
+                     r"the checkpoint's embedding takes \d+", capsys.readouterr().err)

@@ -159,9 +159,26 @@ class TestAlphaEpochDivergence:
 
     def test_finite_run_completes(self):
         client, state, cfg = self.round_inputs()
-        result = client_local_round(client, state, cfg, round_idx=2)
-        assert np.isfinite(result.train_loss)
-        assert all(np.all(np.isfinite(p)) for p in result.alpha_proposal.params())
+        alpha_proposal, _, train_loss = client_local_round(client, state, cfg, round_idx=2)
+        assert np.isfinite(train_loss)
+        assert all(np.all(np.isfinite(p)) for p in alpha_proposal.params())
+
+    @pytest.mark.parametrize("cov_learnable", [False, True])
+    def test_round_trains_the_client_in_place_and_leaves_the_global_state(self, cov_learnable):
+        client, state, cfg = self.round_inputs()
+        state.anchors.cov_learnable = cov_learnable
+        shared = [p.copy() for p in state.alpha.params() + [state.anchors.means,
+                                                             state.anchors.factors]]
+        phi, head = client.phi.copy(), client.head.copy()
+        alpha_proposal, anchor_proposal, _ = client_local_round(client, state, cfg, round_idx=2)
+        for got, ref in zip(state.alpha.params() + [state.anchors.means, state.anchors.factors],
+                            shared):
+            np.testing.assert_array_equal(got, ref)
+        for before, after in ((phi, client.phi), (head, client.head)):
+            assert all(not np.array_equal(a, b) for a, b in zip(before.params(), after.params()))
+        assert client.phi_opt.t == client.head_opt.t == cfg.local_steps
+        assert not np.array_equal(anchor_proposal.means, state.anchors.means)
+        assert alpha_proposal is not state.alpha
 
 
 @pytest.mark.parametrize(

@@ -4,10 +4,12 @@ and of the linear-regression theory harness.
 Two small federated runs, one with frozen identity anchors and one with
 learnable anchor covariances, are compared against checked-in results:
 per-client test accuracies exactly, per-round train losses (the
-``MetricsRecord`` floats, not the rounded CSV) to ``RTOL``. One theory
-run is compared row by row: principal-angle distance and test MSE to
-``THEORY_ATOL``, and the first round with distance below ``THEORY_TOL``
-exactly. The tolerances are fixed here and are not to be loosened; a
+``MetricsRecord`` floats, not the rounded CSV) to ``RTOL``. A local
+baseline run through ``run_command`` pins its per-client accuracies
+exactly, and so does one client onboarded against the identity-anchor
+run's trained state. One theory run is compared row by row:
+principal-angle distance and test MSE to ``THEORY_ATOL``, and the first
+round with distance below ``THEORY_TOL`` exactly. The tolerances are fixed here and are not to be loosened; a
 change that is meant to alter behaviour regenerates the data with
 
     PYTHONPATH=src python tests/test_golden.py [NAME ...]
@@ -18,14 +20,15 @@ rewritten and the others are kept as they are.
 
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from flic.config import build_config
-from flic.experiment import build_federation, load_or_generate
-from flic.federation import run_training
+from flic.experiment import build_federation, load_or_generate, run_command
+from flic.federation import client_accuracy, onboard_new_client, run_training
 from flic.theory import TheoryConfig, run_theory_experiment
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden.json"
@@ -46,18 +49,40 @@ CONFIGS = {
     "identity_anchors": BASE,
     "cov_learnable": {**BASE, "cov_learnable": True},
 }
+LOCAL = {**BASE, "mode": "local", "final_local_rounds": 1}
+ONBOARD = {"trained": "identity_anchors", "client": 3, "rounds": 5}
 THEORY = TheoryConfig(clients=20, samples_per_client=300, participation=1.0, rounds=300, seed=0)
 
 
-def golden_run(values: dict) -> dict:
+def _train(values: dict):
     cfg = build_config(values, apply_env=False)
     datasets, n_classes = load_or_generate(cfg)
     clients, state = build_federation(datasets, n_classes, cfg)
-    _, _, metrics, _, accs = run_training(clients, state, cfg.training)
+    return cfg, datasets, run_training(clients, state, cfg.training)
+
+
+def golden_run(values: dict) -> dict:
+    _, _, (_, _, metrics, _, accs) = _train(values)
     return {
         "per_client_accuracy": {str(k): accs[k] for k in sorted(accs)},
         "train_loss": [m.train_loss for m in metrics],
     }
+
+
+def local_golden_run(values: dict) -> dict:
+    with tempfile.TemporaryDirectory() as out:
+        assert run_command(build_config({**values, "out_dir": out}, apply_env=False)) == 0
+        summary = json.loads((Path(out) / "summary.json").read_text())
+    return {"per_client_accuracy": summary["per_client_accuracy"]}
+
+
+def onboard_golden_run(spec: dict) -> dict:
+    cfg, datasets, (_, state, _, _, _) = _train(CONFIGS[spec["trained"]])
+    client = onboard_new_client(
+        datasets[spec["client"]], state, cfg.training, hidden_dim=cfg.hidden_dim,
+        rounds=spec["rounds"],
+    )
+    return {"accuracy": client_accuracy(client.phi, client.head, state.alpha, client.data)}
 
 
 def theory_golden_run(config: TheoryConfig) -> dict:
@@ -82,6 +107,14 @@ def test_golden_run(name, golden):
     np.testing.assert_allclose(got["train_loss"], expected["train_loss"], rtol=RTOL, atol=0)
 
 
+def test_local_golden_run(golden):
+    assert local_golden_run(LOCAL) == golden["local"]
+
+
+def test_onboard_golden_run(golden):
+    assert onboard_golden_run(ONBOARD) == golden["onboard"]
+
+
 def test_theory_golden_run(golden):
     expected = golden["theory"]
     got = theory_golden_run(THEORY)
@@ -92,6 +125,8 @@ def test_theory_golden_run(golden):
 
 def _regenerate(names: list[str]) -> None:
     runs = {name: (lambda v=values: golden_run(v)) for name, values in CONFIGS.items()}
+    runs["local"] = lambda: local_golden_run(LOCAL)
+    runs["onboard"] = lambda: onboard_golden_run(ONBOARD)
     runs["theory"] = lambda: theory_golden_run(THEORY)
     unknown = sorted(set(names) - set(runs))
     if unknown:

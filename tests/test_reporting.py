@@ -26,7 +26,7 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     for client in clients:
         phi, head, classes, weight = models[client.client_id]
         client.phi, client.head = phi, head
-        assert classes == client.classes.tolist() and weight == client.weight
+        assert classes == client.data.classes.tolist() and weight == client.weight
     save_checkpoint(second, loaded, clients)
 
     assert loaded.round == 7 and loaded.anchors.cov_learnable
