@@ -9,7 +9,6 @@ heads are trained FedRep-style under partial participation.
 
 from .anchors import (
     AnchorSet,
-    barycenter_average,
     init_anchors,
     local_anchor_update,
     sample_anchor,
@@ -20,15 +19,15 @@ from .federation import (
     ClientState,
     DivergenceError,
     GlobalState,
-    MessageLog,
     RoundConfig,
-    aggregate_alpha,
+    aggregate,
     client_local_round,
     evaluate,
     local_baseline,
     onboard_new_client,
     run_training,
     select_active_clients,
+    shared_arrays,
 )
 from .gaussian import (
     Gaussian,

@@ -1,10 +1,11 @@
 """Shared latent anchor distributions, one Gaussian per label class.
 
-Clients align their embedded class-conditional batches to these anchors;
-the server averages client-proposed anchors (means and covariance
-factors directly, which is one gradient step on the W2 barycenter
-objective when the classifier coupling is off). By default covariances
-are frozen at identity and only the means move.
+Clients align their embedded class-conditional batches to these anchors
+and propose a local step on them; the server step
+(:func:`flic.federation.aggregate`) averages the proposed means, and the
+covariance factors directly when they are learned, which is one gradient
+step on the W2 barycenter objective when the classifier coupling is off.
+By default covariances are frozen at identity and only the means move.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ __all__ = [
     "init_anchors",
     "sample_anchor",
     "local_anchor_update",
-    "barycenter_average",
 ]
 
 
@@ -51,11 +51,6 @@ class AnchorSet:
 
     def copy(self) -> "AnchorSet":
         return AnchorSet(self.means.copy(), self.factors.copy(), self.cov_learnable)
-
-    def nbytes(self) -> int:
-        """Bytes a message carries: the means, and the factors only when
-        they are learned."""
-        return self.means.nbytes + (self.factors.nbytes if self.cov_learnable else 0)
 
 
 def init_anchors(
@@ -128,32 +123,3 @@ def local_anchor_update(
             out.factors[c] = L - step * lam1 * gW2 - step * lam2 * gL
     return out
 
-
-def barycenter_average(
-    local_sets: list[AnchorSet], weights, total_clients: int
-) -> AnchorSet:
-    """Server-side anchor aggregation.
-
-    Computes ``(b / |A|) * sum_i w_i  *`` (means, factors) over the
-    active clients' proposals. With frozen identity covariances the
-    factors are left at identity, so the whole pipeline reduces to
-    weighted averaging of mean vectors.
-    """
-    if not local_sets:
-        raise ValueError("empty active set")
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (len(local_sets),):
-        raise ValueError("one weight per local anchor set required")
-    ref = local_sets[0]
-    for s in local_sets[1:]:
-        if s.means.shape != ref.means.shape:
-            raise ValueError("anchor set shapes differ across clients")
-        if s.cov_learnable != ref.cov_learnable:
-            raise ValueError("cov_learnable flag differs across clients")
-    scale = total_clients / len(local_sets)
-    means = scale * sum(w * s.means for w, s in zip(weights, local_sets))
-    if ref.cov_learnable:
-        factors = scale * sum(w * s.factors for w, s in zip(weights, local_sets))
-    else:
-        factors = ref.factors.copy()
-    return AnchorSet(means, factors, ref.cov_learnable)

@@ -106,9 +106,7 @@ def _cmd_onboard(args) -> int:
             f"client {args.client_id} holds classes {data.classes.tolist()}, "
             f"outside the checkpoint's {n_classes} anchor classes"
         )
-    rounds = args.rounds if args.rounds is not None else cfg.onboard_rounds
-    client = onboard_new_client(data, state, cfg.training, hidden_dim=cfg.hidden_dim,
-                                rounds=rounds)
+    client = onboard_new_client(data, state, cfg.training, cfg.hidden_dim, rounds=args.rounds)
     acc = client_accuracy(client.phi, client.head, state.alpha, data)
     print(f"onboarded client {args.client_id}: accuracy {acc:.4f}")
     return EXIT_OK
@@ -143,16 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    commands = {"datagen": _cmd_datagen, "run": _cmd_run, "eval": _cmd_eval,
+                "onboard": _cmd_onboard}
     try:
-        if args.command == "datagen":
-            return _cmd_datagen(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "onboard":
-            return _cmd_onboard(args)
-        raise ConfigError(f"unknown command {args.command}")
+        return commands[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -49,7 +49,6 @@ class ExperimentConfig:
     hidden_dim: int = 64
     cov_learnable: bool = False
     anchor_init_scale: float | None = None
-    onboard_rounds: int | None = None
     training: RoundConfig = field(default_factory=RoundConfig)
     data: ToyDatasetSpec = field(default_factory=ToyDatasetSpec)
     theory: TheoryConfig = field(default_factory=TheoryConfig)
@@ -98,7 +97,7 @@ COMPONENT_KEYS = {
     "theory_step_size": ("theory", "step_size"),
 }
 COMPONENTS = ("training", "data", "theory")
-_OPTIONAL = {"dataset_path": str, "anchor_init_scale": float, "onboard_rounds": int}
+_OPTIONAL = {"dataset_path": str, "anchor_init_scale": float}
 
 
 def _flat_value(cfg: ExperimentConfig, key: str):
@@ -173,8 +172,6 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("latent_dim: must be >= 1")
     if cfg.hidden_dim < 1:
         raise ConfigError("hidden_dim: must be >= 1")
-    if cfg.onboard_rounds is not None and cfg.onboard_rounds < 0:
-        raise ConfigError("onboard_rounds: must be >= 0")
     return cfg
 
 

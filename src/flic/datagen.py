@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .reporting import malformed_file
 from .rng import stream
 
 __all__ = [
@@ -281,10 +282,12 @@ def save_clients(datasets: list[ClientDataset], out_dir, n_classes: int, extra=N
 
 def load_clients(data_dir) -> tuple[list[ClientDataset], int]:
     root = Path(data_dir)
-    manifest = json.loads((root / "manifest.json").read_text())
-    with np.load(root / "arrays.npz") as arrays:
+    with malformed_file(root / "manifest.json"):
+        manifest = json.loads((root / "manifest.json").read_text())
+        ids, n_classes = list(manifest["clients"]), int(manifest["n_classes"])
+    with malformed_file(root / "arrays.npz"), np.load(root / "arrays.npz") as arrays:
         datasets = [
             ClientDataset(cid, *(arrays[f"client{cid}.{name}"] for name in CLIENT_ARRAYS))
-            for cid in manifest["clients"]
+            for cid in ids
         ]
-    return datasets, int(manifest["n_classes"])
+    return datasets, n_classes

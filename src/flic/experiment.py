@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,6 @@ from .datagen import PoolTooSmallError, generate, load_clients, save_clients
 from .federation import (
     TAG_INIT,
     GlobalState,
-    MessageLog,
     local_baseline,
     make_client,
     run_training,
@@ -70,15 +70,6 @@ def build_federation(datasets, n_classes: int, cfg: ExperimentConfig):
     return clients, GlobalState(alpha, anchors)
 
 
-def _acc_summary(accs: dict) -> dict:
-    return {
-        "per_client_accuracy": {str(k): accs[k] for k in sorted(accs)},
-        "mean_accuracy": float(np.mean(list(accs.values()))),
-        "min_accuracy": min(accs.values()),
-        "max_accuracy": max(accs.values()),
-    }
-
-
 def run_command(cfg: ExperimentConfig) -> int:
     """Dispatch on config.mode, write all outputs, return the exit code."""
     out = Path(cfg.out_dir)
@@ -106,20 +97,23 @@ def run_command(cfg: ExperimentConfig) -> int:
         save_checkpoint(out / "checkpoint", state, clients)
     else:  # local baseline: no communication, so no rounds to report
         accs = local_baseline(clients, state, cfg.training)
-        metrics, log = [], MessageLog()
+        metrics, log = [], []
     write_metrics(metrics, out / "metrics.csv")
-    log.write(out / "messages.log")
+    with open(out / "messages.log", "w") as fh:
+        fh.writelines(json.dumps(m) + "\n" for m in log)
     summary = {
         "mode": cfg.mode,
         "seed": cfg.seed,
         "rounds": cfg.training.rounds,
         "n_clients": len(clients),
-        "messages_down": sum(1 for m in log.entries if m.direction == "down"),
-        "messages_up": sum(1 for m in log.entries if m.direction == "up"),
-        "bytes_down": log.total_bytes("down"),
-        "bytes_up": log.total_bytes("up"),
+        "per_client_accuracy": {str(k): accs[k] for k in sorted(accs)},
+        "mean_accuracy": float(np.mean(list(accs.values()))),
+        "min_accuracy": min(accs.values()),
+        "max_accuracy": max(accs.values()),
     }
-    summary.update(_acc_summary(accs))
+    for direction in ("down", "up"):
+        sizes = [m["nbytes"] for m in log if m["direction"] == direction]
+        summary[f"messages_{direction}"], summary[f"bytes_{direction}"] = len(sizes), sum(sizes)
     write_summary(summary, out / "summary.json")
     return 0
 

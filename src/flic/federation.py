@@ -5,10 +5,13 @@ broadcasts the shared representation layer and the anchor set; each
 active client runs M Adam steps on its private embedding and head
 (data loss, plus the W2 alignment penalty on the embedding and the
 anchor-sample classification penalty on the head), then takes a single
-plain gradient step each on its copy of the shared layer and on the
-anchors it holds; the server averages the uploaded proposals. Clients
-never upload features or labels — the simulated message log records
-exactly what crosses the boundary.
+plain gradient step each on the shared layer and on the anchors it
+holds. :func:`shared_arrays` defines what crosses the client boundary in
+both directions: the shared layer's parameters, the anchor means, and
+the anchor factors only when they are learned. A client's proposal is
+that list after its steps, and :func:`aggregate` is the one server step
+over it. Clients never upload features or labels — the simulated
+message log records exactly those arrays' bytes.
 
 Clients run one after another and each client's embedding, head and
 Adam states are updated in place; the global state is never mutated,
@@ -19,13 +22,12 @@ in which clients run.
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .anchors import AnchorSet, barycenter_average, local_anchor_update, sample_anchor
+from .anchors import AnchorSet, local_anchor_update, sample_anchor
 from .datagen import ClientDataset
 from .gaussian import BuresGradientError, empirical_gaussian
 from .nets import (
@@ -46,12 +48,11 @@ __all__ = [
     "ClientState",
     "GlobalState",
     "RoundConfig",
-    "Message",
-    "MessageLog",
     "DivergenceError",
     "select_active_clients",
+    "shared_arrays",
     "client_local_round",
-    "aggregate_alpha",
+    "aggregate",
     "run_training",
     "evaluate",
     "client_accuracy",
@@ -140,29 +141,12 @@ class GlobalState:
     round: int = 0
 
 
-@dataclass
-class Message:
-    round: int
-    direction: str  # "down" | "up"
-    client_id: int
-    kind: str
-    nbytes: int
-
-
-@dataclass
-class MessageLog:
-    entries: list[Message] = field(default_factory=list)
-
-    def append(self, round_idx, direction, client_id, kind, nbytes):
-        self.entries.append(Message(round_idx, direction, client_id, kind, nbytes))
-
-    def total_bytes(self, direction: str) -> int:
-        return sum(m.nbytes for m in self.entries if m.direction == direction)
-
-    def write(self, path) -> None:
-        with open(path, "w") as fh:
-            for m in self.entries:
-                fh.write(json.dumps(vars(m)) + "\n")
+def shared_arrays(alpha_params: list[np.ndarray], anchors: AnchorSet) -> list[np.ndarray]:
+    """The arrays that cross the client boundary, down and up: the shared
+    layer's parameters, the anchor means, and the anchor factors only when
+    they are learned."""
+    arrays = [*alpha_params, anchors.means]
+    return [*arrays, anchors.factors] if anchors.cov_learnable else arrays
 
 
 def make_client(
@@ -302,15 +286,17 @@ def _local_steps(client, alpha, anchors, cfg, rng, round_idx):
 
 
 def client_local_round(client: ClientState, global_state: GlobalState, cfg: RoundConfig,
-                       round_idx: int) -> tuple[Mlp, AnchorSet, float]:
+                       round_idx: int) -> tuple[list[np.ndarray], float]:
     """One client's work for one round.
 
     M local steps update the client's (phi, head) and Adam states in
-    place; then a single plain gradient step on a copy of the shared
-    layer and on the anchors of the client's classes, all evaluated at
-    the final local parameters on a fresh batch. The global state is not
-    mutated. Returns ``(alpha_proposal, anchor_proposal, train_loss)``,
-    the loss being the mean over the local steps.
+    place; then a single plain gradient step on the shared layer and on
+    the anchors of the client's classes, all evaluated at the final local
+    parameters on a fresh batch. The global state is not mutated.
+    Returns ``(proposal, train_loss)``: the proposal is
+    :func:`shared_arrays` of the stepped shared layer and anchors (with
+    ``lam1 = lam2 = 0`` the global anchor arrays themselves), the loss
+    the mean over the local steps.
     """
     data = client.data
     if len(data.classes) == 0:
@@ -331,8 +317,7 @@ def client_local_round(client: ClientState, global_state: GlobalState, cfg: Roun
         data.features[batch], data.labels[batch], anchors, cfg.lam1, cfg.lam2, cfg.eps,
         z_for_loss,
     )
-    alpha_prop = alpha.copy()
-    alpha_prop.set_params([p - cfg.lr * g for p, g in zip(alpha.params(), g_alpha)])
+    alpha_params = [p - cfg.lr * g for p, g in zip(alpha.params(), g_alpha)]
 
     if cfg.lam1 > 0 or cfg.lam2 > 0:
         H_train = forward(client.phi, data.features[data.train_idx])[0]
@@ -351,32 +336,44 @@ def client_local_round(client: ClientState, global_state: GlobalState, cfg: Roun
                 client.client_id, round_idx, cfg.local_steps, "align", str(exc)
             ) from exc
     else:
-        anchor_prop = anchors.copy()
-    return alpha_prop, anchor_prop, float(np.mean(losses))
+        anchor_prop = anchors
+    return shared_arrays(alpha_params, anchor_prop), float(np.mean(losses))
 
 
-def aggregate_alpha(proposals: list[Mlp], weights, total_clients: int) -> Mlp:
-    """Weighted average of shared-layer proposals with the b/|A| factor."""
+def aggregate(state: GlobalState, proposals: list[list[np.ndarray]], weights,
+              total_clients: int) -> GlobalState:
+    """The server step: the next global state from the active clients'
+    proposals, each laid out as :func:`shared_arrays`.
+
+    Every shared array becomes ``(b / |A|) * sum_i w_i p_i`` over the
+    active set ``A`` of the ``b = total_clients`` clients, summed from
+    left to right. It is an average only when the active weights sum to
+    ``|A| / b``; under partial participation they do not, so the scale of
+    the result drifts from round to round. Frozen anchor factors are
+    copied from ``state``.
+    """
     if not proposals:
-        raise ValueError("no proposals to aggregate")
+        raise ValueError("empty active set")
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (len(proposals),):
         raise ValueError("one weight per proposal required")
-    ref = proposals[0]
-    shapes = [p.shape for p in ref.params()]
-    for prop in proposals[1:]:
-        if [p.shape for p in prop.params()] != shapes:
-            raise ValueError("proposal shapes differ")
+    shapes = [a.shape for a in shared_arrays(state.alpha.params(), state.anchors)]
+    if any([a.shape for a in prop] != shapes for prop in proposals):
+        raise ValueError("proposal shapes differ from the shared arrays")
     scale = total_clients / len(proposals)
-    out = ref.copy()
-    new_params = []
-    for idx in range(len(shapes)):
-        acc = weights[0] * proposals[0].params()[idx]
-        for w, prop in zip(weights[1:], proposals[1:]):
-            acc = acc + w * prop.params()[idx]
-        new_params.append(scale * acc)
-    out.set_params(new_params)
-    return out
+    out = []
+    for arrays in zip(*proposals):
+        acc = weights[0] * arrays[0]
+        for w, a in zip(weights[1:], arrays[1:]):
+            acc = acc + w * a
+        out.append(scale * acc)
+    n_alpha = len(state.alpha.params())
+    alpha = state.alpha.copy()
+    alpha.set_params(out[:n_alpha])
+    anchors = state.anchors
+    factors = out[-1] if anchors.cov_learnable else anchors.factors.copy()
+    return GlobalState(alpha, AnchorSet(out[n_alpha], factors, anchors.cov_learnable),
+                       state.round + 1)
 
 
 def _local_fit(client, global_state, cfg, rounds, tag):
@@ -391,53 +388,45 @@ def run_training(clients, global_state, cfg: RoundConfig):
     """Full training loop.
 
     Returns ``(clients, global_state, metrics, log, accs)`` where metrics
-    is a list of per-round :class:`flic.reporting.MetricsRecord` and
-    ``accs`` maps each client id to its final test accuracy: the last
-    round's evaluation, which is repeated only when there was no round or
-    the final local rounds changed the clients. The clients are updated
-    in place, the active ones each round and all of them in the final
-    local rounds; ``global_state`` is not mutated.
+    is a list of per-round :class:`flic.reporting.MetricsRecord`, ``log``
+    a list of one ``{round, direction, client_id, kind, nbytes}`` dict per
+    message, and ``accs`` maps each client id to its final test accuracy:
+    the last round's evaluation, which is repeated only when there was no
+    round or the final local rounds changed the clients. The clients are
+    updated in place, the active ones each round and all of them in the
+    final local rounds; ``global_state`` is not mutated.
     """
     if not clients:
         raise ValueError("need at least one client")
     clients = list(clients)
     b = len(clients)
-    log = MessageLog()
+    log = []
     metrics = []
     state = global_state
     accs = None
     for t in range(cfg.rounds):
         t0 = time.perf_counter()
         active = select_active_clients(b, cfg.participation, stream(cfg.seed, TAG_SELECT, t))
-        down = state.alpha.nbytes() + state.anchors.nbytes()
-        for i in active:
-            log.append(t, "down", int(i), "shared_alpha+anchors", down)
-        proposals, anchor_props, weights, losses = [], [], [], []
-        up_total = 0
-        for i in active:
-            alpha_prop, anchor_prop, loss = client_local_round(clients[i], state, cfg, t)
-            up = alpha_prop.nbytes() + anchor_prop.nbytes()
-            log.append(t, "up", int(i), "alpha_proposal+anchor_proposal", up)
-            up_total += up
-            proposals.append(alpha_prop)
-            anchor_props.append(anchor_prop)
-            weights.append(clients[i].weight)
-            losses.append(loss)
-        alpha_new = aggregate_alpha(proposals, weights, b)
-        anchors_new = barycenter_average(anchor_props, weights, b)
-        state = GlobalState(alpha_new, anchors_new, t + 1)
-        train_loss = float(np.mean(losses))
+        down = sum(a.nbytes for a in shared_arrays(state.alpha.params(), state.anchors))
+        proposals, losses = zip(*(client_local_round(clients[i], state, cfg, t) for i in active))
+        up = [sum(a.nbytes for a in p) for p in proposals]
+        log += [dict(round=t, direction="down", client_id=int(i), kind="shared_alpha+anchors",
+                     nbytes=down) for i in active]
+        log += [dict(round=t, direction="up", client_id=int(i),
+                     kind="alpha_proposal+anchor_proposal", nbytes=n) for i, n in zip(active, up)]
+        state = aggregate(state, proposals, [clients[i].weight for i in active], b)
+        del proposals  # free them before the next round's clients train
         accs, mean_acc = evaluate(clients, state)
         wall_ms = (time.perf_counter() - t0) * 1e3
         metrics.append(
             MetricsRecord(
                 round=t,
-                train_loss=train_loss,
+                train_loss=float(np.mean(losses)),
                 mean_accuracy=mean_acc,
                 min_accuracy=min(accs.values()),
                 max_accuracy=max(accs.values()),
                 wall_ms=wall_ms,
-                bytes_up=up_total,
+                bytes_up=sum(up),
                 bytes_down=down * len(active),
             )
         )
@@ -490,7 +479,7 @@ def onboard_new_client(
     dataset: ClientDataset,
     global_state: GlobalState,
     cfg: RoundConfig,
-    hidden_dim: int = 64,
+    hidden_dim: int,
     rounds: int | None = None,
 ) -> ClientState:
     """Fit a client that did not participate in training.

@@ -104,9 +104,6 @@ class Mlp:
             [Layer(l.W.copy(), l.b.copy(), l.activation) for l in self.layers]
         )
 
-    def nbytes(self) -> int:
-        return sum(p.nbytes for p in self.params())
-
 
 def init_mlp(dims, activations, rng) -> Mlp:
     """Glorot-uniform weights (``+-sqrt(6/(fan_in+fan_out))``), zero biases."""

@@ -4,13 +4,17 @@ Metrics go to CSV with a fixed header and 6-significant-digit floats.
 Checkpoints keep every tensor as float64 in a single ``arrays.npz``
 container (shape-prefixed by the format itself) next to a JSON manifest
 describing the network structure, so a save/load round trip is
-bit-exact.
+bit-exact. A checkpoint or dataset file that cannot be parsed, or whose
+contents fail validation, is reported as an ``OSError`` naming the file,
+like a missing one.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import zipfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +26,7 @@ __all__ = [
     "write_summary",
     "save_checkpoint",
     "load_checkpoint",
+    "malformed_file",
     "write_theory_trace",
 ]
 
@@ -89,6 +94,16 @@ def write_summary(summary: dict, path) -> None:
     Path(path).write_text(json.dumps(summary, indent=2, sort_keys=True))
 
 
+@contextmanager
+def malformed_file(*paths):
+    """Re-raise a parse or validation failure of the block as an
+    ``OSError`` that names the files being read."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        raise OSError(f"malformed {' or '.join(map(str, paths))}: {exc!r}") from exc
+
+
 def _mlp_arrays(prefix: str, mlp) -> dict[str, np.ndarray]:
     out = {}
     for i, layer in enumerate(mlp.layers):
@@ -152,8 +167,10 @@ def load_checkpoint(ckpt_dir):
     from .federation import GlobalState
 
     root = Path(ckpt_dir)
-    meta = json.loads((root / "meta.json").read_text())
-    with np.load(root / "arrays.npz") as arrays:
+    with malformed_file(root / "meta.json"):
+        meta = json.loads((root / "meta.json").read_text())
+    with malformed_file(root / "arrays.npz", root / "meta.json"), \
+            np.load(root / "arrays.npz") as arrays:
         alpha = _load_mlp("alpha", meta["alpha_activations"], arrays)
         anchors = AnchorSet(
             np.asarray(arrays["anchors.means"], dtype=float),

@@ -51,11 +51,13 @@ _EIG_FLOOR = 1e-12
 _SUBSET_SAMPLES = 50  # active subsets probed for the step-size cap
 
 
-def _random_orthonormal(rng, rows: int, cols: int) -> np.ndarray:
-    Q, R = np.linalg.qr(rng.standard_normal((rows, cols)))
+def _positive_qr(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR of ``M`` with ``Q``'s columns signed so that ``R`` has a
+    nonnegative diagonal; returns ``(Q, R)``, ``R`` as computed."""
+    Q, R = np.linalg.qr(M)
     s = np.sign(np.diag(R))
     s[s == 0] = 1.0
-    return Q * s
+    return Q * s, R
 
 
 @dataclass(frozen=True)
@@ -187,7 +189,7 @@ def _sigma_max_sq_cap(betas_star, active_size, rng) -> float:
 def _draw_oracle(rng, config: TheoryConfig):
     """The shared draws: ``(A_star, betas_star, sign_star, sign_hat)``."""
     k, d = config.latent_dim, config.head_dim
-    A_star = _random_orthonormal(rng, k, d)
+    A_star = _positive_qr(rng.standard_normal((k, d)))[0]
     betas = rng.standard_normal((config.clients, d))
     betas_star = np.sqrt(d) * betas / np.linalg.norm(betas, axis=1, keepdims=True)
     sign_star = rng.integers(0, 2, size=k) * 2.0 - 1.0
@@ -201,7 +203,7 @@ def _draw_client(rng, config: TheoryConfig, i: int):
     lo, hi = config.raw_dim_range
     k_i = int(rng.integers(lo, hi + 1))
     m_i = rng.standard_normal(k_i)
-    P_i = _random_orthonormal(rng, k_i, k_i)
+    P_i = _positive_qr(rng.standard_normal((k_i, k_i)))[0]
     vals = np.sort(rng.uniform(0.5, 2.0, size=k_i))[::-1]
     if vals[config.latent_dim - 1] < _EIG_FLOOR:
         raise ValueError(f"client {i}: degenerate top-{config.latent_dim} spectrum")
@@ -311,10 +313,7 @@ def fedrep_linear_round(inst: TheoryInstance, active) -> TheoryInstance:
     resid = inst.moment[idx] - (inst.gram[idx] @ A @ betas[:, :, None])[:, :, 0]
     grads = -(2.0 / counts)[:, None, None] * resid[:, :, None] * betas[:, None, :]
     A_bar = A - inst.step_size * grads.mean(axis=0)
-    Qm, R = np.linalg.qr(A_bar)
-    s = np.sign(np.diag(R))
-    s[s == 0] = 1.0
-    inst.A = Qm * s
+    inst.A = _positive_qr(A_bar)[0]
     return inst
 
 
@@ -337,13 +336,11 @@ def principal_angle_dist(M, N) -> float:
 
 
 def _orthonormalize(M: np.ndarray) -> np.ndarray:
-    Q, R = np.linalg.qr(M)
+    Q, R = _positive_qr(M)
     diag = np.abs(np.diag(R))
     if np.any(diag < 1e-10 * max(1.0, float(diag.max(initial=0.0)))):
         raise ValueError("matrix is rank deficient")
-    s = np.sign(np.diag(R))
-    s[s == 0] = 1.0
-    return Q * s
+    return Q
 
 
 def _test_mse(inst: TheoryInstance) -> float:

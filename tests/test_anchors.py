@@ -3,7 +3,6 @@ import pytest
 
 from flic.anchors import (
     AnchorSet,
-    barycenter_average,
     init_anchors,
     local_anchor_update,
     sample_anchor,
@@ -65,12 +64,6 @@ class TestSampling:
         np.testing.assert_array_equal(Z, anchors.means[1] + xi @ L.T)
         if not identity:
             assert not np.array_equal(Z, anchors.means[1] + xi)
-
-
-@pytest.mark.parametrize("cov_learnable", [False, True])
-def test_nbytes_counts_factors_only_when_learnable(cov_learnable):
-    anchors = make_anchors(np.random.default_rng(0), C=4, k=3, cov_learnable=cov_learnable)
-    assert anchors.nbytes() == 8 * (4 * 3 + cov_learnable * 4 * 3 * 3)
 
 
 class TestLocalUpdate:
@@ -156,72 +149,3 @@ class TestLocalUpdate:
         fd = fd_grad(objective, vec0)
         assert rel_err(np.concatenate([update_grad_v, update_grad_L.ravel()]), fd) < 1e-4
 
-
-class TestBarycenter:
-    def test_two_clients_equal_weights(self):
-        m1, m2 = np.array([[1.0, 0.0]]), np.array([[0.0, 2.0]])
-        s1 = AnchorSet(m1, np.eye(2)[None], cov_learnable=False)
-        s2 = AnchorSet(m2, np.eye(2)[None], cov_learnable=False)
-        out = barycenter_average([s1, s2], [0.5, 0.5], total_clients=2)
-        np.testing.assert_allclose(out.means, (m1 + m2) / 2)
-        np.testing.assert_array_equal(out.factors[0], np.eye(2))
-
-    def test_single_active_of_b_scaling_identity(self):
-        rng = np.random.default_rng(11)
-        local = make_anchors(rng, cov_learnable=True, scale=2.0)
-        out = barycenter_average([local], [1.0 / 8.0], total_clients=8)
-        np.testing.assert_allclose(out.means, local.means, rtol=1e-15)
-        np.testing.assert_allclose(out.factors, local.factors, rtol=1e-15)
-
-    def test_identical_sets_fixed_point_exact(self):
-        rng = np.random.default_rng(12)
-        template = make_anchors(rng, cov_learnable=True, scale=3.0)
-        sets = [template.copy() for _ in range(4)]
-        out = barycenter_average(sets, [0.25] * 4, total_clients=4)
-        np.testing.assert_array_equal(out.means, template.means)
-        np.testing.assert_array_equal(out.factors, template.factors)
-
-    def test_permutation_invariance(self):
-        rng = np.random.default_rng(13)
-        sets = [make_anchors(rng, scale=float(i + 1)) for i in range(4)]
-        a = barycenter_average(sets, [0.25] * 4, 4)
-        b = barycenter_average(sets[::-1], [0.25] * 4, 4)
-        np.testing.assert_allclose(a.means, b.means, atol=1e-13)
-
-    def test_update_then_average_reduces_to_mean_averaging(self):
-        """With identity covariances fixed, one local step plus averaging is
-        plain averaging of the mean updates."""
-        rng = np.random.default_rng(14)
-        C, k, b = 3, 2, 4
-        anchors = make_anchors(rng, C=C, k=k, cov_learnable=False)
-        step, lam1 = 0.05, 1.0
-        emps = [
-            {c: empirical_gaussian(rng.standard_normal((10, k)) + c, 1e-6) for c in range(C)}
-            for _ in range(b)
-        ]
-        locals_ = [
-            local_anchor_update(anchors, emp, None, step, lam1, 0.0) for emp in emps
-        ]
-        out = barycenter_average(locals_, [1.0 / b] * b, b)
-        expected = np.mean(
-            [
-                [
-                    anchors.means[c] - step * lam1 * 2 * (anchors.means[c] - emp[c].mean)
-                    for c in range(C)
-                ]
-                for emp in emps
-            ],
-            axis=0,
-        )
-        np.testing.assert_allclose(out.means, expected, atol=1e-12)
-        np.testing.assert_array_equal(out.factors, anchors.factors)
-
-    def test_empty_active_set(self):
-        with pytest.raises(ValueError, match="empty"):
-            barycenter_average([], [], 3)
-
-    def test_shape_mismatch(self):
-        a = make_anchors(np.random.default_rng(15), C=2, k=3)
-        b = make_anchors(np.random.default_rng(16), C=3, k=3)
-        with pytest.raises(ValueError):
-            barycenter_average([a, b], [0.5, 0.5], 2)

@@ -2,6 +2,7 @@ import json
 import os
 import re
 
+import numpy as np
 import pytest
 
 from flic import cli
@@ -263,3 +264,73 @@ def test_eval_names_a_client_whose_feature_dimension_differs(trained, monkeypatc
     assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == cli.EXIT_CONFIG
     assert re.search(r"config error: client 4: dataset features have dimension \d+, "
                      r"the checkpoint's embedding takes \d+", capsys.readouterr().err)
+
+
+def _rewrite_npz(path, **changes):
+    """Rewrite an npz file with some arrays replaced; None drops one."""
+    with np.load(path) as arrays:
+        kept = dict(arrays)
+    kept.update(changes)
+    np.savez(path, **{k: v for k, v in kept.items() if v is not None})
+
+
+def _damage(kind, data, ckpt):
+    """Damage one file of the dataset or the checkpoint; returns its path."""
+    if kind == "manifest not JSON":
+        (data / "manifest.json").write_text('{"clients": [0, 1')
+        return data / "manifest.json"
+    if kind == "manifest without clients":
+        (data / "manifest.json").write_text('{"n_classes": 20}')
+        return data / "manifest.json"
+    if kind == "npz without client0.labels":
+        _rewrite_npz(data / "arrays.npz", **{"client0.labels": None})
+        return data / "arrays.npz"
+    if kind == "npz not an npz":
+        (data / "arrays.npz").write_text("not an npz file")
+        return data / "arrays.npz"
+    if kind == "labels outside the classes":
+        with np.load(data / "arrays.npz") as arrays:
+            labels = arrays["client0.labels"] + 100
+        _rewrite_npz(data / "arrays.npz", **{"client0.labels": labels})
+        return data / "arrays.npz"
+    if kind == "meta not JSON":
+        (ckpt / "meta.json").write_text('{"round": 1,')
+        return ckpt / "meta.json"
+    if kind == "non-finite layer":
+        with np.load(ckpt / "arrays.npz") as arrays:
+            W = arrays["alpha.layer0.W"].copy()
+        W[0, 0] = np.nan
+        _rewrite_npz(ckpt / "arrays.npz", **{"alpha.layer0.W": W})
+        return ckpt / "arrays.npz"
+    raise AssertionError(kind)
+
+
+@pytest.mark.parametrize(
+    "command, kind",
+    [
+        ("eval", "manifest not JSON"),
+        ("eval", "manifest without clients"),
+        ("eval", "npz without client0.labels"),
+        ("eval", "npz not an npz"),
+        ("eval", "labels outside the classes"),
+        ("eval", "meta not JSON"),
+        ("eval", "non-finite layer"),
+        ("run", "manifest not JSON"),
+        ("onboard", "meta not JSON"),
+    ],
+)
+def test_malformed_dataset_or_checkpoint_exits_with_io_code(command, kind, trained, tmp_path,
+                                                            capsys):
+    config, data, ckpt = trained
+    damaged = _damage(kind, data, ckpt)
+    argv = {
+        "eval": ["eval", "--checkpoint", str(ckpt), "--data", str(data)],
+        "run": ["run", "--config", str(config), "--out", str(tmp_path / "again")],
+        "onboard": ["onboard", "--config", str(config), "--checkpoint", str(ckpt),
+                    "--data", str(data), "--client-id", "0"],
+    }[command]
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_IO
+    out = capsys.readouterr()
+    assert out.err.startswith("i/o error: malformed ") and str(damaged) in out.err
+    assert out.out == ""

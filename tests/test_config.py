@@ -43,7 +43,6 @@ DEFAULTS = {
     "n_classes": 20,
     "noise_dim_max": 10,
     "noise_dim_min": 1,
-    "onboard_rounds": None,
     "out_dir": "out",
     "participation": 0.1,
     "rounds": 50,
@@ -77,7 +76,7 @@ def flat(cfg) -> dict:
 
 def test_defaults_are_the_documented_keys_and_values():
     doc = flat(build_config({}, apply_env=False))
-    assert len(DEFAULTS) == 44
+    assert len(DEFAULTS) == 43
     assert doc == DEFAULTS
     # types too: 1e-06 == 1e-6 either way, but 1 == 1.0 would hide a float
     assert {k: type(v) for k, v in doc.items()} == {k: type(v) for k, v in DEFAULTS.items()}
@@ -140,7 +139,6 @@ def valid_values(draw):
         "anchor_samples": st.integers(1, 200),
         "eps": st.floats(1e-12, 1.0),
         "final_local_rounds": st.integers(0, 5),
-        "onboard_rounds": st.none() | st.integers(0, 50),
         "latent_dim": st.integers(1, 128),
         "hidden_dim": st.integers(1, 128),
         "cov_learnable": st.booleans(),
@@ -230,7 +228,6 @@ INVALID = [
     ({"workers": 0}, ["workers"]),
     ({"latent_dim": 0}, ["latent_dim"]),
     ({"hidden_dim": 0}, ["hidden_dim"]),
-    ({"onboard_rounds": -1}, ["onboard_rounds"]),
     ({"participation": 0.0}, ["participation"]),
     ({"participation": 1.5}, ["participation"]),
     ({"rounds": -1}, ["rounds"]),
@@ -270,6 +267,7 @@ INVALID = [
     ({"cov_learnable": 1}, ["cov_learnable"]),
     ({"no_such_key": 1}, ["no_such_key"]),
     ({"alpha_epoch": True}, ["alpha_epoch"]),
+    ({"onboard_rounds": -1}, ["onboard_rounds"]),
 ]
 
 

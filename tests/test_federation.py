@@ -1,19 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from flic import federation
-from flic.anchors import init_anchors, sample_anchor
+from flic.anchors import init_anchors, local_anchor_update, sample_anchor
 from flic.datagen import ClientDataset
-from flic.gaussian import BuresGradientError
+from flic.gaussian import BuresGradientError, empirical_gaussian
 from flic.federation import (
     DivergenceError,
     GlobalState,
     RoundConfig,
+    aggregate,
     client_local_round,
     evaluate,
     local_objective_grads,
     make_client,
     run_training,
+    shared_arrays,
 )
 from flic.config import build_config
 from flic.experiment import build_federation, load_or_generate
@@ -159,9 +163,23 @@ class TestAlphaEpochDivergence:
 
     def test_finite_run_completes(self):
         client, state, cfg = self.round_inputs()
-        alpha_proposal, _, train_loss = client_local_round(client, state, cfg, round_idx=2)
+        proposal, train_loss = client_local_round(client, state, cfg, round_idx=2)
         assert np.isfinite(train_loss)
-        assert all(np.all(np.isfinite(p)) for p in alpha_proposal.params())
+        assert all(np.all(np.isfinite(p)) for p in proposal[:len(state.alpha.params())])
+
+    @pytest.mark.parametrize("cov_learnable", [False, True])
+    @pytest.mark.parametrize("lam", [0.0, 0.001])
+    def test_proposal_is_laid_out_as_the_shared_arrays(self, cov_learnable, lam):
+        """Without alignment the anchors are passed on as the global
+        arrays themselves."""
+        client, state, cfg = self.round_inputs()
+        state.anchors.cov_learnable = cov_learnable
+        cfg = replace(cfg, lam1=lam, lam2=lam)
+        proposal, _ = client_local_round(client, state, cfg, round_idx=2)
+        shared = shared_arrays(state.alpha.params(), state.anchors)
+        assert len(proposal) == len(shared) == 3 + cov_learnable
+        assert [p.shape for p in proposal] == [a.shape for a in shared]
+        assert all((p is a) == (lam == 0) for p, a in zip(proposal[2:], shared[2:]))
 
     @pytest.mark.parametrize("cov_learnable", [False, True])
     def test_round_trains_the_client_in_place_and_leaves_the_global_state(self, cov_learnable):
@@ -170,15 +188,15 @@ class TestAlphaEpochDivergence:
         shared = [p.copy() for p in state.alpha.params() + [state.anchors.means,
                                                              state.anchors.factors]]
         phi, head = client.phi.copy(), client.head.copy()
-        alpha_proposal, anchor_proposal, _ = client_local_round(client, state, cfg, round_idx=2)
+        proposal, _ = client_local_round(client, state, cfg, round_idx=2)
         for got, ref in zip(state.alpha.params() + [state.anchors.means, state.anchors.factors],
                             shared):
             np.testing.assert_array_equal(got, ref)
         for before, after in ((phi, client.phi), (head, client.head)):
             assert all(not np.array_equal(a, b) for a, b in zip(before.params(), after.params()))
         assert client.phi_opt.t == client.head_opt.t == cfg.local_steps
-        assert not np.array_equal(anchor_proposal.means, state.anchors.means)
-        assert alpha_proposal is not state.alpha
+        assert not np.array_equal(proposal[2], state.anchors.means)
+        assert not any(p is a for p, a in zip(proposal, state.alpha.params()))
 
 
 @pytest.mark.parametrize(
@@ -205,3 +223,115 @@ def test_final_accuracies_reuse_the_last_evaluation(monkeypatch, rounds, final_l
     assert accs == evaluate(clients, state)[0]
     if rounds and not final_local_rounds:
         assert metrics[-1].mean_accuracy == float(np.mean(list(accs.values())))
+
+
+def shared_state(rng, cov_learnable, C=4, k=3, scale=1.0):
+    return GlobalState(build_shared(k, rng),
+                       init_anchors(C, k, rng, cov_learnable=cov_learnable, init_scale=scale))
+
+
+def proposal_of(state):
+    return shared_arrays(state.alpha.params(), state.anchors)
+
+
+@pytest.mark.parametrize("cov_learnable", [False, True])
+def test_nbytes_counts_factors_only_when_learnable(cov_learnable):
+    state = shared_state(np.random.default_rng(0), cov_learnable, C=4, k=3)
+    nbytes = sum(a.nbytes for a in proposal_of(state))
+    assert nbytes == 8 * (3 * 3 + 3) + 8 * (4 * 3 + cov_learnable * 4 * 3 * 3)
+
+
+@pytest.mark.parametrize("cov_learnable", [False, True])
+class TestAggregate:
+    """The server step over the shared layer and the anchors; frozen
+    factors are the current state's."""
+
+    def test_two_clients_equal_weights(self, cov_learnable):
+        rng = np.random.default_rng(10)
+        s1, s2 = shared_state(rng, cov_learnable), shared_state(rng, cov_learnable)
+        s2.anchors.factors = 2.0 * s2.anchors.factors
+        out = aggregate(s1, [proposal_of(s1), proposal_of(s2)], [0.5, 0.5], total_clients=2)
+        for got, a, b in zip(proposal_of(out), proposal_of(s1), proposal_of(s2)):
+            np.testing.assert_allclose(got, (a + b) / 2)
+        if not cov_learnable:
+            np.testing.assert_array_equal(out.anchors.factors, s1.anchors.factors)
+
+    def test_single_active_of_b_scaling_identity(self, cov_learnable):
+        rng = np.random.default_rng(11)
+        state, local = shared_state(rng, cov_learnable), shared_state(rng, cov_learnable, scale=2.0)
+        out = aggregate(state, [proposal_of(local)], [1.0 / 8.0], total_clients=8)
+        for got, ref in zip(proposal_of(out), proposal_of(local)):
+            np.testing.assert_allclose(got, ref, rtol=1e-15)
+
+    def test_identical_sets_fixed_point_exact(self, cov_learnable):
+        template = shared_state(np.random.default_rng(12), cov_learnable, scale=3.0)
+        out = aggregate(template, [proposal_of(template)] * 4, [0.25] * 4, total_clients=4)
+        for got, ref in zip(proposal_of(out), proposal_of(template)):
+            np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(out.anchors.factors, template.anchors.factors)
+
+    def test_permutation_invariance(self, cov_learnable):
+        rng = np.random.default_rng(13)
+        props = [proposal_of(shared_state(rng, cov_learnable, scale=float(i + 1)))
+                 for i in range(4)]
+        state = shared_state(rng, cov_learnable)
+        a = aggregate(state, props, [0.25] * 4, 4)
+        b = aggregate(state, props[::-1], [0.25] * 4, 4)
+        for x, y in zip(proposal_of(a), proposal_of(b)):
+            np.testing.assert_allclose(x, y, atol=1e-13)
+
+    def test_update_then_average_reduces_to_mean_averaging(self, cov_learnable):
+        """One local step plus averaging is plain averaging of the mean
+        updates (and of the factor updates when they are learned)."""
+        rng = np.random.default_rng(14)
+        C, k, b = 3, 2, 4
+        state = shared_state(rng, cov_learnable, C=C, k=k)
+        anchors = state.anchors
+        step, lam1 = 0.05, 1.0
+        emps = [
+            {c: empirical_gaussian(rng.standard_normal((10, k)) + c, 1e-6) for c in range(C)}
+            for _ in range(b)
+        ]
+        locals_ = [local_anchor_update(anchors, emp, None, step, lam1, 0.0) for emp in emps]
+        props = [shared_arrays(state.alpha.params(), s) for s in locals_]
+        out = aggregate(state, props, [1.0 / b] * b, b)
+        expected = np.mean(
+            [
+                [
+                    anchors.means[c] - step * lam1 * 2 * (anchors.means[c] - emp[c].mean)
+                    for c in range(C)
+                ]
+                for emp in emps
+            ],
+            axis=0,
+        )
+        np.testing.assert_allclose(out.anchors.means, expected, atol=1e-12)
+        for got, ref in zip(out.alpha.params(), state.alpha.params()):
+            np.testing.assert_allclose(got, ref, rtol=1e-15)
+        if cov_learnable:
+            np.testing.assert_allclose(
+                out.anchors.factors, np.mean([s.factors for s in locals_], axis=0), atol=1e-12
+            )
+        else:
+            np.testing.assert_array_equal(out.anchors.factors, anchors.factors)
+
+    def test_empty_active_set(self, cov_learnable):
+        state = shared_state(np.random.default_rng(15), cov_learnable)
+        with pytest.raises(ValueError, match="empty"):
+            aggregate(state, [], [], 3)
+
+    def test_shape_mismatch(self, cov_learnable):
+        a = shared_state(np.random.default_rng(15), cov_learnable, C=2, k=3)
+        b = shared_state(np.random.default_rng(16), cov_learnable, C=3, k=3)
+        with pytest.raises(ValueError):
+            aggregate(a, [proposal_of(a), proposal_of(b)], [0.5, 0.5], 2)
+
+    def test_frozen_factors_are_a_copy_of_the_state(self, cov_learnable):
+        rng = np.random.default_rng(17)
+        state, local = shared_state(rng, cov_learnable), shared_state(rng, cov_learnable)
+        local.anchors.factors = 3.0 * local.anchors.factors
+        out = aggregate(state, [proposal_of(local)], [1.0], 1)
+        assert out.anchors.factors is not state.anchors.factors
+        expected = local.anchors.factors if cov_learnable else state.anchors.factors
+        np.testing.assert_array_equal(out.anchors.factors, expected)
+        assert out.round == state.round + 1
