@@ -6,6 +6,8 @@ and propose a local step on them; the server step
 covariance factors directly when they are learned, which is one gradient
 step on the W2 barycenter objective when the classifier coupling is off.
 By default covariances are frozen at identity and only the means move.
+A client's anchor samples, their noise and their gradients are stacked
+``(held classes, count, k)`` arrays, from the draw to the anchor step.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import Gaussian, bures_sq_value_grad, is_identity
+from .gaussian import BuresGradientError, bures_sq_value_grad, empirical_gaussian, is_identity
 
 __all__ = [
     "AnchorSet",
@@ -49,9 +51,6 @@ class AnchorSet:
     def latent_dim(self) -> int:
         return self.means.shape[1]
 
-    def copy(self) -> "AnchorSet":
-        return AnchorSet(self.means.copy(), self.factors.copy(), self.cov_learnable)
-
 
 def init_anchors(
     n_classes: int,
@@ -68,58 +67,64 @@ def init_anchors(
     return AnchorSet(means, factors, cov_learnable)
 
 
-def sample_anchor(anchors: AnchorSet, c: int, count: int, rng, return_noise=False):
-    """Draw ``count`` reparameterized samples ``z = v_c + L_c xi``.
+def _held(anchors: AnchorSet, classes) -> np.ndarray:
+    """``classes`` as indices, checked: fancy indexing would wrap a negative."""
+    classes = np.asarray(classes, dtype=int)
+    if classes.ndim != 1 or np.any((classes < 0) | (classes >= anchors.n_classes)):
+        raise ValueError(f"unknown class in {classes.tolist()}")
+    return classes
 
-    With ``return_noise=True`` also returns the standard-normal draws
-    ``xi``, which carry the pathwise gradient to the factor. A factor that
-    is exactly the identity (the frozen default) adds ``xi`` as it is;
-    the product it skips would give the same samples.
+
+def sample_anchor(anchors: AnchorSet, classes, count: int, rng):
+    """``count`` reparameterized samples ``z = v_c + L_c xi`` for each class
+    in ``classes``, as ``(Z, xi)`` of shape ``(len(classes), count, k)``.
+
+    One draw gives the numbers of drawing class by class, in order. The
+    noise ``xi`` carries the pathwise gradient to the factors; it is added
+    as it is when every factor drawn from is exactly the identity (the
+    frozen default), where the product would give the same samples.
     """
-    if not 0 <= c < anchors.n_classes:
-        raise ValueError(f"unknown class {c}")
+    classes = _held(anchors, classes)
     if count < 1:
         raise ValueError("count must be >= 1")
-    xi = rng.standard_normal((count, anchors.latent_dim))
-    L = anchors.factors[c]
-    Z = anchors.means[c] + (xi if is_identity(L) else xi @ L.T)
-    return (Z, xi) if return_noise else Z
+    xi = rng.standard_normal((len(classes), count, anchors.latent_dim))
+    L = anchors.factors[classes]
+    noise = xi if is_identity(L) else xi @ L.transpose(0, 2, 1)
+    return anchors.means[classes][:, None, :] + noise, xi
 
 
-def local_anchor_update(
-    anchors: AnchorSet,
-    empirical: dict[int, Gaussian],
-    class_grads: dict[int, tuple[np.ndarray, np.ndarray]] | None,
-    step: float,
-    lam1: float,
-    lam2: float,
-) -> AnchorSet:
-    """One local gradient step on the anchors a client holds.
+def local_anchor_update(anchors: AnchorSet, classes, points, dZ, xi, step: float,
+                        lam1: float, lam2: float, eps: float) -> AnchorSet:
+    """The proposal after one local gradient step on the held ``classes``.
 
-    For each class with an empirical Gaussian: the mean moves along
-    ``-2 lam1 (v_c - m_hat)`` plus any classifier-coupling gradient in
-    ``class_grads``; with learnable covariances the factor steps along
-    ``2 G L_c``, ``G`` the gradient of the symmetric ``B^2(L_emp L_emp^T, S)``
-    at ``S = L_c L_c^T``. Classes without an empirical Gaussian pass through.
+    ``points[i]`` are the embedded training points of ``classes[i]``;
+    ``dZ`` is the classifier-coupling gradient at the samples drawn for
+    ``classes`` with noise ``xi``, or ``None``. Each held mean moves along
+    ``-2 lam1 (v_c - m_c) - lam2 sum_j dZ_cj``, ``m_c`` the points' mean.
+    A learnable factor steps along ``2 G L_c + lam2 dZ_c^T xi_c``, ``G``
+    the gradient of the symmetric ``B^2(L_emp L_emp^T, S)`` at
+    ``S = L_c L_c^T``, ``L_emp`` the points' Cholesky factor; frozen
+    factors are the input's array itself. Non-finite points raise
+    :class:`~flic.gaussian.BuresGradientError`.
     """
-    out = anchors.copy()
-    for c, g in empirical.items():
-        if not 0 <= c < anchors.n_classes:
-            raise ValueError(f"class {c} outside anchor set")
-        if g.dim != anchors.latent_dim:
-            raise ValueError("empirical Gaussian dimension mismatch")
-        gv = np.zeros(anchors.latent_dim)
-        gL = np.zeros((anchors.latent_dim, anchors.latent_dim))
-        if class_grads is not None and c in class_grads:
-            gv, gL = class_grads[c]
-        out.means[c] = (
-            anchors.means[c]
-            - step * lam1 * 2.0 * (anchors.means[c] - g.mean)
-            - step * lam2 * gv
-        )
-        if anchors.cov_learnable:
+    classes = _held(anchors, classes)
+    for c, pts in zip(classes, points):
+        if not np.all(np.isfinite(pts)):
+            raise BuresGradientError(f"class {c} embedding contains non-finite entries")
+    v = anchors.means[classes]
+    held = v - step * lam1 * 2.0 * (v - np.array([pts.mean(axis=0) for pts in points]))
+    if dZ is not None:
+        held = held - step * lam2 * dZ.sum(axis=1)
+    means = anchors.means.copy()
+    means[classes] = held
+    factors = anchors.factors
+    if anchors.cov_learnable:
+        factors = factors.copy()
+        for i, c in enumerate(classes):
             L = anchors.factors[c]
-            gW2 = 2.0 * bures_sq_value_grad(g.cov_factor, L @ L.T)[1] @ L if lam1 > 0 else 0
-            out.factors[c] = L - step * lam1 * gW2 - step * lam2 * gL
-    return out
-
+            if lam1 > 0:
+                L_emp = empirical_gaussian(points[i], eps).cov_factor
+                factors[c] -= step * lam1 * (2.0 * bures_sq_value_grad(L_emp, L @ L.T)[1] @ L)
+            if dZ is not None:
+                factors[c] -= step * lam2 * (dZ[i].T @ xi[i])
+    return AnchorSet(means, factors, anchors.cov_learnable)

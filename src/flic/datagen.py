@@ -113,8 +113,15 @@ class ClientDataset:
             raise ValueError("features and labels disagree on sample count")
         if not set(self.labels.tolist()) <= set(self.classes.tolist()):
             raise ValueError("labels outside the declared class set")
+        for name in ("train_idx", "test_idx"):
+            idx = getattr(self, name)
+            if np.any((idx < 0) | (idx >= self.n_samples)):
+                raise ValueError(f"{name} outside [0, {self.n_samples})")
         if set(self.train_idx.tolist()) & set(self.test_idx.tolist()):
             raise ValueError("train/test splits overlap")
+        untrained = set(self.classes.tolist()) - set(self.labels[self.train_idx].tolist())
+        if untrained:
+            raise ValueError(f"classes {sorted(untrained)} have no training row")
 
     @property
     def dim(self) -> int:
@@ -285,9 +292,13 @@ def load_clients(data_dir) -> tuple[list[ClientDataset], int]:
     with malformed_file(root / "manifest.json"):
         manifest = json.loads((root / "manifest.json").read_text())
         ids, n_classes = list(manifest["clients"]), int(manifest["n_classes"])
-    with malformed_file(root / "arrays.npz"), np.load(root / "arrays.npz") as arrays:
+    with malformed_file(root / "arrays.npz", root / "manifest.json"), \
+            np.load(root / "arrays.npz") as arrays:
         datasets = [
             ClientDataset(cid, *(arrays[f"client{cid}.{name}"] for name in CLIENT_ARRAYS))
             for cid in ids
         ]
+        for ds in datasets:
+            if np.any((ds.classes < 0) | (ds.classes >= n_classes)):
+                raise ValueError(f"client {ds.client_id} classes outside [0, {n_classes})")
     return datasets, n_classes

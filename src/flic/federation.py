@@ -6,12 +6,13 @@ active client runs M Adam steps on its private embedding and head
 (data loss, plus the W2 alignment penalty on the embedding and the
 anchor-sample classification penalty on the head), then takes a single
 plain gradient step each on the shared layer and on the anchors it
-holds. :func:`shared_arrays` defines what crosses the client boundary in
-both directions: the shared layer's parameters, the anchor means, and
-the anchor factors only when they are learned. A client's proposal is
-that list after its steps, and :func:`aggregate` is the one server step
-over it. Clients never upload features or labels — the simulated
-message log records exactly those arrays' bytes.
+holds, with the anchor samples as one stacked array. :func:`shared_arrays`
+defines what crosses the client boundary in both directions: the shared
+layer's parameters, the anchor means, and the anchor factors only when
+they are learned. A client's proposal is that list after its steps, and
+:func:`aggregate` is the one server step over it. Clients never upload
+features or labels — the simulated message log records exactly those
+arrays' bytes.
 
 Clients run one after another and each client's embedding, head and
 Adam states are updated in place; the global state is never mutated,
@@ -29,7 +30,7 @@ import numpy as np
 
 from .anchors import AnchorSet, local_anchor_update, sample_anchor
 from .datagen import ClientDataset
-from .gaussian import BuresGradientError, empirical_gaussian
+from .gaussian import BuresGradientError
 from .nets import (
     AdamState,
     Mlp,
@@ -179,7 +180,7 @@ def select_active_clients(b: int, rate: float, rng) -> np.ndarray:
     return np.sort(rng.choice(b, size=size, replace=False))
 
 
-def local_objective_grads(phi, alpha, head, X, y, anchors, lam1, lam2, eps, z_by_class,
+def local_objective_grads(phi, alpha, head, X, y, anchors, lam1, lam2, eps, z_classes, Z,
                           shared_grads=True):
     """Per-client objective on a fixed batch and its exact gradients.
 
@@ -187,23 +188,24 @@ def local_objective_grads(phi, alpha, head, X, y, anchors, lam1, lam2, eps, z_by
               + lam1 * sum_c W2^2(anchor_c, embedded class batch)
               + lam2 * sum_c mean_j CE(c, head(alpha(Z_c[j])))
 
-    ``z_by_class`` maps a class to its fixed anchor samples (the noise
-    draws are not needed here), the same number for every class. The
-    anchor-sample term runs as one batch: the samples of all classes are
-    concatenated and take one forward pass through ``alpha`` and ``head``,
-    one ``cross_entropy`` (scaled by the class count, so the term stays
-    the sum of per-class means) and one backward pass, whose input
-    gradient is split back per class. Returns ``(parts, g_phi, g_alpha,
-    g_head, z_input_grads)`` where ``parts`` is a dict of the three loss
-    components and ``z_input_grads[c]`` is the gradient with respect to
-    the anchor samples of class c (used for anchor updates).
+    ``Z`` holds the fixed anchor samples of the classes ``z_classes``, as
+    :func:`flic.anchors.sample_anchor` draws them: shape
+    ``(len(z_classes), count, k)``, or ``None`` without the anchor-sample
+    term. That term runs as one batch: the samples of all classes take
+    one forward pass through ``alpha`` and ``head``, one
+    ``cross_entropy`` (scaled by the class count, so the term stays the
+    sum of per-class means) and one backward pass. Returns ``(parts,
+    g_phi, g_alpha, g_head, dZ)`` where ``parts`` is a dict of the three
+    loss components and ``dZ``, in ``Z``'s shape, is the gradient with
+    respect to the anchor samples (used for anchor updates), or ``None``
+    when there is none.
 
     ``shared_grads=False`` is for the local steps, which move only phi
     and the head: the data path's pass back through ``alpha`` forms only
     the gradient ``phi`` needs, and the anchor-sample term stops after
-    the head's parameter gradients. ``g_alpha`` is then ``None`` and
-    ``z_input_grads`` empty; ``parts``, ``g_phi`` and ``g_head`` are the
-    same bit for bit.
+    the head's parameter gradients. ``g_alpha`` and ``dZ`` are then
+    ``None``; ``parts``, ``g_phi`` and ``g_head`` are the same bit for
+    bit.
     """
     H, cache_phi = forward(phi, X)
     R, cache_alpha = forward(alpha, H)
@@ -223,24 +225,20 @@ def local_objective_grads(phi, alpha, head, X, y, anchors, lam1, lam2, eps, z_by
     g_phi, _ = backward(phi, cache_phi, dH, input_grad=False)
 
     anchor_loss = 0.0
-    z_input_grads = {}
-    if lam2 > 0 and z_by_class:
-        classes = sorted(z_by_class)
-        count = z_by_class[classes[0]].shape[0]
-        if any(z_by_class[c].shape[0] != count for c in classes):
-            raise ValueError("every class needs the same number of anchor samples")
-        Z = np.concatenate([z_by_class[c] for c in classes])
-        Rz, cache_az = forward(alpha, Z)
+    dZ = None
+    if lam2 > 0 and Z is not None:
+        n, count, k = Z.shape
+        Rz, cache_az = forward(alpha, Z.reshape(n * count, k))
         logits_z, cache_hz = forward(head, Rz)
         # cross_entropy takes the mean over all rows; with equal counts the
         # class count times it is the sum of the per-class means.
-        mean_z, dlz = cross_entropy(logits_z, np.repeat(classes, count))
-        anchor_loss = len(classes) * mean_z
-        gh_z, dRz = backward(head, cache_hz, len(classes) * dlz, input_grad=shared_grads)
+        mean_z, dlz = cross_entropy(logits_z, np.repeat(z_classes, count))
+        anchor_loss = n * mean_z
+        gh_z, dRz = backward(head, cache_hz, n * dlz, input_grad=shared_grads)
         g_head = [g + lam2 * gz for g, gz in zip(g_head, gh_z)]
         if shared_grads:
             ga_z, dZ = backward(alpha, cache_az, dRz)
-            z_input_grads = dict(zip(classes, np.split(dZ, len(classes))))
+            dZ = dZ.reshape(Z.shape)
             g_alpha = [g + lam2 * gz for g, gz in zip(g_alpha, ga_z)]
 
     parts = {
@@ -249,17 +247,12 @@ def local_objective_grads(phi, alpha, head, X, y, anchors, lam1, lam2, eps, z_by
         "anchor": anchor_loss,
         "total": data_loss + lam1 * align_loss + lam2 * anchor_loss,
     }
-    return parts, g_phi, g_alpha, g_head, z_input_grads
+    return parts, g_phi, g_alpha, g_head, dZ
 
 
 def _draw_batch(rng, train_idx, batch_size):
     size = min(batch_size, len(train_idx))
     return rng.choice(train_idx, size=size, replace=False)
-
-
-def _sample_z(anchors, classes, count, rng):
-    """``{class: (samples, noise)}``, drawn class by class in the given order."""
-    return {int(c): sample_anchor(anchors, int(c), count, rng, return_noise=True) for c in classes}
 
 
 def _local_steps(client, alpha, anchors, cfg, rng, round_idx):
@@ -270,13 +263,11 @@ def _local_steps(client, alpha, anchors, cfg, rng, round_idx):
     for m in range(cfg.local_steps):
         batch = _draw_batch(rng, data.train_idx, cfg.batch_size)
         Xb, yb = data.features[batch], data.labels[batch]
-        z = None
-        if cfg.lam2 > 0:
-            present = np.unique(yb)
-            z = {c: Zxi[0] for c, Zxi in _sample_z(anchors, present, cfg.anchor_samples, rng).items()}
+        present = np.unique(yb)
+        Z = sample_anchor(anchors, present, cfg.anchor_samples, rng)[0] if cfg.lam2 > 0 else None
         parts, g_phi, _, g_head, _ = _objective(
             client.client_id, round_idx, m,
-            phi, alpha, head, Xb, yb, anchors, cfg.lam1, cfg.lam2, cfg.eps, z,
+            phi, alpha, head, Xb, yb, anchors, cfg.lam1, cfg.lam2, cfg.eps, present, Z,
             shared_grads=False,
         )
         phi.set_params(adam_step(client.phi_opt, phi.params(), g_phi))
@@ -308,29 +299,23 @@ def client_local_round(client: ClientState, global_state: GlobalState, cfg: Roun
     # Global-parameter phase: fresh batch, anchor samples for every held
     # class, single plain gradient steps.
     batch = _draw_batch(rng, data.train_idx, cfg.batch_size)
-    z_full = z_for_loss = None
+    Z = xi = None
     if cfg.lam2 > 0:
-        z_full = _sample_z(anchors, data.classes, cfg.anchor_samples, rng)
-        z_for_loss = {c: Zxi[0] for c, Zxi in z_full.items()}
-    _, _, g_alpha, _, z_grads = _objective(
+        Z, xi = sample_anchor(anchors, data.classes, cfg.anchor_samples, rng)
+    _, _, g_alpha, _, dZ = _objective(
         client.client_id, round_idx, cfg.local_steps, client.phi, alpha, client.head,
         data.features[batch], data.labels[batch], anchors, cfg.lam1, cfg.lam2, cfg.eps,
-        z_for_loss,
+        data.classes, Z,
     )
     alpha_params = [p - cfg.lr * g for p, g in zip(alpha.params(), g_alpha)]
 
     if cfg.lam1 > 0 or cfg.lam2 > 0:
         H_train = forward(client.phi, data.features[data.train_idx])[0]
         y_train = data.labels[data.train_idx]
-        emp = {
-            int(c): empirical_gaussian(H_train[y_train == c], cfg.eps)
-            for c in data.classes
-        }
-        class_grads = None
-        if cfg.lam2 > 0:
-            class_grads = {c: (dZ.sum(axis=0), dZ.T @ z_full[c][1]) for c, dZ in z_grads.items()}
+        points = [H_train[y_train == c] for c in data.classes]
         try:
-            anchor_prop = local_anchor_update(anchors, emp, class_grads, cfg.lr, cfg.lam1, cfg.lam2)
+            anchor_prop = local_anchor_update(anchors, data.classes, points, dZ, xi, cfg.lr,
+                                              cfg.lam1, cfg.lam2, cfg.eps)
         except BuresGradientError as exc:
             raise DivergenceError(
                 client.client_id, round_idx, cfg.local_steps, "align", str(exc)

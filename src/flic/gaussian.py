@@ -48,9 +48,10 @@ SINGULAR_RTOL = 1e-14
 
 
 def is_identity(L) -> bool:
-    """Whether the square factor ``L`` is exactly the identity, entry by
-    entry: the test that picks the identity fast paths."""
-    return np.array_equal(L, np.eye(L.shape[0]))
+    """Whether the square factor ``L``, or every factor of a stack, is
+    exactly the identity, entry by entry: the test that picks the identity
+    fast paths."""
+    return np.array_equal(L, np.broadcast_to(np.eye(L.shape[-1]), L.shape))
 
 
 def _as_square(S, name: str) -> np.ndarray:

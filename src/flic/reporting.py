@@ -1,12 +1,12 @@
 """Metrics persistence and checkpointing.
 
-Metrics go to CSV with a fixed header and 6-significant-digit floats.
-Checkpoints keep every tensor as float64 in a single ``arrays.npz``
-container (shape-prefixed by the format itself) next to a JSON manifest
-describing the network structure, so a save/load round trip is
-bit-exact. A checkpoint or dataset file that cannot be parsed, or whose
-contents fail validation, is reported as an ``OSError`` naming the file,
-like a missing one.
+Metrics go to CSV, one column per :class:`MetricsRecord` field, floats
+with 6 significant digits. Checkpoints keep every tensor as float64 in a
+single ``arrays.npz`` container (shape-prefixed by the format itself)
+next to a JSON manifest describing the network structure, so a save/load
+round trip is bit-exact. A checkpoint or dataset file that cannot be
+parsed, or whose contents fail validation, is reported as an ``OSError``
+naming the file, like a missing one.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import csv
 import json
 import zipfile
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,17 +28,6 @@ __all__ = [
     "load_checkpoint",
     "malformed_file",
     "write_theory_trace",
-]
-
-METRICS_HEADER = [
-    "round",
-    "train_loss",
-    "mean_accuracy",
-    "min_accuracy",
-    "max_accuracy",
-    "wall_ms",
-    "bytes_up",
-    "bytes_down",
 ]
 
 
@@ -64,20 +53,9 @@ def write_metrics(records: list[MetricsRecord], path) -> None:
         raise ValueError("rounds must be strictly increasing")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(METRICS_HEADER)
+        writer.writerow([f.name for f in fields(MetricsRecord)])
         for r in records:
-            writer.writerow(
-                [
-                    r.round,
-                    _fmt(r.train_loss),
-                    _fmt(r.mean_accuracy),
-                    _fmt(r.min_accuracy),
-                    _fmt(r.max_accuracy),
-                    _fmt(r.wall_ms),
-                    r.bytes_up,
-                    r.bytes_down,
-                ]
-            )
+            writer.writerow([_fmt(x) if isinstance(x, float) else x for x in astuple(r)])
 
 
 def write_theory_trace(rows, path) -> None:

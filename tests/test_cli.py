@@ -334,3 +334,45 @@ def test_malformed_dataset_or_checkpoint_exits_with_io_code(command, kind, train
     out = capsys.readouterr()
     assert out.err.startswith("i/o error: malformed ") and str(damaged) in out.err
     assert out.out == ""
+
+
+def _break_client0(kind, data):
+    """Make client 0 of the dataset directory inconsistent in one way."""
+    with np.load(data / "arrays.npz") as arrays:
+        train, labels = arrays["client0.train_idx"].copy(), arrays["client0.labels"]
+        classes = arrays["client0.classes"]
+    if kind == "manifest n_classes below the held classes":
+        manifest = json.loads((data / "manifest.json").read_text())
+        (data / "manifest.json").write_text(json.dumps({**manifest, "n_classes": 5}))
+        assert classes.max() >= 5
+        return
+    if kind == "train index past the rows":
+        train[0] = 10**6
+    elif kind == "train index -1":
+        train[0] = -1
+    elif kind == "held class without a training row":
+        train = train[labels[train] != classes[0]]
+    _rewrite_npz(data / "arrays.npz", **{"client0.train_idx": train})
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("train index past the rows", "train_idx outside [0, "),
+        ("train index -1", "train_idx outside [0, "),
+        ("manifest n_classes below the held classes", "outside [0, 5)"),
+        ("held class without a training row", "have no training row"),
+    ],
+)
+def test_inconsistent_dataset_directory_exits_with_io_code(kind, message, trained, tmp_path,
+                                                           capsys):
+    """Indices and classes are checked against the rows and the class count
+    when a dataset directory is read, not when training reaches them."""
+    config, data, _ = trained
+    _break_client0(kind, data)
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "again")]) \
+        == cli.EXIT_IO
+    out = capsys.readouterr()
+    assert out.err.startswith("i/o error: malformed ") and str(data / "arrays.npz") in out.err
+    assert message in out.err

@@ -6,7 +6,7 @@ import pytest
 from flic import federation
 from flic.anchors import init_anchors, local_anchor_update, sample_anchor
 from flic.datagen import ClientDataset
-from flic.gaussian import BuresGradientError, empirical_gaussian
+from flic.gaussian import BuresGradientError
 from flic.federation import (
     DivergenceError,
     GlobalState,
@@ -34,25 +34,25 @@ def setup(seed, classes, samples=7):
     anchors = init_anchors(N_CLASSES, K, rng)
     y = rng.choice(classes, size=30)
     X = rng.standard_normal((30, D))
-    z = {c: sample_anchor(anchors, c, samples, rng) for c in classes}
-    return phi, alpha, head, X, y, anchors, z
+    z_classes = np.asarray(classes)
+    Z = sample_anchor(anchors, z_classes, samples, rng)[0]
+    return phi, alpha, head, X, y, anchors, (z_classes, Z)
 
 
-def per_class_reference(phi, alpha, head, X, y, anchors, lam1, lam2, eps, z_by_class):
+def per_class_reference(phi, alpha, head, X, y, anchors, lam1, lam2, eps, z_classes, Z):
     """The anchor-sample term class by class, each class its own passes."""
     parts, g_phi, g_alpha, g_head, _ = local_objective_grads(
-        phi, alpha, head, X, y, anchors, lam1, 0.0, eps, None
+        phi, alpha, head, X, y, anchors, lam1, 0.0, eps, None, None
     )
     anchor_loss = 0.0
-    z_grads = {}
-    for c in sorted(z_by_class):
-        Z = z_by_class[c]
-        Rz, cache_az = forward(alpha, Z)
+    z_grads = np.empty_like(Z)
+    for i, c in enumerate(z_classes):
+        Rz, cache_az = forward(alpha, Z[i])
         logits_z, cache_hz = forward(head, Rz)
-        loss_z, dlz = cross_entropy(logits_z, np.full(Z.shape[0], c))
+        loss_z, dlz = cross_entropy(logits_z, np.full(Z.shape[1], c))
         anchor_loss += loss_z
         gh_z, dRz = backward(head, cache_hz, dlz)
-        ga_z, z_grads[c] = backward(alpha, cache_az, dRz)
+        ga_z, z_grads[i] = backward(alpha, cache_az, dRz)
         g_head = [g + lam2 * gz for g, gz in zip(g_head, gh_z)]
         g_alpha = [g + lam2 * gz for g, gz in zip(g_alpha, ga_z)]
     parts = dict(parts, anchor=anchor_loss, total=parts["total"] + lam2 * anchor_loss)
@@ -63,17 +63,17 @@ class TestBatchedAnchorPass:
     @pytest.mark.parametrize("classes", [[2], [0, 3, 5], list(range(N_CLASSES))])
     def test_matches_per_class_passes(self, classes):
         phi, alpha, head, X, y, anchors, z = setup(1, classes)
-        got = local_objective_grads(phi, alpha, head, X, y, anchors, 0.01, 0.3, 1e-6, z)
-        ref = per_class_reference(phi, alpha, head, X, y, anchors, 0.01, 0.3, 1e-6, z)
+        got = local_objective_grads(phi, alpha, head, X, y, anchors, 0.01, 0.3, 1e-6, *z)
+        ref = per_class_reference(phi, alpha, head, X, y, anchors, 0.01, 0.3, 1e-6, *z)
         for term in ("data", "align", "anchor", "total"):
             assert got[0][term] == pytest.approx(ref[0][term], rel=1e-12)
         for g, r in zip(got[1:4], ref[1:4]):
             assert len(g) == len(r)
             for a, b in zip(g, r):
                 np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
-        assert sorted(got[4]) == sorted(classes)
-        for c in classes:
-            np.testing.assert_allclose(got[4][c], ref[4][c], rtol=1e-12, atol=1e-12 * np.abs(ref[4][c]).max())
+        assert got[4].shape == z[1].shape
+        for g, r in zip(got[4], ref[4]):
+            np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-12 * np.abs(r).max())
 
     @pytest.mark.parametrize("classes", [[1], [0, 4], list(range(N_CLASSES))])
     def test_five_forward_and_backward_passes_whatever_the_class_count(self, monkeypatch, classes):
@@ -88,30 +88,24 @@ class TestBatchedAnchorPass:
 
         monkeypatch.setattr(federation, "forward", counting("forward", forward))
         monkeypatch.setattr(federation, "backward", counting("backward", backward))
-        local_objective_grads(phi, alpha, head, X, y, anchors, 0.01, 0.3, 1e-6, z)
+        local_objective_grads(phi, alpha, head, X, y, anchors, 0.01, 0.3, 1e-6, *z)
         assert counts == {"forward": 5, "backward": 5}
         # Without the shared-layer gradients the anchor samples stop at the head.
         counts.update(forward=0, backward=0)
-        local_objective_grads(phi, alpha, head, X, y, anchors, 0.01, 0.3, 1e-6, z,
+        local_objective_grads(phi, alpha, head, X, y, anchors, 0.01, 0.3, 1e-6, *z,
                               shared_grads=False)
         assert counts == {"forward": 5, "backward": 4}
 
     @pytest.mark.parametrize("classes", [[2], [0, 3, 5], list(range(N_CLASSES))])
     def test_without_shared_grads_the_rest_is_bit_identical(self, classes):
         phi, alpha, head, X, y, anchors, z = setup(1, classes)
-        args = (phi, alpha, head, X, y, anchors, 0.01, 0.3, 1e-6, z)
+        args = (phi, alpha, head, X, y, anchors, 0.01, 0.3, 1e-6, *z)
         full = local_objective_grads(*args)
         local = local_objective_grads(*args, shared_grads=False)
         assert local[0] == full[0]
         for got, ref in zip(local[1] + local[3], full[1] + full[3]):
             np.testing.assert_array_equal(got, ref)
-        assert local[2] is None and local[4] == {}
-
-    def test_rejects_unequal_sample_counts(self):
-        phi, alpha, head, X, y, anchors, z = setup(3, [0, 1])
-        z[1] = z[1][:-1]
-        with pytest.raises(ValueError, match="same number of anchor samples"):
-            local_objective_grads(phi, alpha, head, X, y, anchors, 0.01, 0.3, 1e-6, z)
+        assert local[2] is None and local[4] is None
 
 
 class TestAlphaEpochDivergence:
@@ -160,6 +154,31 @@ class TestAlphaEpochDivergence:
         assert len(calls) == cfg.local_steps + 1
         assert (err.client_id, err.round_idx, err.step, err.term) == (3, 2, cfg.local_steps, term)
         assert f"loss term '{term}' diverged on client 3 at round 2, step {cfg.local_steps}" in str(err)
+
+    @pytest.mark.parametrize("cov_learnable", [False, True])
+    def test_non_finite_embedded_class_names_client_round_step_and_align(self, monkeypatch,
+                                                                         cov_learnable):
+        """The anchor step reads every training row's embedding; a
+        non-finite one is a divergence of the alignment term."""
+        client, state, cfg = self.round_inputs()
+        state.anchors.cov_learnable = cov_learnable
+        n_train = len(client.data.train_idx)
+        assert cfg.batch_size < n_train
+
+        def poisoned(mlp, X):
+            H, cache = forward(mlp, X)
+            if mlp is client.phi and X.shape[0] == n_train:
+                H = H.copy()
+                H[-1, 0] = np.inf
+            return H, cache
+
+        monkeypatch.setattr(federation, "forward", poisoned)
+        with pytest.raises(DivergenceError) as info:
+            client_local_round(client, state, cfg, round_idx=2)
+        err = info.value
+        assert (err.client_id, err.round_idx, err.step) == (3, 2, cfg.local_steps)
+        assert err.term == "align"
+        assert "class 3 embedding contains non-finite entries" in str(err)
 
     def test_finite_run_completes(self):
         client, state, cfg = self.round_inputs()
@@ -288,20 +307,18 @@ class TestAggregate:
         state = shared_state(rng, cov_learnable, C=C, k=k)
         anchors = state.anchors
         step, lam1 = 0.05, 1.0
-        emps = [
-            {c: empirical_gaussian(rng.standard_normal((10, k)) + c, 1e-6) for c in range(C)}
-            for _ in range(b)
-        ]
-        locals_ = [local_anchor_update(anchors, emp, None, step, lam1, 0.0) for emp in emps]
+        points = [[rng.standard_normal((10, k)) + c for c in range(C)] for _ in range(b)]
+        locals_ = [local_anchor_update(anchors, range(C), pts, None, None, step, lam1, 0.0, 1e-6)
+                   for pts in points]
         props = [shared_arrays(state.alpha.params(), s) for s in locals_]
         out = aggregate(state, props, [1.0 / b] * b, b)
         expected = np.mean(
             [
                 [
-                    anchors.means[c] - step * lam1 * 2 * (anchors.means[c] - emp[c].mean)
+                    anchors.means[c] - step * lam1 * 2 * (anchors.means[c] - pts[c].mean(axis=0))
                     for c in range(C)
                 ]
-                for emp in emps
+                for pts in points
             ],
             axis=0,
         )

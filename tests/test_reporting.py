@@ -1,10 +1,11 @@
 import numpy as np
+import pytest
 
 from flic.anchors import init_anchors
 from flic.datagen import ClientDataset
 from flic.federation import GlobalState, make_client
 from flic.nets import build_shared
-from flic.reporting import load_checkpoint, save_checkpoint
+from flic.reporting import MetricsRecord, load_checkpoint, save_checkpoint, write_metrics
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
@@ -40,3 +41,24 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     for got, ref in zip(loaded.alpha.params() + [loaded.anchors.means, loaded.anchors.factors],
                         state.alpha.params() + [state.anchors.means, state.anchors.factors]):
         np.testing.assert_array_equal(got, ref)
+
+
+def test_metrics_csv_has_one_column_per_field_and_six_digit_floats(tmp_path):
+    records = [
+        MetricsRecord(0, 2.0 / 3.0, 0.5, 0.0, 1.0, 12.3456789, 1024, 2048),
+        MetricsRecord(3, 1e-7, 0.123456789, 1.0 / 3.0, 0.75, 1234567.0, 0, 10**9),
+    ]
+    write_metrics(records, tmp_path / "metrics.csv")
+    assert (tmp_path / "metrics.csv").read_text().splitlines() == [
+        "round,train_loss,mean_accuracy,min_accuracy,max_accuracy,wall_ms,bytes_up,bytes_down",
+        "0,0.666667,0.5,0,1,12.3457,1024,2048",
+        "3,1e-07,0.123457,0.333333,0.75,1.23457e+06,0,1000000000",
+    ]
+
+
+@pytest.mark.parametrize("rounds", [(0, 0), (2, 1)])
+def test_metrics_rounds_must_strictly_increase(tmp_path, rounds):
+    records = [MetricsRecord(t, 1.0, 0.5, 0.0, 1.0, 1.0, 0, 0) for t in rounds]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        write_metrics(records, tmp_path / "metrics.csv")
+    assert not (tmp_path / "metrics.csv").exists()
