@@ -109,6 +109,9 @@ class ClientDataset:
         self.classes = np.asarray(sorted(set(np.asarray(self.classes).tolist())), dtype=int)
         self.train_idx = np.asarray(self.train_idx, dtype=int)
         self.test_idx = np.asarray(self.test_idx, dtype=int)
+        for name in ("classes", "train_idx", "test_idx"):
+            if len(getattr(self, name)) == 0:
+                raise ValueError(f"client {self.client_id} has no {name}")
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError("features and labels disagree on sample count")
         if not set(self.labels.tolist()) <= set(self.classes.tolist()):

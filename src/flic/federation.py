@@ -16,14 +16,19 @@ arrays' bytes.
 
 Clients run one after another and each client's embedding, head and
 Adam states are updated in place; the global state is never mutated,
-each round builds a new one. Every random draw is keyed by
-(seed, tag, round, client), so the result does not depend on the order
-in which clients run.
+each round builds a new one. The server holds one upload at a time:
+:func:`aggregate` folds each proposal into a running weighted sum as
+soon as its client finishes, before the next client trains. The sum
+keeps the ``b/|A|`` scale, and with it the drift under partial
+participation that :func:`aggregate` describes. Every random draw is
+keyed by (seed, tag, round, client), so the result does not depend on
+the order in which clients run.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -166,8 +171,8 @@ def make_client(
         data=dataset,
         phi=phi,
         head=head,
-        phi_opt=AdamState.for_params(phi.params(), lr),
-        head_opt=AdamState.for_params(head.params(), lr),
+        phi_opt=AdamState(lr),
+        head_opt=AdamState(lr),
         weight=weight,
     )
 
@@ -290,8 +295,6 @@ def client_local_round(client: ClientState, global_state: GlobalState, cfg: Roun
     the mean over the local steps.
     """
     data = client.data
-    if len(data.classes) == 0:
-        raise ValueError(f"client {client.client_id} holds no classes")
     rng = stream(cfg.seed, TAG_ROUND, round_idx, client.client_id)
     alpha, anchors = global_state.alpha, global_state.anchors
     losses = _local_steps(client, alpha, anchors, cfg, rng, round_idx)
@@ -325,33 +328,44 @@ def client_local_round(client: ClientState, global_state: GlobalState, cfg: Roun
     return shared_arrays(alpha_params, anchor_prop), float(np.mean(losses))
 
 
-def aggregate(state: GlobalState, proposals: list[list[np.ndarray]], weights,
+def aggregate(state: GlobalState, proposals: Iterable[list[np.ndarray]], weights,
               total_clients: int) -> GlobalState:
     """The server step: the next global state from the active clients'
     proposals, each laid out as :func:`shared_arrays`.
 
-    Every shared array becomes ``(b / |A|) * sum_i w_i p_i`` over the
-    active set ``A`` of the ``b = total_clients`` clients, summed from
-    left to right. It is an average only when the active weights sum to
-    ``|A| / b``; under partial participation they do not, so the scale of
-    the result drifts from round to round. Frozen anchor factors are
+    ``proposals`` may be any iterable and is consumed once: each proposal
+    is checked and folded into a running weighted sum as it arrives, and
+    dropped before the next one is taken, so the server holds one upload
+    at a time. Every shared array becomes ``(b / |A|) * sum_i w_i p_i``
+    over the active set ``A`` of the ``b = total_clients`` clients, summed
+    from left to right. It is an average only when the active weights sum
+    to ``|A| / b``; under partial participation they do not, so the scale
+    of the result drifts from round to round. Frozen anchor factors are
     copied from ``state``.
     """
-    if not proposals:
-        raise ValueError("empty active set")
     weights = np.asarray(weights, dtype=float)
-    if weights.shape != (len(proposals),):
+    if weights.ndim != 1:
         raise ValueError("one weight per proposal required")
     shapes = [a.shape for a in shared_arrays(state.alpha.params(), state.anchors)]
-    if any([a.shape for a in prop] != shapes for prop in proposals):
-        raise ValueError("proposal shapes differ from the shared arrays")
-    scale = total_clients / len(proposals)
-    out = []
-    for arrays in zip(*proposals):
-        acc = weights[0] * arrays[0]
-        for w, a in zip(weights[1:], arrays[1:]):
-            acc = acc + w * a
-        out.append(scale * acc)
+    acc = None
+    count = 0
+    for prop in proposals:
+        if count == len(weights):
+            raise ValueError("one weight per proposal required")
+        if [a.shape for a in prop] != shapes:
+            raise ValueError("proposal shapes differ from the shared arrays")
+        w = weights[count]
+        acc = [w * a for a in prop] if acc is None else [s + w * a for s, a in zip(acc, prop)]
+        count += 1
+        # The loop variable would keep this upload alive while the
+        # iterable produces the next one.
+        del prop
+    if count == 0:
+        raise ValueError("empty active set")
+    if count != len(weights):
+        raise ValueError("one weight per proposal required")
+    scale = total_clients / count
+    out = [scale * a for a in acc]
     n_alpha = len(state.alpha.params())
     alpha = state.alpha.copy()
     alpha.set_params(out[:n_alpha])
@@ -393,14 +407,22 @@ def run_training(clients, global_state, cfg: RoundConfig):
         t0 = time.perf_counter()
         active = select_active_clients(b, cfg.participation, stream(cfg.seed, TAG_SELECT, t))
         down = sum(a.nbytes for a in shared_arrays(state.alpha.params(), state.anchors))
-        proposals, losses = zip(*(client_local_round(clients[i], state, cfg, t) for i in active))
-        up = [sum(a.nbytes for a in p) for p in proposals]
+        losses, up = [], []
+
+        def upload(client):
+            proposal, loss = client_local_round(client, state, cfg, t)
+            losses.append(loss)
+            up.append(sum(a.nbytes for a in proposal))
+            return proposal
+
+        # aggregate takes the proposals one at a time from this generator,
+        # so each client trains only after the previous upload is folded in.
+        state = aggregate(state, (upload(clients[i]) for i in active),
+                          [clients[i].weight for i in active], b)
         log += [dict(round=t, direction="down", client_id=int(i), kind="shared_alpha+anchors",
                      nbytes=down) for i in active]
         log += [dict(round=t, direction="up", client_id=int(i),
                      kind="alpha_proposal+anchor_proposal", nbytes=n) for i, n in zip(active, up)]
-        state = aggregate(state, proposals, [clients[i].weight for i in active], b)
-        del proposals  # free them before the next round's clients train
         accs, mean_acc = evaluate(clients, state)
         wall_ms = (time.perf_counter() - t0) * 1e3
         metrics.append(
@@ -426,8 +448,6 @@ def run_training(clients, global_state, cfg: RoundConfig):
 
 def client_accuracy(phi: Mlp, head: Mlp, alpha: Mlp, data: ClientDataset) -> float:
     """Test accuracy of ``head(alpha(phi(x)))`` on the client's test split."""
-    if len(data.test_idx) == 0:
-        raise ValueError(f"client {data.client_id} has no test data")
     H = forward(phi, data.features[data.test_idx])[0]
     logits = forward(head, forward(alpha, H)[0])[0]
     return float(np.mean(np.argmax(logits, axis=1) == data.labels[data.test_idx]))

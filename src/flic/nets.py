@@ -245,6 +245,10 @@ def alignment_loss_grad(embedded_by_class, anchors, eps: float):
 
 @dataclass
 class AdamState:
+    """Adam's settings, step count and moments. The moments start empty;
+    :func:`adam_step` creates them on the first step, so an optimizer that
+    never steps holds no arrays."""
+
     lr: float
     beta1: float = 0.9
     beta2: float = 0.999
@@ -253,20 +257,16 @@ class AdamState:
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
 
-    @classmethod
-    def for_params(cls, params, lr: float) -> "AdamState":
-        return cls(
-            lr=lr,
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-        )
-
 
 def adam_step(state: AdamState, params, grads):
     """One bias-corrected Adam update.
 
-    Returns the new parameter arrays; ``state`` is advanced in place.
+    Empty moments are first set to zeros shaped like ``params``. Returns
+    the new parameter arrays; ``state`` is advanced in place.
     """
+    if not state.m:
+        state.m = [np.zeros_like(p) for p in params]
+        state.v = [np.zeros_like(p) for p in params]
     if len(params) != len(state.m) or len(grads) != len(state.m):
         raise ValueError("parameter/gradient count mismatch")
     state.t += 1

@@ -293,6 +293,12 @@ def _damage(kind, data, ckpt):
             labels = arrays["client0.labels"] + 100
         _rewrite_npz(data / "arrays.npz", **{"client0.labels": labels})
         return data / "arrays.npz"
+    if kind == "client 0 with no rows":
+        with np.load(data / "arrays.npz") as arrays:
+            empty = {f"client0.{name}": arrays[f"client0.{name}"][:0]
+                     for name in ("features", "labels", "classes", "train_idx", "test_idx")}
+        _rewrite_npz(data / "arrays.npz", **empty)
+        return data / "arrays.npz"
     if kind == "meta not JSON":
         (ckpt / "meta.json").write_text('{"round": 1,')
         return ckpt / "meta.json"
@@ -315,8 +321,11 @@ def _damage(kind, data, ckpt):
         ("eval", "labels outside the classes"),
         ("eval", "meta not JSON"),
         ("eval", "non-finite layer"),
+        ("eval", "client 0 with no rows"),
         ("run", "manifest not JSON"),
+        ("run", "client 0 with no rows"),
         ("onboard", "meta not JSON"),
+        ("onboard", "client 0 with no rows"),
     ],
 )
 def test_malformed_dataset_or_checkpoint_exits_with_io_code(command, kind, trained, tmp_path,

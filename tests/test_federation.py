@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -218,18 +219,21 @@ class TestAlphaEpochDivergence:
         assert not any(p is a for p, a in zip(proposal, state.alpha.params()))
 
 
+def small_federation(**values):
+    cfg = build_config(
+        {"clients": 20, "samples_per_class": 20, "rounds": 2, "participation": 0.25,
+         "latent_dim": 6, "hidden_dim": 8, "local_steps": 2, **values},
+        apply_env=False,
+    )
+    return (*build_federation(*load_or_generate(cfg), cfg), cfg.training)
+
+
 @pytest.mark.parametrize(
     "rounds, final_local_rounds, evaluations", [(2, 0, 2), (2, 1, 3), (0, 0, 1)]
 )
 def test_final_accuracies_reuse_the_last_evaluation(monkeypatch, rounds, final_local_rounds,
                                                      evaluations):
-    cfg = build_config(
-        {"clients": 20, "samples_per_class": 20, "rounds": rounds, "participation": 0.25,
-         "latent_dim": 6, "hidden_dim": 8, "local_steps": 2,
-         "final_local_rounds": final_local_rounds},
-        apply_env=False,
-    )
-    clients, state = build_federation(*load_or_generate(cfg), cfg)
+    clients, state, cfg = small_federation(rounds=rounds, final_local_rounds=final_local_rounds)
     calls = []
 
     def counting(*args):
@@ -237,11 +241,39 @@ def test_final_accuracies_reuse_the_last_evaluation(monkeypatch, rounds, final_l
         return evaluate(*args)
 
     monkeypatch.setattr(federation, "evaluate", counting)
-    clients, state, metrics, _, accs = run_training(clients, state, cfg.training)
+    clients, state, metrics, _, accs = run_training(clients, state, cfg)
     assert len(calls) == evaluations
     assert accs == evaluate(clients, state)[0]
     if rounds and not final_local_rounds:
         assert metrics[-1].mean_accuracy == float(np.mean(list(accs.values())))
+
+
+@pytest.mark.parametrize("cov_learnable", [False, True])
+def test_each_upload_is_freed_before_the_next_client_trains(monkeypatch, cov_learnable):
+    clients, state, cfg = small_federation(cov_learnable=cov_learnable)
+    original = federation.client_local_round
+    uploads, alive = [], []
+
+    def tracked(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in uploads))
+        proposal, loss = original(*args, **kwargs)
+        uploads[:] = [weakref.ref(a) for a in proposal]
+        return proposal, loss
+
+    monkeypatch.setattr(federation, "client_local_round", tracked)
+    run_training(clients, state, cfg)
+    assert len(alive) == 10 and len(uploads) == 3 + cov_learnable
+    assert alive == [0] * len(alive)
+
+
+def test_unselected_clients_hold_no_adam_moments():
+    clients, state, cfg = small_federation(participation=0.1)
+    clients, *_ = run_training(clients, state, cfg)
+    never = [c for c in clients if c.phi_opt.t == 0]
+    assert 16 <= len(never) < len(clients)  # two of the 20 clients train per round
+    for c in never:
+        for opt in (c.phi_opt, c.head_opt):
+            assert opt.t == 0 and opt.m == opt.v == []
 
 
 def shared_state(rng, cov_learnable, C=4, k=3, scale=1.0):
@@ -331,6 +363,31 @@ class TestAggregate:
             )
         else:
             np.testing.assert_array_equal(out.anchors.factors, anchors.factors)
+
+    def test_any_iterable_sums_like_the_list(self, cov_learnable):
+        rng = np.random.default_rng(18)
+        props = [proposal_of(shared_state(rng, cov_learnable, scale=float(i + 1)))
+                 for i in range(4)]
+        state = shared_state(rng, cov_learnable)
+        weights = [0.1, 0.4, 0.2, 0.3]
+        from_list = aggregate(state, props, weights, 7)
+        from_generator = aggregate(state, (p for p in props), weights, 7)
+        for i, (got, listed) in enumerate(zip(proposal_of(from_generator),
+                                              proposal_of(from_list))):
+            ref = weights[0] * props[0][i]
+            for w, prop in zip(weights[1:], props[1:]):
+                ref = ref + w * prop[i]
+            np.testing.assert_array_equal(listed, (7 / 4) * ref)
+            np.testing.assert_array_equal(got, listed)
+
+    @pytest.mark.parametrize("as_iterable", [list, iter])
+    @pytest.mark.parametrize("n_weights", [2, 4])
+    def test_weight_count_must_match_the_proposals(self, cov_learnable, n_weights, as_iterable):
+        rng = np.random.default_rng(19)
+        state = shared_state(rng, cov_learnable)
+        props = [proposal_of(shared_state(rng, cov_learnable)) for _ in range(3)]
+        with pytest.raises(ValueError, match="one weight per proposal"):
+            aggregate(state, as_iterable(props), [1.0 / 3] * n_weights, 3)
 
     def test_empty_active_set(self, cov_learnable):
         state = shared_state(np.random.default_rng(15), cov_learnable)
