@@ -9,10 +9,15 @@ by ``parse_config`` is the identity.
 ``ExperimentConfig`` holds the top-level settings and the three
 component configs a run uses: the round schedule and loss weights
 (``RoundConfig``), the toy dataset (``ToyDatasetSpec``) and the theory
-harness (``TheoryConfig``). ``COMPONENT_KEYS`` is the one place a flat
-key of a component is defined; the component dataclass gives its
-default, its type and its range check. All three components are built,
-and so validated, in every mode.
+harness (``TheoryConfig``). A setting has one name: a top-level field
+is its own key, and a component field's key is its name behind the
+component's prefix in ``PREFIXES`` (``theory_`` for the theory harness,
+none otherwise), so ``theory_samples`` is ``TheoryConfig.samples``.
+Each component's ``seed`` is the top-level seed. The component dataclass
+gives a key's default, its type and its range check, whose message
+starts with the field name; so every message about a value starts with
+the key the user wrote. All three components are built, and so
+validated, in every mode.
 """
 
 from __future__ import annotations
@@ -58,64 +63,32 @@ class ExperimentConfig:
         return self.theory
 
 
-# Flat key -> (component, field), or (component, field, index) for one
-# end of a range pair. Each component's ``seed`` is the top-level seed.
-COMPONENT_KEYS = {
-    "rounds": ("training", "rounds"),
-    "participation": ("training", "participation"),
-    "local_steps": ("training", "local_steps"),
-    "batch_size": ("training", "batch_size"),
-    "lr": ("training", "lr"),
-    "lambda1": ("training", "lam1"),
-    "lambda2": ("training", "lam2"),
-    "anchor_samples": ("training", "anchor_samples"),
-    "eps": ("training", "eps"),
-    "final_local_rounds": ("training", "final_local_rounds"),
-    "variant": ("data", "variant"),
-    "n_classes": ("data", "n_classes"),
-    "samples_per_class": ("data", "samples_per_class"),
-    "base_dim": ("data", "base_dim"),
-    "clients": ("data", "clients"),
-    "classes_per_client": ("data", "classes_per_client"),
-    "noise_dim_min": ("data", "noise_dim_range", 0),
-    "noise_dim_max": ("data", "noise_dim_range", 1),
-    "map_dim_min": ("data", "map_dim_range", 0),
-    "map_dim_max": ("data", "map_dim_range", 1),
-    "imbalance_min": ("data", "imbalance_range", 0),
-    "imbalance_max": ("data", "imbalance_range", 1),
-    "mean_scale": ("data", "mean_scale"),
-    "test_fraction": ("data", "test_fraction"),
-    "theory_clients": ("theory", "clients"),
-    "theory_samples": ("theory", "samples_per_client"),
-    "theory_test_samples": ("theory", "test_samples"),
-    "theory_latent_dim": ("theory", "latent_dim"),
-    "theory_head_dim": ("theory", "head_dim"),
-    "theory_raw_dim_min": ("theory", "raw_dim_range", 0),
-    "theory_raw_dim_max": ("theory", "raw_dim_range", 1),
-    "theory_participation": ("theory", "participation"),
-    "theory_rounds": ("theory", "rounds"),
-    "theory_step_size": ("theory", "step_size"),
-}
-COMPONENTS = ("training", "data", "theory")
+PREFIXES = {"training": "", "data": "", "theory": "theory_"}
+_DEFAULTS = ExperimentConfig()
+_TOP = [f.name for f in fields(ExperimentConfig) if f.name not in PREFIXES]
+_CLAIMS = [
+    (prefix + f.name, (component, f.name))
+    for component, prefix in PREFIXES.items()
+    for f in fields(getattr(_DEFAULTS, component))
+    if f.name != "seed"
+]
+# Flat key -> (component, field).
+COMPONENT_KEYS = dict(_CLAIMS)
+assert len(COMPONENT_KEYS) == len(_CLAIMS) and not COMPONENT_KEYS.keys() & set(_TOP), \
+    "two settings claim one flat key"
 _OPTIONAL = {"dataset_path": str, "anchor_init_scale": float}
 
 
 def _flat_value(cfg: ExperimentConfig, key: str):
-    if key not in COMPONENT_KEYS:
-        return getattr(cfg, key)
-    component, name, *index = COMPONENT_KEYS[key]
-    value = getattr(getattr(cfg, component), name)
-    return value[index[0]] if index else value
+    if key in COMPONENT_KEYS:
+        component, key = COMPONENT_KEYS[key]
+        cfg = getattr(cfg, component)
+    return getattr(cfg, key)
 
 
-_DEFAULTS = ExperimentConfig()
 _TYPES = {
-    **{
-        f.name: _OPTIONAL.get(f.name) or type(getattr(_DEFAULTS, f.name))
-        for f in fields(ExperimentConfig)
-        if f.name not in COMPONENTS
-    },
-    **{key: type(_flat_value(_DEFAULTS, key)) for key in COMPONENT_KEYS},
+    key: _OPTIONAL.get(key) or type(_flat_value(_DEFAULTS, key))
+    for key in [*_TOP, *COMPONENT_KEYS]
 }
 
 
@@ -153,47 +126,37 @@ def _parse_env(key: str, raw: str):
             return False
         raise ConfigError(f"{key}: cannot parse boolean from {raw!r}")
     try:
-        if target_type is int:
-            return int(raw)
-        if target_type is float:
-            return float(raw)
+        return target_type(raw) if target_type in (int, float) else raw
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
-    return raw
 
 
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     """Top-level checks; each component checks its own fields."""
     if cfg.mode not in MODES:
         raise ConfigError(f"mode: must be one of {MODES}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed: must be >= 0, got {cfg.seed}")
     if cfg.workers != 1:
         raise ConfigError("workers: must be 1; clients run one after another")
-    if cfg.latent_dim < 1:
-        raise ConfigError("latent_dim: must be >= 1")
-    if cfg.hidden_dim < 1:
-        raise ConfigError("hidden_dim: must be >= 1")
+    for key in ("latent_dim", "hidden_dim"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"{key}: must be >= 1")
     return cfg
 
 
 def _assemble(values: dict) -> ExperimentConfig:
     """Build and validate a config from checked flat values."""
     top = {key: value for key, value in values.items() if key not in COMPONENT_KEYS}
-    seed = top.get("seed", _DEFAULTS.seed)
-    changes = {component: {"seed": seed} for component in COMPONENTS}
-    for key, value in values.items():
-        if key not in COMPONENT_KEYS:
-            continue
-        component, name, *index = COMPONENT_KEYS[key]
-        if index:
-            pair = changes[component].get(name, getattr(getattr(_DEFAULTS, component), name))
-            value = (value, pair[1]) if index[0] == 0 else (pair[0], value)
-        changes[component][name] = value
-    for component in COMPONENTS:
-        default = getattr(_DEFAULTS, component)
+    changes = {component: {"seed": top.get("seed", _DEFAULTS.seed)} for component in PREFIXES}
+    for key in values.keys() & COMPONENT_KEYS.keys():
+        component, name = COMPONENT_KEYS[key]
+        changes[component][name] = values[key]
+    for component, prefix in PREFIXES.items():
         try:
-            top[component] = replace(default, **changes[component])
+            top[component] = replace(getattr(_DEFAULTS, component), **changes[component])
         except ValueError as exc:
-            raise ConfigError(f"{type(default).__name__}: {exc}") from exc
+            raise ConfigError(prefix + str(exc)) from exc
     return _validate(ExperimentConfig(**top))
 
 
@@ -228,15 +191,12 @@ def parse_config(
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
     text = p.read_text().strip()
-    if not text:
-        values = {}
-    else:
-        try:
-            values = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(values, dict):
-            raise ConfigError("config must be a flat JSON object")
+    try:
+        values = json.loads(text) if text else {}
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(values, dict):
+        raise ConfigError("config must be a flat JSON object")
     return build_config(values, apply_env=apply_env, overrides=overrides)
 
 

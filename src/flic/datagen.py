@@ -52,7 +52,8 @@ CLIENT_ARRAYS = ("features", "labels", "classes", "train_idx", "test_idx")
 
 
 class PoolTooSmallError(ValueError):
-    """A class pool has fewer samples than the clients holding the class.
+    """A class pool has fewer samples than the clients holding the class,
+    or a client keeps too few rows for a training and a test row.
 
     The holder counts are drawn at random, so the spec cannot be checked
     for this before the partition is drawn."""
@@ -66,16 +67,19 @@ class ToyDatasetSpec:
     base_dim: int = 5
     clients: int = 100
     classes_per_client: int = 3
-    noise_dim_range: tuple[int, int] = (1, 10)
-    map_dim_range: tuple[int, int] = (5, 50)
-    imbalance_range: tuple[float, float] = (0.1, 1.0)
+    noise_dim_min: int = 1  # nf: a client's noise columns, drawn from [min, max]
+    noise_dim_max: int = 10
+    map_dim_min: int = 5  # lm: a client's mapped dimension, drawn from [min, max]
+    map_dim_max: int = 50
+    imbalance_min: float = 0.1  # a client's kept fraction, drawn from [min, max]
+    imbalance_max: float = 1.0
     mean_scale: float = 2.0
     test_fraction: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
         if self.variant not in ("nf", "lm"):
-            raise ValueError(f"unknown variant {self.variant!r}")
+            raise ValueError(f"variant must be 'nf' or 'lm', got {self.variant!r}")
         for name in ("samples_per_class", "base_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -83,13 +87,14 @@ class ToyDatasetSpec:
             raise ValueError("classes_per_client must lie in [1, n_classes]")
         if self.clients * self.classes_per_client < self.n_classes:
             raise ValueError("clients * classes_per_client must be >= n_classes")
-        if self.noise_dim_range[0] < 0 or self.noise_dim_range[0] > self.noise_dim_range[1]:
-            raise ValueError("invalid noise_dim_range")
-        if self.map_dim_range[0] < 1 or self.map_dim_range[0] > self.map_dim_range[1]:
-            raise ValueError("invalid map_dim_range")
-        lo, hi = self.imbalance_range
-        if not (0 < lo <= hi <= 1):
-            raise ValueError("imbalance_range must satisfy 0 < lo <= hi <= 1")
+        if not 0 <= self.noise_dim_min <= self.noise_dim_max:
+            raise ValueError("noise_dim_min must lie in [0, noise_dim_max]")
+        if not 1 <= self.map_dim_min <= self.map_dim_max:
+            raise ValueError("map_dim_min must lie in [1, map_dim_max]")
+        if not 0 < self.imbalance_min <= self.imbalance_max:
+            raise ValueError("imbalance_min must lie in (0, imbalance_max]")
+        if self.imbalance_max > 1:
+            raise ValueError("imbalance_max must be <= 1")
         if not 0 < self.test_fraction < 1:
             raise ValueError("test_fraction must lie in (0, 1)")
 
@@ -203,9 +208,8 @@ def partition_clients(pools: dict[int, np.ndarray], spec: ToyDatasetSpec, rng):
             shares[i][c] = chunk
 
     out = []
-    lo, hi = spec.imbalance_range
     for i in range(spec.clients):
-        frac = rng.uniform(lo, hi)
+        frac = rng.uniform(spec.imbalance_min, spec.imbalance_max)
         kept: dict[int, np.ndarray] = {}
         train: dict[int, np.ndarray] = {}
         test: dict[int, np.ndarray] = {}
@@ -232,9 +236,11 @@ def generate(spec: ToyDatasetSpec) -> list[ClientDataset]:
     Class means are ``mean_scale`` times standard normals. In ``lm`` each
     class also gets a random diagonal covariance, and a client sees
     ``rows @ M`` for its own standard-normal ``M`` of ``base_dim`` rows and
-    a dimension drawn from ``map_dim_range``. In ``nf`` classes have unit
-    covariance, and a client sees its rows followed by a count, drawn from
-    ``noise_dim_range``, of standard-normal noise columns.
+    a dimension drawn from ``[map_dim_min, map_dim_max]``. In ``nf``
+    classes have unit covariance, and a client sees its rows followed by a
+    count, drawn from ``[noise_dim_min, noise_dim_max]``, of
+    standard-normal noise columns. Raises :class:`PoolTooSmallError` when
+    a class pool or a client's kept rows are too small.
     """
     rng_means = stream(spec.seed, _TAG_MEANS)
     shape = (spec.n_classes, spec.base_dim)
@@ -261,13 +267,17 @@ def generate(spec: ToyDatasetSpec) -> list[ClientDataset]:
         ids = np.concatenate([part["ids"][c] for c in classes])
         rng = stream(spec.seed, _TAG_CLIENT, i)
         if spec.variant == "lm":
-            out_dim = int(rng.integers(spec.map_dim_range[0], spec.map_dim_range[1] + 1))
+            out_dim = int(rng.integers(spec.map_dim_min, spec.map_dim_max + 1))
             feats = base[ids] @ rng.standard_normal((spec.base_dim, out_dim))
         else:
-            extra = int(rng.integers(spec.noise_dim_range[0], spec.noise_dim_range[1] + 1))
+            extra = int(rng.integers(spec.noise_dim_min, spec.noise_dim_max + 1))
             feats = np.hstack([base[ids], rng.standard_normal((len(ids), extra))])
         train = np.searchsorted(ids, np.concatenate([part["train"][c] for c in classes]))
         test = np.searchsorted(ids, np.concatenate([part["test"][c] for c in classes]))
+        if not (len(train) and len(test)):
+            raise PoolTooSmallError(
+                f"client {i} keeps too few rows ({len(ids)}) for a training and a test row"
+            )
         datasets.append(ClientDataset(i, feats, labels[ids], classes, train, test))
     return datasets
 

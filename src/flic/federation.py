@@ -109,8 +109,8 @@ class RoundConfig:
     local_steps: int = 10
     batch_size: int = 100
     lr: float = 0.001
-    lam1: float = 0.001
-    lam2: float = 0.001
+    lambda1: float = 0.001
+    lambda2: float = 0.001
     anchor_samples: int = 100
     eps: float = 1e-6
     seed: int = 0
@@ -121,7 +121,7 @@ class RoundConfig:
             raise ValueError("participation must lie in (0, 1]")
         for name, low in (
             ("rounds", 0), ("local_steps", 1), ("batch_size", 1), ("anchor_samples", 1),
-            ("final_local_rounds", 0), ("lr", 0), ("lam1", 0), ("lam2", 0),
+            ("final_local_rounds", 0), ("lr", 0), ("lambda1", 0), ("lambda2", 0),
         ):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
@@ -269,10 +269,10 @@ def _local_steps(client, alpha, anchors, cfg, rng, round_idx):
         batch = _draw_batch(rng, data.train_idx, cfg.batch_size)
         Xb, yb = data.features[batch], data.labels[batch]
         present = np.unique(yb)
-        Z = sample_anchor(anchors, present, cfg.anchor_samples, rng)[0] if cfg.lam2 > 0 else None
+        Z = sample_anchor(anchors, present, cfg.anchor_samples, rng)[0] if cfg.lambda2 > 0 else None
         parts, g_phi, _, g_head, _ = _objective(
             client.client_id, round_idx, m,
-            phi, alpha, head, Xb, yb, anchors, cfg.lam1, cfg.lam2, cfg.eps, present, Z,
+            phi, alpha, head, Xb, yb, anchors, cfg.lambda1, cfg.lambda2, cfg.eps, present, Z,
             shared_grads=False,
         )
         phi.set_params(adam_step(client.phi_opt, phi.params(), g_phi))
@@ -291,7 +291,7 @@ def client_local_round(client: ClientState, global_state: GlobalState, cfg: Roun
     parameters on a fresh batch. The global state is not mutated.
     Returns ``(proposal, train_loss)``: the proposal is
     :func:`shared_arrays` of the stepped shared layer and anchors (with
-    ``lam1 = lam2 = 0`` the global anchor arrays themselves), the loss
+    ``lambda1 = lambda2 = 0`` the global anchor arrays themselves), the loss
     the mean over the local steps.
     """
     data = client.data
@@ -303,22 +303,22 @@ def client_local_round(client: ClientState, global_state: GlobalState, cfg: Roun
     # class, single plain gradient steps.
     batch = _draw_batch(rng, data.train_idx, cfg.batch_size)
     Z = xi = None
-    if cfg.lam2 > 0:
+    if cfg.lambda2 > 0:
         Z, xi = sample_anchor(anchors, data.classes, cfg.anchor_samples, rng)
     _, _, g_alpha, _, dZ = _objective(
         client.client_id, round_idx, cfg.local_steps, client.phi, alpha, client.head,
-        data.features[batch], data.labels[batch], anchors, cfg.lam1, cfg.lam2, cfg.eps,
+        data.features[batch], data.labels[batch], anchors, cfg.lambda1, cfg.lambda2, cfg.eps,
         data.classes, Z,
     )
     alpha_params = [p - cfg.lr * g for p, g in zip(alpha.params(), g_alpha)]
 
-    if cfg.lam1 > 0 or cfg.lam2 > 0:
+    if cfg.lambda1 > 0 or cfg.lambda2 > 0:
         H_train = forward(client.phi, data.features[data.train_idx])[0]
         y_train = data.labels[data.train_idx]
         points = [H_train[y_train == c] for c in data.classes]
         try:
             anchor_prop = local_anchor_update(anchors, data.classes, points, dZ, xi, cfg.lr,
-                                              cfg.lam1, cfg.lam2, cfg.eps)
+                                              cfg.lambda1, cfg.lambda2, cfg.eps)
         except BuresGradientError as exc:
             raise DivergenceError(
                 client.client_id, round_idx, cfg.local_steps, "align", str(exc)
@@ -465,7 +465,7 @@ def local_baseline(clients, global_template: GlobalState, cfg: RoundConfig) -> d
     """Isolated per-client training: no communication and no alignment.
 
     Each client runs alone as a federation of one, with weight 1 and
-    ``lam1 = lam2 = 0``: every round it takes the local steps on
+    ``lambda1 = lambda2 = 0``: every round it takes the local steps on
     (phi, head) and one plain step on its own private copy of the shared
     layer, for all ``cfg.rounds`` rounds whatever ``cfg.participation``,
     then the final local rounds. A federated client at participation < 1
@@ -473,7 +473,7 @@ def local_baseline(clients, global_template: GlobalState, cfg: RoundConfig) -> d
     differ. The clients are updated in place; ``global_template`` is not
     mutated. Returns the per-client test accuracies.
     """
-    cfg0 = replace(cfg, lam1=0.0, lam2=0.0)
+    cfg0 = replace(cfg, lambda1=0.0, lambda2=0.0)
     accs = {}
     for client in clients:
         accs.update(run_training([replace(client, weight=1.0)], global_template, cfg0)[4])

@@ -63,25 +63,27 @@ def _positive_qr(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class TheoryConfig:
     clients: int = 20
-    samples_per_client: int = 500
+    samples: int = 500  # training samples per client
     test_samples: int = 200
     latent_dim: int = 5  # k
     head_dim: int = 3  # d
-    raw_dim_range: tuple[int, int] = (8, 16)
+    raw_dim_min: int = 8  # a client's raw dimension, drawn from [min, max]
+    raw_dim_max: int = 16
     participation: float = 1.0
     rounds: int = 100
     step_size: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
-        if self.samples_per_client < 1 or self.test_samples < 1:
-            raise ValueError("samples_per_client and test_samples must be at least 1")
+        for name in ("samples", "test_samples"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if not 1 <= self.head_dim <= self.latent_dim:
             raise ValueError("head_dim must lie in [1, latent_dim]")
-        if self.raw_dim_range[0] < self.latent_dim:
-            raise ValueError("raw_dim_range must start at latent_dim or above")
-        if self.raw_dim_range[0] > self.raw_dim_range[1]:
-            raise ValueError("raw_dim_range must not end below its start")
+        if self.raw_dim_min < self.latent_dim:
+            raise ValueError("raw_dim_min must be >= latent_dim")
+        if self.raw_dim_max < self.raw_dim_min:
+            raise ValueError("raw_dim_max must be >= raw_dim_min")
         if not 0 < self.participation <= 1:
             raise ValueError("participation must lie in (0, 1]")
         if not self.step_size > 0:
@@ -89,8 +91,8 @@ class TheoryConfig:
         active = int(np.floor(self.participation * self.clients))
         if active < self.head_dim:
             raise ValueError(
-                "active set must contain at least head_dim clients so the "
-                "selected heads can span the head space"
+                "clients * participation must give at least head_dim active "
+                "clients, so that the selected heads can span the head space"
             )
 
 
@@ -200,8 +202,7 @@ def _draw_oracle(rng, config: TheoryConfig):
 def _draw_client(rng, config: TheoryConfig, i: int):
     """Client i's draws, in stream order: ``(mean, eig_vecs, eig_vals,
     X_train, X_test)``, the raw sets from ``N(mean, P diag(vals) P^T)``."""
-    lo, hi = config.raw_dim_range
-    k_i = int(rng.integers(lo, hi + 1))
+    k_i = int(rng.integers(config.raw_dim_min, config.raw_dim_max + 1))
     m_i = rng.standard_normal(k_i)
     P_i = _positive_qr(rng.standard_normal((k_i, k_i)))[0]
     vals = np.sort(rng.uniform(0.5, 2.0, size=k_i))[::-1]
@@ -212,7 +213,7 @@ def _draw_client(rng, config: TheoryConfig, i: int):
         xi = rng.standard_normal((n, k_i))
         return m_i + (xi * np.sqrt(vals)) @ P_i.T
 
-    return m_i, P_i, vals, draw(config.samples_per_client), draw(config.test_samples)
+    return m_i, P_i, vals, draw(config.samples), draw(config.test_samples)
 
 
 def make_instance(config: TheoryConfig) -> TheoryInstance:

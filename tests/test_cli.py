@@ -93,8 +93,8 @@ def test_workers_flag_is_gone(capsys):
     [
         ({"samples_per_class": 0, "rounds": 1, "clients": 20}, "samples_per_class"),
         ({**SMALL_FLIC, "base_dim": 0}, "base_dim"),
-        ({"mode": "theory", "theory_raw_dim_max": 6}, "raw_dim_range"),
-        ({"mode": "theory", "theory_head_dim": 0}, "head_dim"),
+        ({"mode": "theory", "theory_raw_dim_max": 6}, "theory_raw_dim_max"),
+        ({"mode": "theory", "theory_head_dim": 0}, "theory_head_dim"),
     ],
 )
 def test_unrunnable_data_and_theory_shapes_exit_with_config_code(
@@ -118,6 +118,39 @@ def test_class_pool_smaller_than_its_holders_exits_with_config_code(
     assert re.search(r"config error: samples_per_class: class \d+ pool of 2 samples",
                      capsys.readouterr().err)
     assert not (out / "summary.json").exists() and not (out / "arrays.npz").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "datagen"])
+def test_single_row_class_slices_exit_with_config_code(command, tmp_path, monkeypatch, capsys):
+    """Every class has one holder and one row, so no client has a test row."""
+    for key in [k for k in os.environ if k.startswith("FLIC_")]:
+        monkeypatch.delenv(key)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {"samples_per_class": 1, "clients": 20, "classes_per_client": 1, "rounds": 1}
+    ))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert re.search(r"config error: samples_per_class: client \d+ keeps too few rows",
+                     capsys.readouterr().err)
+    assert not (out / "summary.json").exists() and not (out / "arrays.npz").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,env",
+    [(["run", "--seed", "-1", "--mode", mode], {}) for mode in ("flic", "local", "theory")]
+    + [(["run"], {"FLIC_SEED": "-1"}), (["datagen", "--seed", "-1"], {})],
+    ids=["run-flic", "run-local", "run-theory", "run-env", "datagen"],
+)
+def test_negative_seed_exits_with_config_code(argv, env, tmp_path, monkeypatch, capsys):
+    for key in [k for k in os.environ if k.startswith("FLIC_")]:
+        monkeypatch.delenv(key)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: seed: must be >= 0")
+    assert not out.exists()
 
 
 def test_unwritable_output_directory_exits_with_io_code(tmp_path, monkeypatch, capsys):

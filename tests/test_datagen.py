@@ -56,13 +56,13 @@ FINGERPRINTS = {
 
 @pytest.mark.parametrize("variant,seed,noise", sorted(FINGERPRINTS, key=str))
 def test_generate_fingerprint(variant, seed, noise):
-    extra = {} if noise is None else {"noise_dim_range": noise}
+    extra = {} if noise is None else {"noise_dim_min": noise[0], "noise_dim_max": noise[1]}
     spec = ToyDatasetSpec(variant=variant, seed=seed, **SMALL, **extra)
     assert fingerprint(generate(spec)) == FINGERPRINTS[variant, seed, noise]
 
 
 def test_zero_noise_dims_keep_the_base_space():
-    spec = ToyDatasetSpec(variant="nf", noise_dim_range=(0, 0), **SMALL)
+    spec = ToyDatasetSpec(variant="nf", noise_dim_min=0, noise_dim_max=0, **SMALL)
     assert {ds.dim for ds in generate(spec)} == {spec.base_dim}
 
 
@@ -78,7 +78,8 @@ def partition_cases(draw):
         clients=clients,
         # every holder of a class gets at least one sample of it
         samples_per_class=draw(st.integers(clients, clients + 30)),
-        imbalance_range=tuple(imbalance),
+        imbalance_min=imbalance[0],
+        imbalance_max=imbalance[1],
         test_fraction=draw(st.floats(0.01, 0.99)),
     )
     return spec, draw(st.integers(0, 2**32 - 1))

@@ -194,7 +194,7 @@ class TestAlphaEpochDivergence:
         arrays themselves."""
         client, state, cfg = self.round_inputs()
         state.anchors.cov_learnable = cov_learnable
-        cfg = replace(cfg, lam1=lam, lam2=lam)
+        cfg = replace(cfg, lambda1=lam, lambda2=lam)
         proposal, _ = client_local_round(client, state, cfg, round_idx=2)
         shared = shared_arrays(state.alpha.params(), state.anchors)
         assert len(proposal) == len(shared) == 3 + cov_learnable

@@ -51,7 +51,7 @@ CONFIGS = {
 }
 LOCAL = {**BASE, "mode": "local", "final_local_rounds": 1}
 ONBOARD = {"trained": "identity_anchors", "client": 3, "rounds": 5}
-THEORY = TheoryConfig(clients=20, samples_per_client=300, participation=1.0, rounds=300, seed=0)
+THEORY = TheoryConfig(clients=20, samples=300, participation=1.0, rounds=300, seed=0)
 
 
 def _train(values: dict):

@@ -18,7 +18,7 @@ from flic.theory import (
     solve_head,
 )
 
-SMALL = TheoryConfig(clients=8, samples_per_client=300, test_samples=100, rounds=30, seed=3)
+SMALL = TheoryConfig(clients=8, samples=300, test_samples=100, rounds=30, seed=3)
 
 
 def raw_data(config, inst):
@@ -123,12 +123,12 @@ class TestInitA0:
         np.testing.assert_allclose(A0.T @ A0, np.eye(inst.head_dim), atol=1e-10)
 
     def test_close_to_target_subspace(self):
-        inst = make_instance(TheoryConfig(clients=12, samples_per_client=2000, seed=5))
+        inst = make_instance(TheoryConfig(clients=12, samples=2000, seed=5))
         A0 = init_A0(inst)
         assert principal_angle_dist(A0, inst.QA_star) < 0.5
 
     def test_full_space_case(self):
-        cfg = TheoryConfig(clients=8, samples_per_client=400, latent_dim=4, head_dim=4, seed=6)
+        cfg = TheoryConfig(clients=8, samples=400, latent_dim=4, head_dim=4, seed=6)
         inst = make_instance(cfg)
         A0 = init_A0(inst)
         np.testing.assert_allclose(A0.T @ A0, np.eye(4), atol=1e-10)
@@ -257,7 +257,7 @@ class TestRunExperiment:
 
     def test_partial_participation_runs(self):
         cfg = TheoryConfig(
-            clients=10, samples_per_client=400, participation=0.5, rounds=40, seed=11
+            clients=10, samples=400, participation=0.5, rounds=40, seed=11
         )
         _, rows = run_theory_experiment(cfg)
         assert rows[-1][1] < rows[0][1]
@@ -304,7 +304,7 @@ class TestSufficientStatistics:
             np.testing.assert_array_equal(
                 inst.label_moment[i], (Phi * (y**2)[:, None]).T @ Phi / y.size
             )
-            assert inst.n_train[i] == SMALL.samples_per_client == y.size
+            assert inst.n_train[i] == SMALL.samples == y.size
             np.testing.assert_array_equal(inst.phi_test[i], phi_hat(inst, i, raw.X_test[i]))
 
     def test_init_A0_matches_the_moment_summed_over_raw_data(self):
@@ -321,7 +321,7 @@ class TestSufficientStatistics:
 
     def test_instance_memory_does_not_grow_with_training_samples(self):
         def array_bytes(samples):
-            inst = make_instance(TheoryConfig(clients=8, samples_per_client=samples, seed=3))
+            inst = make_instance(TheoryConfig(clients=8, samples=samples, seed=3))
             return sum(getattr(inst, f.name).nbytes for f in fields(inst)
                        if isinstance(getattr(inst, f.name), np.ndarray))
 
@@ -410,9 +410,9 @@ class TestConfigValidation:
 
     def test_raw_dim_bound(self):
         with pytest.raises(ValueError):
-            TheoryConfig(latent_dim=6, raw_dim_range=(5, 8))
+            TheoryConfig(latent_dim=6, raw_dim_min=5, raw_dim_max=8)
 
-    @pytest.mark.parametrize("field", ["samples_per_client", "test_samples"])
+    @pytest.mark.parametrize("field", ["samples", "test_samples"])
     @pytest.mark.parametrize("value", [0, -5])
     def test_sample_counts_at_least_one(self, field, value):
         with pytest.raises(ValueError, match="at least 1"):
