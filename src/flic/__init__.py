@@ -29,14 +29,7 @@ from .federation import (
     select_active_clients,
     shared_arrays,
 )
-from .gaussian import (
-    Gaussian,
-    bures_sq,
-    bures_sq_value_grad,
-    empirical_gaussian,
-    matrix_sqrt_psd,
-    w2_sq_gaussians,
-)
+from .gaussian import bures_sq_value_grad
 from .nets import AdamState, Mlp, adam_step, alignment_loss_grad, backward, cross_entropy, forward
 from .theory import (
     TheoryConfig,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import BuresGradientError, bures_sq_value_grad, empirical_gaussian, is_identity
+from .gaussian import BuresGradientError, bures_sq_value_grad, is_identity
 
 __all__ = [
     "AnchorSet",
@@ -103,9 +103,10 @@ def local_anchor_update(anchors: AnchorSet, classes, points, dZ, xi, step: float
     ``-2 lam1 (v_c - m_c) - lam2 sum_j dZ_cj``, ``m_c`` the points' mean.
     A learnable factor steps along ``2 G L_c + lam2 dZ_c^T xi_c``, ``G``
     the gradient of the symmetric ``B^2(L_emp L_emp^T, S)`` at
-    ``S = L_c L_c^T``, ``L_emp`` the points' Cholesky factor; frozen
-    factors are the input's array itself. Non-finite points raise
-    :class:`~flic.gaussian.BuresGradientError`.
+    ``S = L_c L_c^T``, ``L_emp`` the Cholesky factor of the points'
+    covariance ``Xc^T Xc / n + eps I``; frozen factors are the input's
+    array itself. Non-finite points, and a covariance that Cholesky cannot
+    factor, raise :class:`~flic.gaussian.BuresGradientError`.
     """
     classes = _held(anchors, classes)
     for c, pts in zip(classes, points):
@@ -123,7 +124,14 @@ def local_anchor_update(anchors: AnchorSet, classes, points, dZ, xi, step: float
         for i, c in enumerate(classes):
             L = anchors.factors[c]
             if lam1 > 0:
-                L_emp = empirical_gaussian(points[i], eps).cov_factor
+                Xc = points[i] - points[i].mean(axis=0)
+                n, k = Xc.shape
+                try:
+                    L_emp = np.linalg.cholesky(Xc.T @ Xc / n + eps * np.eye(k))
+                except np.linalg.LinAlgError as exc:
+                    raise BuresGradientError(
+                        f"class {c} covariance is numerically singular: {exc}"
+                    ) from exc
                 factors[c] -= step * lam1 * (2.0 * bures_sq_value_grad(L_emp, L @ L.T)[1] @ L)
             if dZ is not None:
                 factors[c] -= step * lam2 * (dZ[i].T @ xi[i])

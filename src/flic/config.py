@@ -15,8 +15,8 @@ component's prefix in ``PREFIXES`` (``theory_`` for the theory harness,
 none otherwise), so ``theory_samples`` is ``TheoryConfig.samples``.
 Each component's ``seed`` is the top-level seed. The component dataclass
 gives a key's default, its type and its range check, whose message
-starts with the field name; so every message about a value starts with
-the key the user wrote. All three components are built, and so
+names every setting by its flat key; so every message about a value
+starts with the key the user wrote. All three components are built, and so
 validated, in every mode.
 """
 
@@ -152,11 +152,11 @@ def _assemble(values: dict) -> ExperimentConfig:
     for key in values.keys() & COMPONENT_KEYS.keys():
         component, name = COMPONENT_KEYS[key]
         changes[component][name] = values[key]
-    for component, prefix in PREFIXES.items():
+    for component in PREFIXES:
         try:
             top[component] = replace(getattr(_DEFAULTS, component), **changes[component])
         except ValueError as exc:
-            raise ConfigError(prefix + str(exc)) from exc
+            raise ConfigError(str(exc)) from exc
     return _validate(ExperimentConfig(**top))
 
 

@@ -11,7 +11,9 @@ Covariances are carried around as factors ``L`` with ``Sigma = L @ L.T``
 so that gradient steps on ``L`` preserve positive semi-definiteness.
 Everything here is plain float64 numpy; matrices are small (latent
 dimension <= 64). :func:`bures_sq_value_grad` gives B^2 and its gradient
-from one eigendecomposition in factor form; :func:`bures_sq` is the reference.
+from one eigendecomposition in factor form, without forming a matrix
+square root: for ``A = L L^T``, ``tr((A^{1/2} B A^{1/2})^{1/2})`` is the
+sum of the square roots of the eigenvalues of ``L^T B L``.
 
 :func:`bures_sq_batch_value_grad` serves the alignment loss, whose second
 argument is the regularized covariance ``Hc^T Hc / n + eps I`` of a centred
@@ -24,24 +26,15 @@ otherwise. No setting chooses between them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "Gaussian",
-    "matrix_sqrt_psd",
-    "bures_sq",
     "bures_sq_value_grad",
     "bures_sq_batch_value_grad",
     "is_identity",
     "BuresGradientError",
-    "w2_sq_gaussians",
-    "empirical_gaussian",
 ]
 
-# Eigenvalues in [-PSD_CLAMP, 0) are treated as round-off and clamped to 0.
-PSD_CLAMP = 1e-10
 SYM_TOL = 1e-8
 # Eigenvalues of L^T S L below this share of max(1, largest) are round-off.
 SINGULAR_RTOL = 1e-14
@@ -54,65 +47,10 @@ def is_identity(L) -> bool:
     return np.array_equal(L, np.broadcast_to(np.eye(L.shape[-1]), L.shape))
 
 
-def _as_square(S, name: str) -> np.ndarray:
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {S.shape}")
-    if not np.all(np.isfinite(S)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return S
-
-
 def _check_symmetric(S: np.ndarray, name: str, tol: float = SYM_TOL) -> None:
     scale = max(1.0, float(np.abs(S).max()))
     if np.abs(S - S.T).max() > tol * scale:
         raise ValueError(f"{name} is not symmetric within tolerance {tol}")
-
-
-def matrix_sqrt_psd(S) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition.
-
-    Parameters
-    ----------
-    S : array-like, shape (k, k)
-        Symmetric positive semi-definite matrix. Eigenvalues down to
-        ``-1e-10`` (relative to the spectral scale) are attributed to
-        round-off and clamped to zero; anything more negative is
-        rejected.
-
-    Returns
-    -------
-    ndarray, shape (k, k)
-        Symmetric PSD matrix ``R`` with ``R @ R == S`` up to round-off.
-    """
-    S = _as_square(S, "S")
-    _check_symmetric(S, "S")
-    w, V = np.linalg.eigh(0.5 * (S + S.T))
-    clamp = max(PSD_CLAMP, PSD_CLAMP * float(w[-1]) if w[-1] > 0 else PSD_CLAMP)
-    if w[0] < -clamp:
-        raise ValueError(f"matrix is not PSD: smallest eigenvalue {w[0]:.3e}")
-    w = np.clip(w, 0.0, None)
-    R = (V * np.sqrt(w)) @ V.T
-    return 0.5 * (R + R.T)
-
-
-def bures_sq(A, B) -> float:
-    """Squared Bures distance between two symmetric PSD matrices.
-
-    ``B^2(A, B) = tr(A) + tr(B) - 2 tr((A^{1/2} B A^{1/2})^{1/2})``,
-    clamped at zero from below against round-off.
-    """
-    A = _as_square(A, "A")
-    B = _as_square(B, "B")
-    if A.shape != B.shape:
-        raise ValueError(f"dimension mismatch: {A.shape} vs {B.shape}")
-    RA = matrix_sqrt_psd(A)
-    inner = RA @ B @ RA
-    cross = np.trace(matrix_sqrt_psd(0.5 * (inner + inner.T)))
-    val = float(np.trace(A) + np.trace(B) - 2.0 * cross)
-    if not np.isfinite(val):
-        raise ValueError("Bures distance is non-finite")
-    return max(val, 0.0)
 
 
 class BuresGradientError(ValueError):
@@ -126,7 +64,7 @@ def _singular(smallest: float) -> BuresGradientError:
 
 
 def bures_sq_value_grad(L, S) -> tuple[float, np.ndarray]:
-    """``bures_sq(L @ L.T, S)`` and its gradient in ``S`` from one eigh.
+    """``B^2(L @ L.T, S)`` and its gradient in ``S`` from one eigh.
 
     With ``mu`` the eigenvalues of ``M = L^T S L``, the value is
     ``||L||_F^2 + tr S - 2 sum sqrt(mu)`` and the gradient is
@@ -195,72 +133,3 @@ def bures_sq_batch_value_grad(L, Hc, eps: float) -> tuple[float, np.ndarray]:
     )
     W = U * (lam + eps) ** -0.25
     return max(value, 0.0), Hc - W @ (W.T @ Hc)
-
-
-@dataclass(frozen=True)
-class Gaussian:
-    """A Gaussian measure stored as (mean, covariance factor).
-
-    The covariance is ``Sigma = cov_factor @ cov_factor.T``, which is
-    symmetric PSD by construction.
-    """
-
-    mean: np.ndarray
-    cov_factor: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        L = np.asarray(self.cov_factor, dtype=float)
-        if mean.ndim != 1:
-            raise ValueError("mean must be a vector")
-        if L.shape != (mean.size, mean.size):
-            raise ValueError(
-                f"cov_factor shape {L.shape} does not match dimension {mean.size}"
-            )
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(L))):
-            raise ValueError("Gaussian parameters must be finite")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov_factor", L)
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
-
-    @property
-    def cov(self) -> np.ndarray:
-        return self.cov_factor @ self.cov_factor.T
-
-
-def w2_sq_gaussians(g1: Gaussian, g2: Gaussian) -> float:
-    """Squared Wasserstein-2 distance between two Gaussians."""
-    if g1.dim != g2.dim:
-        raise ValueError(f"dimension mismatch: {g1.dim} vs {g2.dim}")
-    diff = g1.mean - g2.mean
-    return float(diff @ diff) + bures_sq(g1.cov, g2.cov)
-
-
-def empirical_gaussian(points, eps: float) -> Gaussian:
-    """Fit a Gaussian to points by moment matching.
-
-    Uses the population covariance (divide by n) regularized by
-    ``eps * I``; the factor comes from a Cholesky decomposition, falling
-    back to the symmetric eigen square root when the regularized
-    covariance is still numerically singular (only possible at eps=0).
-    """
-    X = np.asarray(points, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise ValueError("need at least one point")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("points contain non-finite values")
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    mean = X.mean(axis=0)
-    Xc = X - mean
-    cov = (Xc.T @ Xc) / X.shape[0] + eps * np.eye(X.shape[1])
-    try:
-        L = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        L = matrix_sqrt_psd(cov)
-    return Gaussian(mean=mean, cov_factor=L)

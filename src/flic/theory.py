@@ -75,24 +75,27 @@ class TheoryConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # Messages name each setting by its config key, theory_<field>.
         for name in ("samples", "test_samples"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+                raise ValueError(f"theory_{name} must be at least 1")
+        if self.rounds < 0:
+            raise ValueError("theory_rounds must be >= 0")
         if not 1 <= self.head_dim <= self.latent_dim:
-            raise ValueError("head_dim must lie in [1, latent_dim]")
+            raise ValueError("theory_head_dim must lie in [1, theory_latent_dim]")
         if self.raw_dim_min < self.latent_dim:
-            raise ValueError("raw_dim_min must be >= latent_dim")
+            raise ValueError("theory_raw_dim_min must be >= theory_latent_dim")
         if self.raw_dim_max < self.raw_dim_min:
-            raise ValueError("raw_dim_max must be >= raw_dim_min")
+            raise ValueError("theory_raw_dim_max must be >= theory_raw_dim_min")
         if not 0 < self.participation <= 1:
-            raise ValueError("participation must lie in (0, 1]")
+            raise ValueError("theory_participation must lie in (0, 1]")
         if not self.step_size > 0:
-            raise ValueError("step_size must be > 0")
+            raise ValueError("theory_step_size must be > 0")
         active = int(np.floor(self.participation * self.clients))
         if active < self.head_dim:
             raise ValueError(
-                "clients * participation must give at least head_dim active "
-                "clients, so that the selected heads can span the head space"
+                "theory_clients * theory_participation must be at least "
+                "theory_head_dim, so that the selected heads can span the head space"
             )
 
 

@@ -56,6 +56,22 @@ def random_psd(rng, k, scale=1.0):
     return scale * (M @ M.T) / k + 0.1 * np.eye(k)
 
 
+def batch_cov(X, eps):
+    """The regularized population covariance ``Xc^T Xc / n + eps I``."""
+    Xc = X - X.mean(axis=0)
+    return Xc.T @ Xc / X.shape[0] + eps * np.eye(X.shape[1])
+
+
+def bures_sq_ref(A, B):
+    """Squared Bures distance ``tr A + tr B - 2 tr((A^{1/2} B A^{1/2})^{1/2})``
+    from scipy's Schur-based matrix square root, an oracle independent of
+    the eigh kernels under test."""
+    from scipy.linalg import sqrtm
+
+    RA = sqrtm(A)
+    return float(np.real(np.trace(A) + np.trace(B) - 2.0 * np.trace(sqrtm(RA @ B @ RA))))
+
+
 def quantile_w2_sq_1d(m1, s1, m2, s2, n=2_000_000):
     """Brute-force 1-D squared W2 via the quantile coupling on a fine grid.
 

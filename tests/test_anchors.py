@@ -7,10 +7,10 @@ from flic.anchors import (
     local_anchor_update,
     sample_anchor,
 )
-from flic.gaussian import BuresGradientError, bures_sq, empirical_gaussian
+from flic.gaussian import BuresGradientError
 from flic.nets import Mlp, Layer, backward, cross_entropy, forward
 
-from helpers import count_eigh, fd_grad, rel_err
+from helpers import batch_cov, bures_sq_ref, count_eigh, fd_grad, rel_err
 
 
 def make_anchors(rng, C=4, k=3, cov_learnable=False, scale=1.0):
@@ -157,6 +157,15 @@ class TestLocalUpdate:
             local_anchor_update(anchors, [0, 2], points, None, None, step=0.1, lam1=1.0,
                                 lam2=0.0, eps=1e-6)
 
+    def test_points_too_large_for_eps_raise_the_bures_error(self):
+        # at scale 1e8 the rank-2 batch covariance swamps eps: Cholesky fails
+        rng = np.random.default_rng(13)
+        anchors = make_anchors(rng, cov_learnable=True)
+        points = [rng.standard_normal((4, 3)), 1e8 * rng.standard_normal((3, 3))]
+        with pytest.raises(BuresGradientError, match="class 2"):
+            local_anchor_update(anchors, [0, 2], points, None, None, step=0.1, lam1=1.0,
+                                lam2=0.0, eps=1e-6)
+
     def test_one_eigh_per_held_class_when_learnable(self, monkeypatch):
         rng = np.random.default_rng(11)
         points = [rng.standard_normal((20, 3)) + c for c in (0, 2)]
@@ -177,7 +186,7 @@ class TestLocalUpdate:
         anchors = make_anchors(rng, C=C, k=k, cov_learnable=True)
         anchors.factors[0] = np.tril(rng.standard_normal((k, k))) + 2 * np.eye(k)
         points = rng.standard_normal((30, k)) + 1.0
-        emp_g = empirical_gaussian(points, 1e-6)
+        emp_mean, emp_cov = points.mean(axis=0), batch_cov(points, 1e-6)
         xi = rng.standard_normal((J, k))
         head = Mlp([Layer(rng.standard_normal((k, C)), np.zeros(C), "identity")])
         lam1, lam2, step = 0.7, 0.4, 0.05
@@ -191,7 +200,7 @@ class TestLocalUpdate:
             v = vec[:k]
             L = vec[k:].reshape(k, k)
             return lam1 * (
-                float((v - emp_g.mean) @ (v - emp_g.mean)) + bures_sq(L @ L.T, emp_g.cov)
+                float((v - emp_mean) @ (v - emp_mean)) + bures_sq_ref(L @ L.T, emp_cov)
             ) + lam2 * anchor_class_loss(v, L)
 
         # classifier-term gradients via the nets machinery, as federation does

@@ -6,6 +6,7 @@ import math
 import os
 import re
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from flic import cli
 from flic.config import ConfigError, build_config, parse_config, serialize_config
+from flic.theory import TheoryConfig
 
 # Every key of the flat format with its default; a change to this dict is
 # a change to the file format.
@@ -264,6 +266,8 @@ INVALID = [
     ({"mode": "theory", "theory_clients": 2}, "theory_clients"),
     ({"mode": "theory", "theory_head_dim": 0}, "theory_head_dim"),
     ({"mode": "theory", "theory_raw_dim_max": 6}, "theory_raw_dim_max"),
+    ({"mode": "theory", "theory_participation": 0.05}, "theory_clients"),
+    ({"theory_rounds": -1}, "theory_rounds"),
     ({"rounds": 1.5}, "rounds"),
     ({"lr": "fast"}, "lr"),
     ({"cov_learnable": 1}, "cov_learnable"),
@@ -283,6 +287,10 @@ def test_invalid_values_are_rejected_by_name(values, key):
         build_config(values, apply_env=False)
     message = str(info.value)
     assert re.match(rf"(unknown config keys: )?{re.escape(key)}\b", message), message
+    if key.startswith("theory_"):
+        # every theory setting the message names is named by its flat key
+        bare = "|".join(f.name for f in fields(TheoryConfig))
+        assert not re.search(rf"\b({bare})\b", message), message
 
 
 @pytest.mark.parametrize(

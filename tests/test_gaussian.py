@@ -1,67 +1,33 @@
 import numpy as np
 import pytest
 
-from flic.gaussian import (
-    BuresGradientError,
-    Gaussian,
-    bures_sq,
-    bures_sq_batch_value_grad,
-    bures_sq_value_grad,
-    empirical_gaussian,
-    matrix_sqrt_psd,
-    w2_sq_gaussians,
-)
+from flic.gaussian import BuresGradientError, bures_sq_batch_value_grad, bures_sq_value_grad
 
-from helpers import count_eigh, fd_grad, quantile_w2_sq_1d, random_psd, rel_err
+from helpers import bures_sq_ref, count_eigh, fd_grad, quantile_w2_sq_1d, random_psd, rel_err
 
 
-class TestMatrixSqrt:
-    def test_scalar_multiple_of_identity(self):
-        np.testing.assert_allclose(matrix_sqrt_psd(4 * np.eye(2)), 2 * np.eye(2))
+def bures(A, B):
+    """``B^2(A, B)`` as the kernel computes it, from a Cholesky factor of ``A``."""
+    return bures_sq_value_grad(np.linalg.cholesky(A), B)[0]
 
-    def test_diagonal(self):
-        np.testing.assert_allclose(matrix_sqrt_psd(np.diag([1.0, 9.0])), np.diag([1.0, 3.0]))
 
-    def test_defining_equation_on_random_psd(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            k = int(rng.integers(1, 9))
-            M = rng.standard_normal((k, k))
-            S = M.T @ M
-            R = matrix_sqrt_psd(S)
-            err = np.linalg.norm(R @ R - S) / np.linalg.norm(S)
-            assert err < 1e-8
-            np.testing.assert_allclose(R, R.T)
-
-    def test_idempotent_under_squaring(self):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            R = matrix_sqrt_psd(random_psd(rng, 5))
-            np.testing.assert_allclose(matrix_sqrt_psd(R @ R), R, atol=1e-9)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            matrix_sqrt_psd(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            matrix_sqrt_psd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError, match="PSD"):
-            matrix_sqrt_psd(np.diag([1.0, -0.5]))
+def w2_sq(m1, L1, m2, L2):
+    """Squared W2 between ``N(m1, L1 L1^T)`` and ``N(m2, L2 L2^T)``: the
+    mean term plus the kernel's Bures term."""
+    diff = np.asarray(m1) - np.asarray(m2)
+    return float(diff @ diff) + bures_sq_value_grad(L1, L2 @ L2.T)[0]
 
 
 class TestBures:
     def test_identical_arguments(self):
-        assert bures_sq(np.eye(2), np.eye(2)) == pytest.approx(0.0, abs=1e-12)
+        assert bures(np.eye(2), np.eye(2)) == pytest.approx(0.0, abs=1e-12)
 
     def test_commuting_identity_scalings(self):
         # tr(I) + tr(4I) - 2 tr(2I) = 2 + 8 - 8
-        assert bures_sq(np.eye(2), 4 * np.eye(2)) == pytest.approx(2.0, abs=1e-10)
+        assert bures(np.eye(2), 4 * np.eye(2)) == pytest.approx(2.0, abs=1e-10)
 
     def test_commuting_diagonals(self):
-        got = bures_sq(np.diag([1.0, 4.0]), np.diag([9.0, 16.0]))
+        got = bures(np.diag([1.0, 4.0]), np.diag([9.0, 16.0]))
         assert got == pytest.approx((1 - 3) ** 2 + (2 - 4) ** 2, abs=1e-10)
 
     def test_symmetry(self):
@@ -69,7 +35,7 @@ class TestBures:
         for _ in range(25):
             k = int(rng.integers(1, 7))
             A, B = random_psd(rng, k), random_psd(rng, k)
-            assert abs(bures_sq(A, B) - bures_sq(B, A)) < 1e-8
+            assert abs(bures(A, B) - bures(B, A)) < 1e-8
 
     def test_commuting_equals_frobenius_of_sqrt_difference(self):
         rng = np.random.default_rng(3)
@@ -81,32 +47,24 @@ class TestBures:
             A = (V * a) @ V.T
             B = (V * b) @ V.T
             expected = float(np.sum((np.sqrt(a) - np.sqrt(b)) ** 2))
-            assert abs(bures_sq(A, B) - expected) < 1e-8
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            bures_sq(np.eye(2), np.eye(3))
+            assert abs(bures(A, B) - expected) < 1e-8
 
 
 class TestW2:
     def test_equal_gaussians(self):
-        g = Gaussian(np.zeros(2), np.eye(2))
-        assert w2_sq_gaussians(g, g) == pytest.approx(0.0, abs=1e-12)
+        got = w2_sq(np.zeros(2), np.eye(2), np.zeros(2), np.eye(2))
+        assert got == pytest.approx(0.0, abs=1e-12)
 
     def test_1d_closed_form(self):
-        g1 = Gaussian(np.array([0.0]), np.array([[1.0]]))
-        g2 = Gaussian(np.array([2.0]), np.array([[2.0]]))
-        assert w2_sq_gaussians(g1, g2) == pytest.approx(5.0, abs=1e-10)
+        got = w2_sq(np.array([0.0]), np.array([[1.0]]), np.array([2.0]), np.array([[2.0]]))
+        assert got == pytest.approx(5.0, abs=1e-10)
 
     def test_1d_against_quantile_coupling_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(8):
             m1, m2 = rng.uniform(-2, 2, 2)
             s1, s2 = rng.uniform(0.5, 2.0, 2)
-            closed = w2_sq_gaussians(
-                Gaussian(np.array([m1]), np.array([[s1]])),
-                Gaussian(np.array([m2]), np.array([[s2]])),
-            )
+            closed = w2_sq(np.array([m1]), np.array([[s1]]), np.array([m2]), np.array([[s2]]))
             brute = quantile_w2_sq_1d(m1, s1, m2, s2)
             assert abs(closed - brute) < 1e-4
 
@@ -115,25 +73,19 @@ class TestW2:
         for _ in range(25):
             k = int(rng.integers(1, 6))
             gs = [
-                Gaussian(rng.standard_normal(k), np.linalg.cholesky(random_psd(rng, k)))
+                (rng.standard_normal(k), np.linalg.cholesky(random_psd(rng, k)))
                 for _ in range(3)
             ]
-            d01 = np.sqrt(w2_sq_gaussians(gs[0], gs[1]))
-            d02 = np.sqrt(w2_sq_gaussians(gs[0], gs[2]))
-            d21 = np.sqrt(w2_sq_gaussians(gs[2], gs[1]))
+            d01 = np.sqrt(w2_sq(*gs[0], *gs[1]))
+            d02 = np.sqrt(w2_sq(*gs[0], *gs[2]))
+            d21 = np.sqrt(w2_sq(*gs[2], *gs[1]))
             assert d01 <= d02 + d21 + 1e-8
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            w2_sq_gaussians(
-                Gaussian(np.zeros(2), np.eye(2)), Gaussian(np.zeros(3), np.eye(3))
-            )
 
 
 def factor_grad(L, B):
-    """Gradient of ``L -> bures_sq(L @ L.T, B)`` through the kernel: by the
-    symmetry of ``bures_sq`` it is ``2 G L`` with ``G`` the gradient in
-    the second argument at ``L L^T`` for a factor of ``B``."""
+    """Gradient of ``L -> B^2(L @ L.T, B)`` through the kernel: by the
+    symmetry of ``B^2`` it is ``2 G L`` with ``G`` the gradient in the
+    second argument at ``L L^T`` for a factor of ``B``."""
     return 2.0 * bures_sq_value_grad(np.linalg.cholesky(B), L @ L.T)[1] @ L
 
 
@@ -145,7 +97,7 @@ class TestBuresValueGrad:
             L = rng.standard_normal((k, k)) + 2 * np.eye(k)
             S = random_psd(rng, k)
             value, _ = bures_sq_value_grad(L, S)
-            assert abs(value - bures_sq(L @ L.T, S)) < 1e-10
+            assert abs(value - bures_sq_ref(L @ L.T, S)) < 1e-10
 
     def test_gradient_zero_at_matching_covariance(self):
         rng = np.random.default_rng(12)
@@ -197,7 +149,7 @@ class TestBuresFactorGradient:
     def _check(self, L, B):
         grad = factor_grad(L, B)
         fd = fd_grad(
-            lambda v: bures_sq(v.reshape(L.shape) @ v.reshape(L.shape).T, B),
+            lambda v: bures_sq_ref(v.reshape(L.shape) @ v.reshape(L.shape).T, B),
             L.ravel(),
         ).reshape(L.shape)
         assert rel_err(grad, fd) < 1e-4
@@ -226,7 +178,7 @@ class TestBuresCovGradient:
                     E = np.zeros((k, k))
                     E[i, j] += 0.5
                     E[j, i] += 0.5
-                    fd[i, j] = (bures_sq(A, B + h * E) - bures_sq(A, B - h * E)) / (2 * h)
+                    fd[i, j] = (bures_sq_ref(A, B + h * E) - bures_sq_ref(A, B - h * E)) / (2 * h)
             assert rel_err(grad, fd) < 1e-4
 
 
@@ -316,44 +268,3 @@ class TestBuresBatchValueGrad:
         # smallest eigenvalue of S stays eps - 1e-8 > 0: only the sign check can catch it
         with pytest.raises(BuresGradientError, match="below zero"):
             bures_sq_batch_value_grad(np.eye(8), Hc, 1e-6)
-
-
-class TestEmpiricalGaussian:
-    def test_single_point(self):
-        g = empirical_gaussian(np.array([[1.0, -2.0]]), eps=1e-6)
-        np.testing.assert_allclose(g.mean, [1.0, -2.0])
-        np.testing.assert_allclose(g.cov, 1e-6 * np.eye(2), atol=1e-18)
-
-    def test_population_variance_two_points(self):
-        g = empirical_gaussian(np.array([[-1.0], [1.0]]), eps=0.0)
-        assert g.mean[0] == pytest.approx(0.0)
-        assert g.cov[0, 0] == pytest.approx(1.0)
-
-    def test_monte_carlo_recovery(self):
-        rng = np.random.default_rng(9)
-        k, n = 3, 10_000
-        mean = rng.standard_normal(k)
-        L_true = np.linalg.cholesky(random_psd(rng, k))
-        cov_true = L_true @ L_true.T
-        X = mean + rng.standard_normal((n, k)) @ L_true.T
-        g = empirical_gaussian(X, eps=0.0)
-        se_mean = np.sqrt(np.diag(cov_true) / n)
-        assert np.all(np.abs(g.mean - mean) < 3 * se_mean + 1e-12)
-        # covariance entries have standard error O(1/sqrt(n))
-        scale = np.sqrt(np.outer(np.diag(cov_true), np.diag(cov_true)))
-        assert np.all(np.abs(g.cov - cov_true) < 3 * 2 * scale / np.sqrt(n))
-
-    def test_factor_reproduces_covariance(self):
-        rng = np.random.default_rng(10)
-        X = rng.standard_normal((50, 4))
-        g = empirical_gaussian(X, eps=1e-6)
-        Xc = X - X.mean(axis=0)
-        np.testing.assert_allclose(
-            g.cov, Xc.T @ Xc / 50 + 1e-6 * np.eye(4), atol=1e-12
-        )
-
-    def test_rejects_empty_and_non_finite(self):
-        with pytest.raises(ValueError):
-            empirical_gaussian(np.zeros((0, 2)), eps=1e-6)
-        with pytest.raises(ValueError):
-            empirical_gaussian(np.array([[np.inf, 0.0]]), eps=1e-6)

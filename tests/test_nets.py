@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from flic.anchors import AnchorSet
-from flic.gaussian import Gaussian, empirical_gaussian, w2_sq_gaussians
 from flic.nets import (
     ACTIVATIONS,
     AdamState,
@@ -18,7 +17,7 @@ from flic.nets import (
     init_mlp,
 )
 
-from helpers import count_eigh, fd_grad, pack, rel_err, unpack
+from helpers import batch_cov, bures_sq_ref, count_eigh, fd_grad, pack, rel_err, unpack
 
 
 def random_net(rng, dims, activations):
@@ -189,9 +188,9 @@ class TestAlignmentLoss:
     def test_anchors_equal_to_batch_gaussian(self):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((12, 4))
-        g = empirical_gaussian(X, eps=1e-6)
         anchors = AnchorSet(
-            g.mean[None, :], g.cov_factor[None, :, :], cov_learnable=True
+            X.mean(axis=0)[None, :], np.linalg.cholesky(batch_cov(X, 1e-6))[None, :, :],
+            cov_learnable=True,
         )
         loss, grads = alignment_loss_grad({0: X}, anchors, eps=1e-6)
         assert loss <= 4 * 1e-6
@@ -262,10 +261,9 @@ class TestAlignmentLoss:
         anchors = identity_anchors(4, k, means=means)
         loss, _ = alignment_loss_grad(batches, anchors, eps=1e-6)
         expected = sum(
-            w2_sq_gaussians(
-                Gaussian(means[c], np.eye(k)), empirical_gaussian(batches[c], 1e-6)
-            )
-            for c in batches
+            float(np.sum((means[c] - X.mean(axis=0)) ** 2))
+            + bures_sq_ref(np.eye(k), batch_cov(X, 1e-6))
+            for c, X in batches.items()
         )
         assert loss == pytest.approx(expected, rel=1e-12)
 
