@@ -216,3 +216,47 @@ class TestLocalUpdate:
         vec0 = np.concatenate([anchors.means[0], anchors.factors[0].ravel()])
         fd = fd_grad(objective, vec0)
         assert rel_err(np.concatenate([update_grad_v, update_grad_L.ravel()]), fd) < 1e-4
+
+
+def factor_step(L, points, eps, step=0.1):
+    """The learnable factor's gradient in one update on the points of one
+    class, with the classifier term off: ``(L - L_new) / step``."""
+    anchors = AnchorSet(np.zeros((1, L.shape[0])), L[None].copy(), cov_learnable=True)
+    out = local_anchor_update(anchors, [0], [points], None, None, step=step, lam1=1.0,
+                              lam2=0.0, eps=eps)
+    return (L - out.factors[0]) / step
+
+
+class TestLearnableFactorFit:
+    """The factor step fits the points' population covariance plus
+    ``eps I``; for a diagonal factor and a diagonal fit ``D`` the step is
+    ``2 (L - D^{1/2})``, the gradient of ``sum (l_i - sqrt(d_i))^2``."""
+
+    def test_single_point_fits_eps(self):
+        L = np.diag([0.5, 1.0, 2.0])
+        got = factor_step(L, np.array([[3.0, -1.0, 2.0]]), eps=1e-2)
+        np.testing.assert_allclose(got, 2.0 * (L - 0.1 * np.eye(3)), atol=1e-12)
+
+    def test_population_variance_two_points(self):
+        # population variance of -1, 1 is 1 (the sample variance would be 2)
+        got = factor_step(np.array([[3.0]]), np.array([[-1.0], [1.0]]), eps=0.0)
+        np.testing.assert_allclose(got, [[2.0 * (3.0 - 1.0)]], atol=1e-12)
+
+    def test_diagonal_covariance_closed_form(self):
+        # +-2 on the first axis, +-0.5 on the second, nothing on the third:
+        # population variances 2, 0.125 and 0, each plus eps
+        points = np.array([[2.0, 0, 0], [-2.0, 0, 0], [0, 0.5, 0], [0, -0.5, 0]]) + 1.0
+        L = np.diag([1.0, 0.3, 0.05])
+        got = factor_step(L, points, eps=1e-4)
+        expected = 2.0 * (L - np.diag(np.sqrt(np.array([2.0, 0.125, 0.0]) + 1e-4)))
+        np.testing.assert_allclose(got, expected, atol=1e-12)
+
+    def test_fit_ignores_the_points_mean(self):
+        rng = np.random.default_rng(14)
+        points = rng.standard_normal((12, 3))
+        L = np.tril(rng.standard_normal((3, 3))) + 2 * np.eye(3)
+        np.testing.assert_allclose(
+            factor_step(L, points + np.array([5.0, -3.0, 7.0]), eps=1e-6),
+            factor_step(L, points, eps=1e-6),
+            atol=1e-10,
+        )

@@ -49,6 +49,53 @@ class TestBures:
             expected = float(np.sum((np.sqrt(a) - np.sqrt(b)) ** 2))
             assert abs(bures(A, B) - expected) < 1e-8
 
+    def test_non_commuting_2x2_closed_form(self):
+        rng = np.random.default_rng(6)
+        for _ in range(25):
+            A, B = random_psd(rng, 2), random_psd(rng, 2)
+            assert not np.allclose(A @ B, B @ A)
+            assert abs(bures(A, B) - bures_2x2(A, B)) < 1e-10
+
+    def test_positive_homogeneity(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            k = int(rng.integers(1, 7))
+            A, B = random_psd(rng, k), random_psd(rng, k)
+            c = rng.uniform(0.1, 10.0)
+            assert abs(bures(c * A, c * B) - c * bures(A, B)) < 1e-8 * max(1.0, c)
+
+    def test_orthogonal_invariance(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            k = int(rng.integers(1, 7))
+            A, B = random_psd(rng, k), random_psd(rng, k)
+            Q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+            rotated = bures(Q @ A @ Q.T, Q @ B @ Q.T)
+            assert abs(rotated - bures(A, B)) < 1e-8
+
+
+def bures_2x2(A, B):
+    """Closed form for 2 x 2 arguments: ``M = A^{1/2} B A^{1/2}`` has
+    ``(tr M^{1/2})^2 = tr M + 2 sqrt(det M)``, with ``tr M = tr(AB)`` and
+    ``det M = det A det B``; no matrix square root is formed."""
+    cross = np.sqrt(np.trace(A @ B) + 2.0 * np.sqrt(np.linalg.det(A) * np.linalg.det(B)))
+    return float(np.trace(A) + np.trace(B) - 2.0 * cross)
+
+
+class TestBuresReference:
+    """The scipy oracle the kernels are checked against, checked itself
+    against closed forms."""
+
+    def test_commuting_diagonals(self):
+        got = bures_sq_ref(np.diag([1.0, 4.0, 0.25]), np.diag([9.0, 16.0, 1.0]))
+        assert got == pytest.approx((1 - 3) ** 2 + (2 - 4) ** 2 + (0.5 - 1) ** 2, abs=1e-10)
+
+    def test_non_commuting_2x2_closed_form(self):
+        rng = np.random.default_rng(9)
+        for _ in range(25):
+            A, B = random_psd(rng, 2), random_psd(rng, 2)
+            assert abs(bures_sq_ref(A, B) - bures_2x2(A, B)) < 1e-10
+
 
 class TestW2:
     def test_equal_gaussians(self):
@@ -80,6 +127,15 @@ class TestW2:
             d02 = np.sqrt(w2_sq(*gs[0], *gs[2]))
             d21 = np.sqrt(w2_sq(*gs[2], *gs[1]))
             assert d01 <= d02 + d21 + 1e-8
+
+    def test_equal_covariances_leave_the_mean_term(self):
+        rng = np.random.default_rng(10)
+        for _ in range(10):
+            k = int(rng.integers(1, 7))
+            m1, m2 = rng.standard_normal(k), rng.standard_normal(k)
+            L = np.linalg.cholesky(random_psd(rng, k))
+            got = w2_sq(m1, L, m2, L)
+            assert got == pytest.approx(float((m1 - m2) @ (m1 - m2)), abs=1e-9)
 
 
 def factor_grad(L, B):
