@@ -37,7 +37,6 @@ from .theory import (
     init_A0,
     make_instance,
     oracle_phi_star,
-    phi_hat,
     principal_angle_dist,
     run_theory_experiment,
 )

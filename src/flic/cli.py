@@ -43,7 +43,7 @@ def _cmd_datagen(args) -> int:
     from .experiment import write_dataset
 
     cfg = _load_config(args)
-    return write_dataset(cfg, args.out or cfg.out_dir)
+    return write_dataset(cfg)
 
 
 def _cmd_run(args) -> int:

@@ -118,17 +118,18 @@ def run_command(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def write_dataset(cfg: ExperimentConfig, out_dir) -> int:
+def write_dataset(cfg: ExperimentConfig) -> int:
+    """Generate the config's toy dataset and save it to ``cfg.out_dir``."""
     datasets = _generate(cfg)
     save_clients(
         datasets,
-        out_dir,
+        cfg.out_dir,
         cfg.data.n_classes,
         extra={"variant": cfg.data.variant, "seed": cfg.seed},
     )
     sizes = np.asarray([ds.n_samples for ds in datasets])
     print(
-        f"wrote {len(datasets)} clients to {out_dir} "
+        f"wrote {len(datasets)} clients to {cfg.out_dir} "
         f"(samples: total={sizes.sum()}, min={sizes.min()}, max={sizes.max()})"
     )
     return 0

@@ -2,17 +2,19 @@
 
 One communication round: the server samples an active client subset,
 broadcasts the shared representation layer and the anchor set; each
-active client runs M Adam steps on its private embedding and head
-(data loss, plus the W2 alignment penalty on the embedding and the
+active client runs M Adam steps on its private embedding and head (data
+loss, plus the W2 alignment penalty on the embedding and the
 anchor-sample classification penalty on the head), then takes a single
 plain gradient step each on the shared layer and on the anchors it
-holds, with the anchor samples as one stacked array. :func:`shared_arrays`
-defines what crosses the client boundary in both directions: the shared
-layer's parameters, the anchor means, and the anchor factors only when
-they are learned. A client's proposal is that list after its steps, and
-:func:`aggregate` is the one server step over it. Clients never upload
-features or labels — the simulated message log records exactly those
-arrays' bytes.
+holds, with the anchor samples as one stacked array. The W2 term reads
+only the embedding, so the shared-layer step leaves it out; the anchors
+take its gradient in :func:`flic.anchors.local_anchor_update`.
+:func:`shared_arrays` defines what crosses the client boundary in both
+directions: the shared layer's parameters, the anchor means, and the
+anchor factors only when they are learned. A client's proposal is that
+list after its steps, and :func:`aggregate` is the one server step over
+it. Clients never upload features or labels — the simulated message log
+records exactly those arrays' bytes.
 
 Clients run one after another and each client's embedding, head and
 Adam states are updated in place; the global state is never mutated,
@@ -131,7 +133,8 @@ class RoundConfig:
 
 @dataclass
 class ClientState:
-    client_id: int
+    """A client's private state; its id is ``data.client_id``."""
+
     data: ClientDataset
     phi: Mlp
     head: Mlp
@@ -167,7 +170,6 @@ def make_client(
     phi = build_embedding(dataset.dim, latent_dim, hidden_dim, rng)
     head = build_head(latent_dim, n_classes, rng)
     return ClientState(
-        client_id=dataset.client_id,
         data=dataset,
         phi=phi,
         head=head,
@@ -271,7 +273,7 @@ def _local_steps(client, alpha, anchors, cfg, rng, round_idx):
         present = np.unique(yb)
         Z = sample_anchor(anchors, present, cfg.anchor_samples, rng)[0] if cfg.lambda2 > 0 else None
         parts, g_phi, _, g_head, _ = _objective(
-            client.client_id, round_idx, m,
+            data.client_id, round_idx, m,
             phi, alpha, head, Xb, yb, anchors, cfg.lambda1, cfg.lambda2, cfg.eps, present, Z,
             shared_grads=False,
         )
@@ -288,14 +290,17 @@ def client_local_round(client: ClientState, global_state: GlobalState, cfg: Roun
     M local steps update the client's (phi, head) and Adam states in
     place; then a single plain gradient step on the shared layer and on
     the anchors of the client's classes, all evaluated at the final local
-    parameters on a fresh batch. The global state is not mutated.
-    Returns ``(proposal, train_loss)``: the proposal is
+    parameters on a fresh batch. That evaluation leaves out the W2 term,
+    which reads only ``phi``: the shared layer's and the anchor samples'
+    gradients do not depend on ``lambda1``, and the anchors get theirs from
+    :func:`flic.anchors.local_anchor_update`. The global state is not
+    mutated. Returns ``(proposal, train_loss)``: the proposal is
     :func:`shared_arrays` of the stepped shared layer and anchors (with
     ``lambda1 = lambda2 = 0`` the global anchor arrays themselves), the loss
     the mean over the local steps.
     """
     data = client.data
-    rng = stream(cfg.seed, TAG_ROUND, round_idx, client.client_id)
+    rng = stream(cfg.seed, TAG_ROUND, round_idx, data.client_id)
     alpha, anchors = global_state.alpha, global_state.anchors
     losses = _local_steps(client, alpha, anchors, cfg, rng, round_idx)
 
@@ -305,9 +310,10 @@ def client_local_round(client: ClientState, global_state: GlobalState, cfg: Roun
     Z = xi = None
     if cfg.lambda2 > 0:
         Z, xi = sample_anchor(anchors, data.classes, cfg.anchor_samples, rng)
+    # lambda1 = 0: g_alpha and dZ do not depend on the alignment term.
     _, _, g_alpha, _, dZ = _objective(
-        client.client_id, round_idx, cfg.local_steps, client.phi, alpha, client.head,
-        data.features[batch], data.labels[batch], anchors, cfg.lambda1, cfg.lambda2, cfg.eps,
+        data.client_id, round_idx, cfg.local_steps, client.phi, alpha, client.head,
+        data.features[batch], data.labels[batch], anchors, 0.0, cfg.lambda2, cfg.eps,
         data.classes, Z,
     )
     alpha_params = [p - cfg.lr * g for p, g in zip(alpha.params(), g_alpha)]
@@ -321,7 +327,7 @@ def client_local_round(client: ClientState, global_state: GlobalState, cfg: Roun
                                               cfg.lambda1, cfg.lambda2, cfg.eps)
         except BuresGradientError as exc:
             raise DivergenceError(
-                client.client_id, round_idx, cfg.local_steps, "align", str(exc)
+                data.client_id, round_idx, cfg.local_steps, "align", str(exc)
             ) from exc
     else:
         anchor_prop = anchors
@@ -378,7 +384,7 @@ def aggregate(state: GlobalState, proposals: Iterable[list[np.ndarray]], weights
 def _local_fit(client, global_state, cfg, rounds, tag):
     """Rounds of local (phi, head) steps only, in place; shared state frozen."""
     for r in range(rounds):
-        rng = stream(cfg.seed, tag, r, client.client_id)
+        rng = stream(cfg.seed, tag, r, client.data.client_id)
         _local_steps(client, global_state.alpha, global_state.anchors, cfg, rng, r)
     return client
 
@@ -419,10 +425,11 @@ def run_training(clients, global_state, cfg: RoundConfig):
         # so each client trains only after the previous upload is folded in.
         state = aggregate(state, (upload(clients[i]) for i in active),
                           [clients[i].weight for i in active], b)
-        log += [dict(round=t, direction="down", client_id=int(i), kind="shared_alpha+anchors",
-                     nbytes=down) for i in active]
-        log += [dict(round=t, direction="up", client_id=int(i),
-                     kind="alpha_proposal+anchor_proposal", nbytes=n) for i, n in zip(active, up)]
+        ids = [int(clients[i].data.client_id) for i in active]
+        log += [dict(round=t, direction="down", client_id=c, kind="shared_alpha+anchors",
+                     nbytes=down) for c in ids]
+        log += [dict(round=t, direction="up", client_id=c,
+                     kind="alpha_proposal+anchor_proposal", nbytes=n) for c, n in zip(ids, up)]
         accs, mean_acc = evaluate(clients, state)
         wall_ms = (time.perf_counter() - t0) * 1e3
         metrics.append(
@@ -455,9 +462,8 @@ def client_accuracy(phi: Mlp, head: Mlp, alpha: Mlp, data: ClientDataset) -> flo
 
 def evaluate(clients, global_state: GlobalState):
     """Per-client test accuracy and its unweighted mean."""
-    accs = {
-        c.client_id: client_accuracy(c.phi, c.head, global_state.alpha, c.data) for c in clients
-    }
+    accs = {c.data.client_id: client_accuracy(c.phi, c.head, global_state.alpha, c.data)
+            for c in clients}
     return accs, float(np.mean(list(accs.values())))
 
 

@@ -78,7 +78,7 @@ def malformed_file(*paths):
     ``OSError`` that names the files being read."""
     try:
         yield
-    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+    except (ValueError, KeyError, IndexError, TypeError, EOFError, zipfile.BadZipFile) as exc:
         raise OSError(f"malformed {' or '.join(map(str, paths))}: {exc!r}") from exc
 
 
@@ -124,11 +124,12 @@ def save_checkpoint(out_dir, global_state, clients) -> None:
         "clients": [],
     }
     for c in clients:
-        arrays.update(_mlp_arrays(f"client{c.client_id}.phi", c.phi))
-        arrays.update(_mlp_arrays(f"client{c.client_id}.head", c.head))
+        cid = c.data.client_id
+        arrays.update(_mlp_arrays(f"client{cid}.phi", c.phi))
+        arrays.update(_mlp_arrays(f"client{cid}.head", c.head))
         meta["clients"].append(
             {
-                "id": int(c.client_id),
+                "id": int(cid),
                 "phi_activations": _mlp_meta(c.phi),
                 "head_activations": _mlp_meta(c.head),
                 "classes": [int(x) for x in c.data.classes],
@@ -155,10 +156,22 @@ def load_checkpoint(ckpt_dir):
             np.asarray(arrays["anchors.factors"], dtype=float),
             meta["cov_learnable"],
         )
+        # The networks must chain: phi -> alpha (latent to latent) -> head
+        # (latent to one logit per anchor class).
+        k, n_classes = anchors.latent_dim, anchors.n_classes
+        if (alpha.input_dim, alpha.output_dim) != (k, k):
+            raise ValueError(f"alpha maps {alpha.input_dim} to {alpha.output_dim}, "
+                             f"the anchors' latent dimension is {k}")
         clients = {}
         for entry in meta["clients"]:
             cid = entry["id"]
             phi = _load_mlp(f"client{cid}.phi", entry["phi_activations"], arrays)
             head = _load_mlp(f"client{cid}.head", entry["head_activations"], arrays)
+            if (phi.output_dim, head.input_dim, head.output_dim) != (k, k, n_classes):
+                raise ValueError(
+                    f"client {cid}: phi outputs {phi.output_dim} and head maps "
+                    f"{head.input_dim} to {head.output_dim}, expected latent {k} "
+                    f"and {n_classes} classes"
+                )
             clients[cid] = (phi, head, entry["classes"], entry["weight"])
     return GlobalState(alpha, anchors, meta["round"]), clients

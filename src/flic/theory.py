@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .federation import select_active_clients
 from .rng import stream
 
 __all__ = [
@@ -37,7 +38,6 @@ __all__ = [
     "TheoryInstance",
     "make_instance",
     "oracle_phi_star",
-    "phi_hat",
     "init_A0",
     "fedrep_linear_round",
     "principal_angle_dist",
@@ -105,9 +105,9 @@ class TheoryInstance:
 
     The raw data are not kept. ``gram``, ``moment``, ``label_moment``,
     ``n_train`` and ``phi_test`` are the per-client statistics of the
-    estimated embedding ``phi_hat``, stacked over clients: of the
-    training set, the unnormalized Gram matrix ``Phi_i^T Phi_i``, the
-    moment ``Phi_i^T y_i``, the label-weighted second moment
+    estimated embedding ``Q * oracle_phi_star``, stacked over clients:
+    of the training set, the unnormalized Gram matrix ``Phi_i^T Phi_i``,
+    the moment ``Phi_i^T y_i``, the label-weighted second moment
     ``(Phi_i * y_i^2)^T Phi_i / n_i`` and the sample count ``n_i``; and
     the embedded test set. They must agree with one draw of raw data;
     :func:`make_instance` builds all of them together.
@@ -146,7 +146,8 @@ class TheoryInstance:
         return self.Q[:, None] * self.A_star
 
 
-def _embed(inst: TheoryInstance, i: int, X, signs) -> np.ndarray:
+def oracle_phi_star(inst: TheoryInstance, i: int, X) -> np.ndarray:
+    """The ground-truth whitening embedding of client i."""
     X = np.asarray(X, dtype=float)
     single = X.ndim == 1
     if single:
@@ -160,19 +161,8 @@ def _embed(inst: TheoryInstance, i: int, X, signs) -> np.ndarray:
         )
     P_k = inst.eig_vecs[i][:, :k]
     vals = inst.eig_vals[i][:k]
-    out = ((X - inst.means[i]) @ P_k) / np.sqrt(vals) * signs
+    out = ((X - inst.means[i]) @ P_k) / np.sqrt(vals) * inst.sign_star
     return out[0] if single else out
-
-
-def oracle_phi_star(inst: TheoryInstance, i: int, X) -> np.ndarray:
-    """The ground-truth whitening embedding of client i."""
-    return _embed(inst, i, X, inst.sign_star)
-
-
-def phi_hat(inst: TheoryInstance, i: int, X) -> np.ndarray:
-    """The estimated embedding: same affine map with independent signs,
-    so ``phi_hat(x) = Q @ oracle_phi_star(x)`` exactly."""
-    return _embed(inst, i, X, inst.sign_hat)
 
 
 def _sigma_max_sq_cap(betas_star, active_size, rng) -> float:
@@ -271,7 +261,8 @@ def make_instance(config: TheoryConfig) -> TheoryInstance:
 def init_A0(inst: TheoryInstance) -> np.ndarray:
     """Spectral initialization from label-weighted second moments.
 
-    Each client contributes ``(1/n) sum_j y_j^2 phi_hat(x_j) phi_hat(x_j)^T``,
+    Each client contributes ``(1/n) sum_j y_j^2 phi(x_j) phi(x_j)^T`` for
+    the estimated embedding ``phi = Q * oracle_phi_star``,
     stored as ``inst.label_moment``; the top-d eigenvectors of the client
     average seed the representation.
     """
@@ -367,11 +358,9 @@ def run_theory_experiment(config: TheoryConfig):
     inst.betas = solve_head(inst, np.arange(inst.n_clients), inst.A)
     target = inst.QA_star
     rows = [(0, principal_angle_dist(inst.A, target), _test_mse(inst))]
-    b = inst.n_clients
-    size = max(1, int(np.floor(config.participation * b)))
     for t in range(1, config.rounds + 1):
-        rng = stream(config.seed, _TAG_SELECT, t)
-        active = np.sort(rng.choice(b, size=size, replace=False))
+        active = select_active_clients(inst.n_clients, config.participation,
+                                       stream(config.seed, _TAG_SELECT, t))
         fedrep_linear_round(inst, active)
         rows.append((t, principal_angle_dist(inst.A, target), _test_mse(inst)))
     return inst, rows

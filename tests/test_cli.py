@@ -287,6 +287,30 @@ def test_eval_on_a_mismatched_dataset_exits_with_config_code(
     assert out.out == ""
 
 
+def test_eval_of_a_client_missing_from_the_dataset_exits_with_config_code(trained, capsys):
+    from flic.datagen import load_clients, save_clients
+
+    _, data, ckpt = trained
+    datasets, n_classes = load_clients(data)
+    save_clients([ds for ds in datasets if ds.client_id != 5], data, n_classes)
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == cli.EXIT_CONFIG
+    out = capsys.readouterr()
+    assert out.err == "config error: checkpoint client 5 missing from dataset\n"
+    assert out.out == ""
+
+
+def test_onboard_of_a_client_missing_from_the_dataset_exits_with_config_code(trained, capsys):
+    config, data, ckpt = trained
+    argv = ["onboard", "--config", str(config), "--checkpoint", str(ckpt), "--data", str(data),
+            "--client-id", "999"]
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    out = capsys.readouterr()
+    assert out.err == "config error: client 999 not present in dataset\n"
+    assert out.out == ""
+
+
 def test_eval_names_a_client_whose_feature_dimension_differs(trained, monkeypatch, capsys):
     from flic.datagen import load_clients, save_clients
 
@@ -341,6 +365,20 @@ def _damage(kind, data, ckpt):
         W[0, 0] = np.nan
         _rewrite_npz(ckpt / "arrays.npz", **{"alpha.layer0.W": W})
         return ckpt / "arrays.npz"
+    if kind == "alpha without layers":
+        meta = json.loads((ckpt / "meta.json").read_text())
+        (ckpt / "meta.json").write_text(json.dumps({**meta, "alpha_activations": []}))
+        return ckpt / "meta.json"
+    if kind == "head with 3 input rows":
+        with np.load(ckpt / "arrays.npz") as arrays:
+            W = arrays["client0.head.layer0.W"][:3]
+        _rewrite_npz(ckpt / "arrays.npz", **{"client0.head.layer0.W": W})
+        return ckpt / "arrays.npz"
+    if kind == "anchors at latent 4":
+        with np.load(ckpt / "arrays.npz") as arrays:
+            means, factors = arrays["anchors.means"][:, :4], arrays["anchors.factors"][:, :4, :4]
+        _rewrite_npz(ckpt / "arrays.npz", **{"anchors.means": means, "anchors.factors": factors})
+        return ckpt / "arrays.npz"
     raise AssertionError(kind)
 
 
@@ -355,10 +393,15 @@ def _damage(kind, data, ckpt):
         ("eval", "meta not JSON"),
         ("eval", "non-finite layer"),
         ("eval", "client 0 with no rows"),
+        ("eval", "alpha without layers"),
+        ("eval", "head with 3 input rows"),
+        ("eval", "anchors at latent 4"),
         ("run", "manifest not JSON"),
         ("run", "client 0 with no rows"),
         ("onboard", "meta not JSON"),
         ("onboard", "client 0 with no rows"),
+        ("onboard", "head with 3 input rows"),
+        ("onboard", "anchors at latent 4"),
     ],
 )
 def test_malformed_dataset_or_checkpoint_exits_with_io_code(command, kind, trained, tmp_path,

@@ -197,6 +197,57 @@ def test_environment_overrides_file_values(tmp_path, monkeypatch):
     assert (doc["lambda1"], doc["noise_dim_min"], doc["cov_learnable"]) == (0.5, 2, False)
 
 
+@pytest.mark.parametrize("raw", ["false", "0", "no", " False "])
+def test_false_words_in_the_environment_give_false(raw, tmp_path, monkeypatch):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"cov_learnable": True}))
+    monkeypatch.setenv("FLIC_COV_LEARNABLE", raw)
+    assert parse_config(path).cov_learnable is False
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("FLIC_COV_LEARNABLE", "maybe", "cov_learnable: cannot parse boolean from 'maybe'"),
+        ("FLIC_ROUNDS", "2.5", "rounds: invalid literal for int()"),
+    ],
+)
+def test_unparsable_environment_values_exit_with_config_code(name, value, message, tmp_path,
+                                                             monkeypatch, capsys):
+    path = tmp_path / "config.json"
+    # A one-round theory run, were the value accepted.
+    path.write_text(json.dumps({"mode": "theory", "theory_rounds": 1}))
+    monkeypatch.setenv(name, value)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "config file not found: "),
+        ('{"rounds": 1,', "config is not valid JSON: "),
+        ("[1, 2]", "config must be a flat JSON object"),
+    ],
+    ids=["missing", "invalid-json", "json-list"],
+)
+def test_unreadable_config_file_exits_with_config_code(text, message, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not out.exists()
+
+
+def test_a_string_key_rejects_a_number():
+    with pytest.raises(ConfigError, match=r"^variant: expected a string, got 3$"):
+        build_config({"variant": 3}, apply_env=False)
+
+
 # Cheap in either mode, so a precedence mistake cannot start a long run.
 SMALL_RUN = {"theory_rounds": 1, "rounds": 0, "clients": 20, "samples_per_class": 20}
 

@@ -18,11 +18,21 @@ from flic.federation import (
     local_objective_grads,
     make_client,
     run_training,
+    select_active_clients,
     shared_arrays,
 )
 from flic.config import build_config
 from flic.experiment import build_federation, load_or_generate
-from flic.nets import backward, build_embedding, build_head, build_shared, cross_entropy, forward
+from flic.nets import (
+    alignment_loss_grad,
+    backward,
+    build_embedding,
+    build_head,
+    build_shared,
+    cross_entropy,
+    forward,
+)
+from flic.rng import stream
 
 D, K, HIDDEN, N_CLASSES = 5, 6, 8, 6
 
@@ -108,6 +118,34 @@ class TestBatchedAnchorPass:
             np.testing.assert_array_equal(got, ref)
         assert local[2] is None and local[4] is None
 
+    @pytest.mark.parametrize("classes", [[2], [0, 3, 5], list(range(N_CLASSES))])
+    def test_shared_gradients_do_not_depend_on_the_alignment_weight(self, classes):
+        """The W2 term reads only phi: g_alpha and dZ at lam1 = 0 are those
+        at lam1 > 0, bit for bit."""
+        phi, alpha, head, X, y, anchors, z = setup(3, classes)
+        with_align = local_objective_grads(phi, alpha, head, X, y, anchors, 0.5, 0.3, 1e-6, *z)
+        without = local_objective_grads(phi, alpha, head, X, y, anchors, 0.0, 0.3, 1e-6, *z)
+        assert with_align[0]["align"] > 0 and without[0]["align"] == 0.0
+        for got, ref in zip(without[2], with_align[2]):
+            np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(without[4], with_align[4])
+
+
+@pytest.mark.parametrize("b, rate", [(1, 0.1), (7, 0.1), (20, 0.25), (10, 0.99), (10, 1.0),
+                                     (100, 0.1)])
+def test_select_active_clients_is_a_sorted_subset_of_the_documented_size(b, rate):
+    for t in range(5):
+        active = select_active_clients(b, rate, stream(0, federation.TAG_SELECT, t))
+        assert active.size == max(1, int(np.floor(rate * b)))
+        assert np.all(np.diff(active) > 0)  # sorted and distinct
+        assert active.min() >= 0 and active.max() < b
+
+
+@pytest.mark.parametrize("b", [0, -3])
+def test_select_active_clients_needs_a_client(b):
+    with pytest.raises(ValueError, match="at least one client"):
+        select_active_clients(b, 0.5, np.random.default_rng(0))
+
 
 class TestAlphaEpochDivergence:
     """The single shared-layer step of a round, the one objective
@@ -180,6 +218,21 @@ class TestAlphaEpochDivergence:
         assert (err.client_id, err.round_idx, err.step) == (3, 2, cfg.local_steps)
         assert err.term == "align"
         assert "class 3 embedding contains non-finite entries" in str(err)
+
+    def test_one_alignment_call_per_local_step(self, monkeypatch):
+        """The shared-layer step evaluates the objective without the W2
+        term; the anchors take its gradient in the anchor step."""
+        client, state, cfg = self.round_inputs()
+        assert cfg.lambda1 > 0
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return alignment_loss_grad(*args, **kwargs)
+
+        monkeypatch.setattr(federation, "alignment_loss_grad", counting)
+        client_local_round(client, state, cfg, round_idx=2)
+        assert len(calls) == cfg.local_steps
 
     def test_finite_run_completes(self):
         client, state, cfg = self.round_inputs()
@@ -264,6 +317,20 @@ def test_each_upload_is_freed_before_the_next_client_trains(monkeypatch, cov_lea
     run_training(clients, state, cfg)
     assert len(alive) == 10 and len(uploads) == 3 + cov_learnable
     assert alive == [0] * len(alive)
+
+
+def test_messages_name_the_clients_by_their_ids():
+    """Client ids need not be positions, as in a dataset directory that
+    lacks some client."""
+    clients, state, cfg = small_federation(participation=0.5)
+    clients = clients[1:]
+    clients, _, _, log, accs = run_training(clients, state, cfg)
+    assert {m["client_id"] for m in log} <= set(accs) == set(range(1, 20))
+    for t in range(cfg.rounds):
+        active = select_active_clients(19, 0.5, stream(cfg.seed, federation.TAG_SELECT, t))
+        for direction in ("down", "up"):
+            got = [m["client_id"] for m in log if m["round"] == t and m["direction"] == direction]
+            assert got == [clients[i].data.client_id for i in active]
 
 
 def test_unselected_clients_hold_no_adam_moments():

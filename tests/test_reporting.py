@@ -25,7 +25,7 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     save_checkpoint(first, state, clients)
     loaded, models = load_checkpoint(first)
     for client in clients:
-        phi, head, classes, weight = models[client.client_id]
+        phi, head, classes, weight = models[client.data.client_id]
         client.phi, client.head = phi, head
         assert classes == client.data.classes.tolist() and weight == client.weight
     save_checkpoint(second, loaded, clients)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import flic.theory
+from flic.federation import select_active_clients
 from flic.rng import stream
 from flic.theory import (
     TheoryConfig,
@@ -12,13 +13,17 @@ from flic.theory import (
     init_A0,
     make_instance,
     oracle_phi_star,
-    phi_hat,
     principal_angle_dist,
     run_theory_experiment,
     solve_head,
 )
 
 SMALL = TheoryConfig(clients=8, samples=300, test_samples=100, rounds=30, seed=3)
+
+
+def phi_hat(inst, i, X):
+    """The estimated embedding, the oracle one up to the sign matrix Q."""
+    return inst.Q * oracle_phi_star(inst, i, X)
 
 
 def raw_data(config, inst):
@@ -87,28 +92,6 @@ class TestEmbeddings:
         assert np.max(np.abs(Z.mean(axis=0))) < 3.0 / np.sqrt(50_000) * 3
         cov = np.cov(Z.T, bias=True)
         assert np.max(np.abs(cov - np.eye(inst.latent_dim))) < 0.05
-
-    def test_sign_relation_exact(self):
-        inst = make_instance(SMALL)
-        rng = np.random.default_rng(3)
-        for i in range(inst.n_clients):
-            X = inst.means[i] + rng.standard_normal((20, inst.means[i].size))
-            np.testing.assert_array_equal(
-                phi_hat(inst, i, X), inst.Q * oracle_phi_star(inst, i, X)
-            )
-
-    def test_componentwise_magnitudes_agree(self):
-        inst = make_instance(SMALL)
-        X = raw_data(SMALL, inst).X_train[2]
-        np.testing.assert_allclose(
-            np.abs(phi_hat(inst, 2, X)), np.abs(oracle_phi_star(inst, 2, X)), atol=1e-12
-        )
-
-    def test_recovered_sign_matrix(self):
-        inst = make_instance(SMALL)
-        X = raw_data(SMALL, inst).X_train[0][:50]
-        ratio = phi_hat(inst, 0, X) / oracle_phi_star(inst, 0, X)
-        np.testing.assert_allclose(ratio, np.tile(inst.Q, (50, 1)), atol=1e-12)
 
     def test_non_finite_rejected(self):
         inst = make_instance(SMALL)
@@ -262,6 +245,26 @@ class TestRunExperiment:
         _, rows = run_theory_experiment(cfg)
         assert rows[-1][1] < rows[0][1]
 
+    def test_active_sets_are_the_federated_draws(self, monkeypatch):
+        """Each round's active set is what ``select_active_clients`` draws
+        from the round's stream."""
+        cfg = TheoryConfig(clients=10, samples=100, participation=0.5, rounds=6, seed=4)
+        drawn = []
+        original = flic.theory.fedrep_linear_round
+
+        def recording(inst, active):
+            drawn.append(np.array(active))
+            return original(inst, active)
+
+        monkeypatch.setattr(flic.theory, "fedrep_linear_round", recording)
+        run_theory_experiment(cfg)
+        assert len(drawn) == cfg.rounds
+        for t, active in enumerate(drawn, start=1):
+            rng = stream(cfg.seed, flic.theory._TAG_SELECT, t)
+            np.testing.assert_array_equal(active, select_active_clients(10, 0.5, rng))
+            assert active.size == 5
+        assert len({tuple(a) for a in drawn}) > 1
+
     def test_deterministic(self):
         _, rows_a = run_theory_experiment(SMALL)
         _, rows_b = run_theory_experiment(SMALL)
@@ -378,13 +381,13 @@ class TestSufficientStatistics:
 
     def test_rounds_do_not_re_embed(self, monkeypatch):
         calls = []
-        original = flic.theory._embed
+        original = flic.theory.oracle_phi_star
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(flic.theory, "_embed", counting)
+        monkeypatch.setattr(flic.theory, "oracle_phi_star", counting)
         run_theory_experiment(SMALL)
         # make_instance's one pass over each raw training and test set;
         # init_A0 and the rounds read the stored statistics
