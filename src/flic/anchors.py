@@ -12,11 +12,11 @@ A client's anchor samples, their noise and their gradients are stacked
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import BuresGradientError, bures_sq_value_grad, is_identity
+from .gaussian import BuresGradientError, bures_sq_value_grad
 
 __all__ = [
     "AnchorSet",
@@ -26,22 +26,32 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnchorSet:
-    """Per-class Gaussian anchors; factors must be nonsingular (W2 gradients)."""
+    """Per-class Gaussian anchors; factors must be nonsingular (W2 gradients).
+
+    ``identity[c]`` says whether factor ``c`` is exactly the identity,
+    entry by entry. It is decided once, here, and picks the identity fast
+    paths of :func:`sample_anchor` and the alignment loss. So that it stays
+    true, the set is frozen and takes the factor array as its own, read-only:
+    a changed set is a new one (``dataclasses.replace``).
+    """
 
     means: np.ndarray  # (C, k)
     factors: np.ndarray  # (C, k, k), Sigma_c = L_c @ L_c.T
     cov_learnable: bool = False
+    identity: np.ndarray = field(init=False, repr=False)  # (C,) bool
 
     def __post_init__(self):
-        self.means = np.asarray(self.means, dtype=float)
-        self.factors = np.asarray(self.factors, dtype=float)
-        C, k = self.means.shape
-        if self.factors.shape != (C, k, k):
-            raise ValueError(
-                f"factors shape {self.factors.shape} does not match ({C}, {k}, {k})"
-            )
+        means = np.asarray(self.means, dtype=float)
+        factors = np.asarray(self.factors, dtype=float)
+        C, k = means.shape
+        if factors.shape != (C, k, k):
+            raise ValueError(f"factors shape {factors.shape} does not match ({C}, {k}, {k})")
+        factors.flags.writeable = False
+        object.__setattr__(self, "means", means)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "identity", np.all(factors == np.eye(k), axis=(1, 2)))
 
     @property
     def n_classes(self) -> int:
@@ -81,15 +91,17 @@ def sample_anchor(anchors: AnchorSet, classes, count: int, rng):
 
     One draw gives the numbers of drawing class by class, in order. The
     noise ``xi`` carries the pathwise gradient to the factors; it is added
-    as it is when every factor drawn from is exactly the identity (the
+    as it is when ``anchors.identity`` marks every factor drawn from (the
     frozen default), where the product would give the same samples.
     """
     classes = _held(anchors, classes)
     if count < 1:
         raise ValueError("count must be >= 1")
     xi = rng.standard_normal((len(classes), count, anchors.latent_dim))
-    L = anchors.factors[classes]
-    noise = xi if is_identity(L) else xi @ L.transpose(0, 2, 1)
+    if anchors.identity[classes].all():
+        noise = xi
+    else:
+        noise = xi @ anchors.factors[classes].transpose(0, 2, 1)
     return anchors.means[classes][:, None, :] + noise, xi
 
 

@@ -15,9 +15,10 @@ component's prefix in ``PREFIXES`` (``theory_`` for the theory harness,
 none otherwise), so ``theory_samples`` is ``TheoryConfig.samples``.
 Each component's ``seed`` is the top-level seed. The component dataclass
 gives a key's default, its type and its range check, whose message
-names every setting by its flat key; so every message about a value
-starts with the key the user wrote. All three components are built, and so
-validated, in every mode.
+names every setting by its flat key. A check between two settings
+leads with one of them; when the user set only the other, that key is
+put in front, so every message about a value starts with a key the user
+wrote. All three components are built, and so validated, in every mode.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -156,8 +158,19 @@ def _assemble(values: dict) -> ExperimentConfig:
         try:
             top[component] = replace(getattr(_DEFAULTS, component), **changes[component])
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(_lead_with_a_set_key(str(exc), values)) from exc
     return _validate(ExperimentConfig(**top))
+
+
+def _lead_with_a_set_key(message: str, values: dict) -> str:
+    """A component's message, led by a key the user set: a check between
+    two settings names both, and leads with one the user may have left at
+    its default. Then the first set key it names goes in front."""
+    if message.split(" ", 1)[0] in values:
+        return message
+    named = [(match.start(), key) for key in values
+             if (match := re.search(rf"\b{key}\b", message))]
+    return f"{min(named)[1]}: {message}" if named else message
 
 
 def build_config(

@@ -13,12 +13,14 @@ clients are randomly subsampled to create size imbalance, and every
 client gets a stratified train/test split. Generation is a pure
 function of the spec (seed included).
 
-``flic datagen`` writes a dataset directory with :func:`save_clients`:
-one ``arrays.npz`` holding ``client<id>.features``, ``.labels``,
-``.classes``, ``.train_idx`` and ``.test_idx`` for every client, dtypes
-kept, and a ``manifest.json`` listing the client ids and the class
-count. It is the layout of a checkpoint (:mod:`flic.reporting`), and
-:func:`load_clients` reads it back exactly.
+``flic datagen`` writes a dataset directory with :func:`save_clients`,
+and :func:`load_clients` reads it back exactly. ``arrays.npz`` holds one
+member per name in ``CLIENT_ARRAYS``: the clients' arrays of that name
+joined end to end in manifest order, ``features`` raveled because every
+client has its own width, dtypes kept. ``manifest.json`` lists the
+client ids, the class count and, under ``sizes``, each client's row
+count, feature width and ``classes``, ``train_idx`` and ``test_idx``
+lengths, which cut the members back into clients.
 """
 
 from __future__ import annotations
@@ -47,8 +49,12 @@ _TAG_BASE = 12
 _TAG_PARTITION = 13
 _TAG_CLIENT = 14
 
-# The per-client arrays of a dataset directory, in ``ClientDataset`` order.
+# The per-client arrays of a dataset directory, in ``ClientDataset`` order;
+# ``arrays.npz`` holds one member for each.
 CLIENT_ARRAYS = ("features", "labels", "classes", "train_idx", "test_idx")
+# The manifest's per-client lengths: rows, feature width, and the lengths
+# of the three index arrays.
+SIZES = ("rows", "width", *CLIENT_ARRAYS[2:])
 
 
 class PoolTooSmallError(ValueError):
@@ -119,17 +125,22 @@ class ClientDataset:
                 raise ValueError(f"client {self.client_id} has no {name}")
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError("features and labels disagree on sample count")
-        if not set(self.labels.tolist()) <= set(self.classes.tolist()):
+        # A label's position among the sorted classes, its class when held.
+        pos = np.searchsorted(self.classes, self.labels)
+        if np.any(self.classes.take(pos, mode="clip") != self.labels):
             raise ValueError("labels outside the declared class set")
         for name in ("train_idx", "test_idx"):
             idx = getattr(self, name)
             if np.any((idx < 0) | (idx >= self.n_samples)):
                 raise ValueError(f"{name} outside [0, {self.n_samples})")
-        if set(self.train_idx.tolist()) & set(self.test_idx.tolist()):
+        in_train = np.zeros(self.n_samples, dtype=bool)
+        in_train[self.train_idx] = True
+        if in_train[self.test_idx].any():
             raise ValueError("train/test splits overlap")
-        untrained = set(self.classes.tolist()) - set(self.labels[self.train_idx].tolist())
-        if untrained:
-            raise ValueError(f"classes {sorted(untrained)} have no training row")
+        trained = np.zeros(len(self.classes), dtype=bool)
+        trained[pos[self.train_idx]] = True
+        if not trained.all():
+            raise ValueError(f"classes {self.classes[~trained].tolist()} have no training row")
 
     @property
     def dim(self) -> int:
@@ -283,35 +294,75 @@ def generate(spec: ToyDatasetSpec) -> list[ClientDataset]:
 
 
 def save_clients(datasets: list[ClientDataset], out_dir, n_classes: int, extra=None):
-    """Write a dataset directory: ``arrays.npz`` holds every client's
-    arrays as ``client<id>.<name>`` for the names in ``CLIENT_ARRAYS``,
-    dtypes kept, and ``manifest.json`` lists the client ids and the class
-    count, plus any ``extra`` entries."""
+    """Write a dataset directory (see the module docstring); ``extra``
+    entries are added to the manifest."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    arrays = {
-        f"client{ds.client_id}.{name}": getattr(ds, name)
-        for ds in datasets
+    np.savez(out / "arrays.npz", **{
+        name: np.concatenate([getattr(ds, name).ravel() for ds in datasets])
         for name in CLIENT_ARRAYS
+    })
+    sizes = {"rows": [ds.n_samples for ds in datasets], "width": [ds.dim for ds in datasets]}
+    sizes.update((name, [len(getattr(ds, name)) for ds in datasets]) for name in SIZES[2:])
+    manifest = {
+        "clients": [int(ds.client_id) for ds in datasets],
+        "n_classes": int(n_classes),
+        "sizes": sizes,
     }
-    np.savez(out / "arrays.npz", **arrays)
-    manifest = {"clients": [int(ds.client_id) for ds in datasets], "n_classes": int(n_classes)}
     manifest.update(extra or {})
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
 
 def load_clients(data_dir) -> tuple[list[ClientDataset], int]:
+    """Read a dataset directory that :func:`save_clients` wrote.
+
+    Each member of ``arrays.npz`` is read once and cut into the clients'
+    arrays, views of it. A missing or extra member (a directory in the
+    older one-member-per-client-array layout included), a client id
+    listed twice, sizes that are negative or do not add up to a member, a
+    client that fails the ``ClientDataset`` checks and a class outside
+    ``[0, n_classes)`` raise an ``OSError`` naming ``arrays.npz``.
+    """
     root = Path(data_dir)
-    with malformed_file(root / "manifest.json"):
-        manifest = json.loads((root / "manifest.json").read_text())
+    manifest_path, arrays_path = root / "manifest.json", root / "arrays.npz"
+    with malformed_file(manifest_path):
+        manifest = json.loads(manifest_path.read_text())
         ids, n_classes = list(manifest["clients"]), int(manifest["n_classes"])
-    with malformed_file(root / "arrays.npz", root / "manifest.json"), \
-            np.load(root / "arrays.npz") as arrays:
+    with malformed_file(arrays_path, manifest_path), np.load(arrays_path) as arrays:
+        if sorted(arrays.files) != sorted(CLIENT_ARRAYS):
+            shown = arrays.files[:len(CLIENT_ARRAYS)]
+            raise ValueError(
+                f"members {shown}{' ...' * (len(arrays.files) > len(shown))} are not "
+                f"{list(CLIENT_ARRAYS)}: write the directory again with `flic datagen`"
+            )
+        columns = [manifest["sizes"][name] for name in SIZES]
+        if not all(type(n) is int for column in (ids, *columns) for n in column):
+            raise ValueError("client ids and sizes must be integers")
+        if len(set(ids)) != len(ids):
+            raise ValueError("a client id is listed twice")
+        table = np.array(columns, dtype=np.int64)
+        if table.shape != (len(SIZES), len(ids)):
+            raise ValueError(f"sizes must give {', '.join(SIZES)} for each of {len(ids)} clients")
+        if np.any(table < 0):
+            raise ValueError("sizes hold a negative length")
+        rows, width, *index_lengths = table
+        pieces = {}
+        for name, lengths in zip(CLIENT_ARRAYS, (rows * width, rows, *index_lengths)):
+            member = arrays[name]
+            if member.shape != (lengths.sum(),):
+                raise ValueError(
+                    f"sizes give {lengths.sum()} values of {name}, the member has shape "
+                    f"{member.shape}"
+                )
+            if name == "classes":
+                outside = (member < 0) | (member >= n_classes)
+                if outside.any():
+                    owner = np.searchsorted(np.cumsum(lengths), outside.argmax(), side="right")
+                    raise ValueError(f"client {ids[owner]} classes outside [0, {n_classes})")
+            pieces[name] = np.split(member, np.cumsum(lengths)[:-1])
+        pieces["features"] = [f.reshape(r, w) for f, r, w in zip(pieces["features"], rows, width)]
         datasets = [
-            ClientDataset(cid, *(arrays[f"client{cid}.{name}"] for name in CLIENT_ARRAYS))
-            for cid in ids
+            ClientDataset(cid, *client)
+            for cid, *client in zip(ids, *(pieces[name] for name in CLIENT_ARRAYS))
         ]
-        for ds in datasets:
-            if np.any((ds.classes < 0) | (ds.classes >= n_classes)):
-                raise ValueError(f"client {ds.client_id} classes outside [0, {n_classes})")
     return datasets, n_classes

@@ -18,10 +18,11 @@ sum of the square roots of the eigenvalues of ``L^T B L``.
 :func:`bures_sq_batch_value_grad` serves the alignment loss, whose second
 argument is the regularized covariance ``Hc^T Hc / n + eps I`` of a centred
 (n, k) batch. It picks one of two routes from its input, each one eigh:
-the n x n Gram matrix ``Hc Hc^T / n`` when the anchor factor is exactly
-the identity and ``n < k`` (the frozen-anchor default, about 33 rows in 64
-dimensions), and the k x k factor form of :func:`bures_sq_value_grad`
-otherwise. No setting chooses between them.
+the n x n Gram matrix ``Hc Hc^T / n`` when the anchor factor is the
+identity, passed as ``None``, and ``n < k`` (the frozen-anchor default,
+about 33 rows in 64 dimensions), and the k x k factor form of
+:func:`bures_sq_value_grad` otherwise. No setting chooses between them;
+:class:`flic.anchors.AnchorSet` decides once which factors are the identity.
 """
 
 from __future__ import annotations
@@ -31,20 +32,12 @@ import numpy as np
 __all__ = [
     "bures_sq_value_grad",
     "bures_sq_batch_value_grad",
-    "is_identity",
     "BuresGradientError",
 ]
 
 SYM_TOL = 1e-8
 # Eigenvalues of L^T S L below this share of max(1, largest) are round-off.
 SINGULAR_RTOL = 1e-14
-
-
-def is_identity(L) -> bool:
-    """Whether the square factor ``L``, or every factor of a stack, is
-    exactly the identity, entry by entry: the test that picks the identity
-    fast paths."""
-    return np.array_equal(L, np.broadcast_to(np.eye(L.shape[-1]), L.shape))
 
 
 def _check_symmetric(S: np.ndarray, name: str, tol: float = SYM_TOL) -> None:
@@ -91,11 +84,12 @@ def bures_sq_batch_value_grad(L, Hc, eps: float) -> tuple[float, np.ndarray]:
     """``bures_sq_value_grad(L, S)`` for a batch covariance, chained into
     the batch: returns ``(value, Hc @ G)`` for ``S = Hc^T Hc / n + eps I``.
 
-    ``Hc`` is a centred (n, k) slice. When ``L`` is exactly the identity
-    and ``n < k``, everything follows from one eigh of the n x n Gram
-    matrix ``K = Hc Hc^T / n`` (eigenvalues ``lam``, vectors ``U``): ``S``
-    has eigenvalues ``lam + eps`` and, k - n times, ``eps``, so the value
-    is ``k + tr K + k eps - 2 (sum sqrt(lam + eps) + (k - n) sqrt(eps))``;
+    ``Hc`` is a centred (n, k) slice and ``L`` a factor, or ``None`` for
+    the identity. When ``L`` is ``None`` and ``n < k``, everything
+    follows from one eigh of the n x n Gram matrix ``K = Hc Hc^T / n``
+    (eigenvalues ``lam``, vectors ``U``): ``S`` has eigenvalues
+    ``lam + eps`` and, k - n times, ``eps``, so the value is
+    ``k + tr K + k eps - 2 (sum sqrt(lam + eps) + (k - n) sqrt(eps))``;
     the push-through identity ``Hc f(Hc^T Hc) = f(Hc Hc^T) Hc`` turns the
     chained gradient ``Hc (I - S^{-1/2})`` into
     ``Hc - U diag((lam + eps)^{-1/2}) U^T Hc``. Any other input forms
@@ -107,11 +101,11 @@ def bures_sq_batch_value_grad(L, Hc, eps: float) -> tuple[float, np.ndarray]:
     zero by more than that floor, which no Gram matrix has.
     """
     Hc = np.asarray(Hc, dtype=float)
-    L = np.asarray(L, dtype=float)
     n, k = Hc.shape
     if not np.all(np.isfinite(Hc)):
         raise BuresGradientError("batch contains non-finite entries")
-    if n >= k or not is_identity(L):
+    if n >= k or L is not None:
+        L = np.eye(k) if L is None else L
         value, G = bures_sq_value_grad(L, Hc.T @ Hc / n + eps * np.eye(k))
         return value, Hc @ G
     with np.errstate(over="ignore", invalid="ignore"):  # checked next

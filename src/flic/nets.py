@@ -6,8 +6,8 @@ the batch mean and covariance), and Adam. All arrays are float64; the
 gradient of every path is pinned to central finite differences by the
 test suite, so no approximation shortcuts are taken here. The Bures part
 of the alignment loss comes from
-:func:`flic.gaussian.bures_sq_batch_value_grad`, which decides by itself
-how to decompose each class batch.
+:func:`flic.gaussian.bures_sq_batch_value_grad`, given ``None`` for an
+anchor factor that the anchor set marks as the identity.
 """
 
 from __future__ import annotations
@@ -205,8 +205,8 @@ def alignment_loss_grad(embedded_by_class, anchors, eps: float):
     (anchor factor ``L_c``, centred slice ``Hc``, batch covariance
     ``Hc^T Hc / n_c + eps I``) gives the Bures term and its gradient
     already multiplied into the slice, from one eigh: of the n_c x n_c
-    Gram matrix for an identity factor and ``n_c < k``, of the k x k
-    ``L_c^T S L_c`` otherwise.
+    Gram matrix for a factor ``anchors.identity`` marks and ``n_c < k``,
+    of the k x k ``L_c^T S L_c`` otherwise.
 
     Parameters
     ----------
@@ -234,7 +234,8 @@ def alignment_loss_grad(embedded_by_class, anchors, eps: float):
         n_c = H.shape[0]
         m = H.mean(axis=0)
         Hc = H - m
-        bures, Hc_G = bures_sq_batch_value_grad(anchors.factors[c], Hc, eps)
+        L = None if anchors.identity[c] else anchors.factors[c]
+        bures, Hc_G = bures_sq_batch_value_grad(L, Hc, eps)
         diff = m - anchors.means[c]
         total += float(diff @ diff) + bures
         # d mean-term / dx_j = 2 (m_hat - v) / n_c; the covariance term

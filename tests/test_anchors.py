@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,24 @@ from helpers import batch_cov, bures_sq_ref, count_eigh, fd_grad, rel_err
 
 def make_anchors(rng, C=4, k=3, cov_learnable=False, scale=1.0):
     return init_anchors(C, k, rng, cov_learnable=cov_learnable, init_scale=scale)
+
+
+class TestAnchorSet:
+    def test_identity_is_decided_per_class_exactly(self):
+        k = 3
+        factors = np.stack([np.eye(k), 2.0 * np.eye(k), np.eye(k) + 1e-15 * np.tri(k),
+                            np.eye(k)])
+        anchors = AnchorSet(np.zeros((4, k)), factors, cov_learnable=True)
+        assert anchors.identity.tolist() == [True, False, False, True]
+        assert replace(anchors, factors=np.tile(np.eye(k), (4, 1, 1))).identity.all()
+
+    def test_factors_cannot_change_under_the_identity_flags(self):
+        anchors = make_anchors(np.random.default_rng(0), cov_learnable=True)
+        with pytest.raises(ValueError, match="read-only"):
+            anchors.factors[0, 0, 0] = 2.0
+        with pytest.raises(FrozenInstanceError):
+            anchors.factors = 2.0 * anchors.factors
+        assert anchors.identity.all()
 
 
 class TestSampling:
@@ -54,7 +74,9 @@ class TestSampling:
 
     def test_noise_reproduces_samples(self):
         anchors = make_anchors(np.random.default_rng(4), cov_learnable=True)
-        anchors.factors[0] = np.tril(np.random.default_rng(5).standard_normal((3, 3)))
+        factors = anchors.factors.copy()
+        factors[0] = np.tril(np.random.default_rng(5).standard_normal((3, 3)))
+        anchors = replace(anchors, factors=factors)
         Z, xi = sample_anchor(anchors, [0], 7, np.random.default_rng(6))
         assert Z.shape == xi.shape == (1, 7, 3)
         np.testing.assert_allclose(Z[0], anchors.means[0] + xi[0] @ anchors.factors[0].T)
@@ -64,7 +86,9 @@ class TestSampling:
         k = 64
         anchors = make_anchors(np.random.default_rng(7), C=2, k=k, cov_learnable=True)
         if not identity:
-            anchors.factors[1] = np.eye(k) + 0.1 * np.random.default_rng(8).standard_normal((k, k))
+            factors = anchors.factors.copy()
+            factors[1] = np.eye(k) + 0.1 * np.random.default_rng(8).standard_normal((k, k))
+            anchors = replace(anchors, factors=factors)
         L = anchors.factors[1]
         Z, xi = sample_anchor(anchors, [1], 100, np.random.default_rng(9))
         np.testing.assert_array_equal(xi[0], np.random.default_rng(9).standard_normal((100, k)))
@@ -79,8 +103,10 @@ class TestSampling:
         k, classes, count = 64, [0, 2, 3], 33
         rng = np.random.default_rng(10)
         anchors = make_anchors(rng, C=5, k=k, cov_learnable=True, scale=2.0)
+        factors = anchors.factors.copy()
         for c in perturbed:
-            anchors.factors[c] += 0.1 * rng.standard_normal((k, k))
+            factors[c] += 0.1 * rng.standard_normal((k, k))
+        anchors = replace(anchors, factors=factors)
         Z, xi = sample_anchor(anchors, classes, count, np.random.default_rng(11))
         assert Z.shape == xi.shape == (len(classes), count, k)
         stream = np.random.default_rng(11)
@@ -184,7 +210,9 @@ class TestLocalUpdate:
         rng = np.random.default_rng(10)
         k, C, J = 3, 2, 6
         anchors = make_anchors(rng, C=C, k=k, cov_learnable=True)
-        anchors.factors[0] = np.tril(rng.standard_normal((k, k))) + 2 * np.eye(k)
+        factors = anchors.factors.copy()
+        factors[0] = np.tril(rng.standard_normal((k, k))) + 2 * np.eye(k)
+        anchors = replace(anchors, factors=factors)
         points = rng.standard_normal((30, k)) + 1.0
         emp_mean, emp_cov = points.mean(axis=0), batch_cov(points, 1e-6)
         xi = rng.standard_normal((J, k))

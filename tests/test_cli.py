@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from flic import cli
+from flic.datagen import CLIENT_ARRAYS, load_clients, save_clients
 
 
 def test_diverging_run_exits_with_divergence_code(tmp_path, monkeypatch, capsys):
@@ -331,6 +332,17 @@ def _rewrite_npz(path, **changes):
     np.savez(path, **{k: v for k, v in kept.items() if v is not None})
 
 
+def _rewrite_client0(data, **changes):
+    """Write the dataset directory again with client 0's arrays replaced:
+    each change maps client 0 to the new array of its name. The writer runs
+    no checks, so a broken client is written as it is."""
+    datasets, n_classes = load_clients(data)
+    new = {name: change(datasets[0]) for name, change in changes.items()}
+    for name, value in new.items():
+        setattr(datasets[0], name, value)
+    save_clients(datasets, data, n_classes)
+
+
 def _damage(kind, data, ckpt):
     """Damage one file of the dataset or the checkpoint; returns its path."""
     if kind == "manifest not JSON":
@@ -339,22 +351,18 @@ def _damage(kind, data, ckpt):
     if kind == "manifest without clients":
         (data / "manifest.json").write_text('{"n_classes": 20}')
         return data / "manifest.json"
-    if kind == "npz without client0.labels":
-        _rewrite_npz(data / "arrays.npz", **{"client0.labels": None})
+    if kind == "npz without the labels member":
+        _rewrite_npz(data / "arrays.npz", labels=None)
         return data / "arrays.npz"
     if kind == "npz not an npz":
         (data / "arrays.npz").write_text("not an npz file")
         return data / "arrays.npz"
     if kind == "labels outside the classes":
-        with np.load(data / "arrays.npz") as arrays:
-            labels = arrays["client0.labels"] + 100
-        _rewrite_npz(data / "arrays.npz", **{"client0.labels": labels})
+        _rewrite_client0(data, labels=lambda ds: ds.labels + 100)
         return data / "arrays.npz"
     if kind == "client 0 with no rows":
-        with np.load(data / "arrays.npz") as arrays:
-            empty = {f"client0.{name}": arrays[f"client0.{name}"][:0]
-                     for name in ("features", "labels", "classes", "train_idx", "test_idx")}
-        _rewrite_npz(data / "arrays.npz", **empty)
+        _rewrite_client0(data, **{name: lambda ds, name=name: getattr(ds, name)[:0]
+                                  for name in CLIENT_ARRAYS})
         return data / "arrays.npz"
     if kind == "meta not JSON":
         (ckpt / "meta.json").write_text('{"round": 1,')
@@ -387,7 +395,7 @@ def _damage(kind, data, ckpt):
     [
         ("eval", "manifest not JSON"),
         ("eval", "manifest without clients"),
-        ("eval", "npz without client0.labels"),
+        ("eval", "npz without the labels member"),
         ("eval", "npz not an npz"),
         ("eval", "labels outside the classes"),
         ("eval", "meta not JSON"),
@@ -421,23 +429,42 @@ def test_malformed_dataset_or_checkpoint_exits_with_io_code(command, kind, train
     assert out.out == ""
 
 
-def _break_client0(kind, data):
-    """Make client 0 of the dataset directory inconsistent in one way."""
-    with np.load(data / "arrays.npz") as arrays:
-        train, labels = arrays["client0.train_idx"].copy(), arrays["client0.labels"]
-        classes = arrays["client0.classes"]
-    if kind == "manifest n_classes below the held classes":
-        manifest = json.loads((data / "manifest.json").read_text())
-        (data / "manifest.json").write_text(json.dumps({**manifest, "n_classes": 5}))
-        assert classes.max() >= 5
+def _break_dataset(kind, data):
+    """Make the dataset directory inconsistent in one way."""
+    manifest = json.loads((data / "manifest.json").read_text())
+    sizes = manifest["sizes"]
+    if kind == "per-client layout":
+        # one member per client array, as older versions wrote
+        datasets, _ = load_clients(data)
+        np.savez(data / "arrays.npz", **{
+            f"client{ds.client_id}.{name}": getattr(ds, name)
+            for ds in datasets
+            for name in CLIENT_ARRAYS
+        })
+        del manifest["sizes"]
+    elif kind == "manifest n_classes below the held classes":
+        assert load_clients(data)[0][0].classes.max() >= 5
+        manifest["n_classes"] = 5
+    elif kind == "one row too many for client 0":
+        sizes["rows"][0] += 1
+    elif kind == "negative train_idx length":
+        sizes["train_idx"][0] = -sizes["train_idx"][0]
+    elif kind == "sizes of 19 clients":
+        manifest["sizes"] = {name: column[1:] for name, column in sizes.items()}
+    elif kind == "a width of 1.5":
+        sizes["width"][0] = 1.5
+    elif kind == "client 1 listed twice":
+        manifest["clients"][0] = 1
+    else:
+        first = {
+            "train index past the rows": lambda ds: np.r_[10**6, ds.train_idx[1:]],
+            "train index -1": lambda ds: np.r_[-1, ds.train_idx[1:]],
+            "held class without a training row":
+                lambda ds: ds.train_idx[ds.labels[ds.train_idx] != ds.classes[0]],
+        }[kind]
+        _rewrite_client0(data, train_idx=first)
         return
-    if kind == "train index past the rows":
-        train[0] = 10**6
-    elif kind == "train index -1":
-        train[0] = -1
-    elif kind == "held class without a training row":
-        train = train[labels[train] != classes[0]]
-    _rewrite_npz(data / "arrays.npz", **{"client0.train_idx": train})
+    (data / "manifest.json").write_text(json.dumps(manifest))
 
 
 @pytest.mark.parametrize(
@@ -447,14 +474,21 @@ def _break_client0(kind, data):
         ("train index -1", "train_idx outside [0, "),
         ("manifest n_classes below the held classes", "outside [0, 5)"),
         ("held class without a training row", "have no training row"),
+        ("one row too many for client 0", "values of features"),
+        ("negative train_idx length", "negative length"),
+        ("sizes of 19 clients", "for each of 20 clients"),
+        ("a width of 1.5", "must be integers"),
+        ("client 1 listed twice", "listed twice"),
+        ("per-client layout", "write the directory again with `flic datagen`"),
     ],
 )
 def test_inconsistent_dataset_directory_exits_with_io_code(kind, message, trained, tmp_path,
                                                            capsys):
-    """Indices and classes are checked against the rows and the class count
-    when a dataset directory is read, not when training reaches them."""
+    """Sizes are checked against the members, and indices and classes
+    against the rows and the class count, when a dataset directory is
+    read, not when training reaches them."""
     config, data, _ = trained
-    _break_client0(kind, data)
+    _break_dataset(kind, data)
     capsys.readouterr()
     assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "again")]) \
         == cli.EXIT_IO

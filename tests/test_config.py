@@ -298,6 +298,10 @@ INVALID = [
     ({"classes_per_client": 0}, "classes_per_client"),
     ({"classes_per_client": 21}, "classes_per_client"),
     ({"clients": 5}, "clients"),
+    ({"clients": 2}, "clients"),
+    ({"n_classes": 400}, "n_classes"),
+    ({"n_classes": 2}, "n_classes"),
+    ({"noise_dim_max": 0}, "noise_dim_max"),
     ({"noise_dim_min": -1}, "noise_dim_min"),
     ({"noise_dim_min": 11}, "noise_dim_min"),
     ({"map_dim_min": 0}, "map_dim_min"),
@@ -317,7 +321,7 @@ INVALID = [
     ({"mode": "theory", "theory_clients": 2}, "theory_clients"),
     ({"mode": "theory", "theory_head_dim": 0}, "theory_head_dim"),
     ({"mode": "theory", "theory_raw_dim_max": 6}, "theory_raw_dim_max"),
-    ({"mode": "theory", "theory_participation": 0.05}, "theory_clients"),
+    ({"mode": "theory", "theory_participation": 0.05}, "theory_participation"),
     ({"theory_rounds": -1}, "theory_rounds"),
     ({"rounds": 1.5}, "rounds"),
     ({"lr": "fast"}, "lr"),

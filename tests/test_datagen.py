@@ -1,8 +1,9 @@
 """The toy generator and the dataset directory format: fixed-seed
 fingerprints of ``generate``, properties of ``partition_clients``, and
-an exact ``save_clients``/``load_clients`` round trip."""
+an exact ``save_clients``/``load_clients`` round trip in the flat layout."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -120,3 +121,22 @@ def test_save_then_load_is_exact(variant, tmp_path):
             assert a.dtype == b.dtype and a.shape == b.shape, name
             np.testing.assert_array_equal(a, b)
     assert fingerprint(loaded) == fingerprint(datasets)
+    # the data arrays are views of one member per name (``classes`` is
+    # made unique, a copy)
+    for name in ("features", "labels", "train_idx", "test_idx"):
+        first, last = getattr(loaded[0], name), getattr(loaded[-1], name)
+        assert first.base is not None and first.base is last.base, name
+
+
+@pytest.mark.parametrize("clients", [2, 20])
+def test_arrays_npz_holds_one_member_per_client_array(clients, tmp_path):
+    spec = ToyDatasetSpec(**{**SMALL, "clients": clients, "n_classes": 4})
+    datasets = generate(spec)
+    save_clients(datasets, tmp_path, spec.n_classes)
+    with np.load(tmp_path / "arrays.npz") as arrays:
+        assert arrays.files == list(ARRAYS)
+        assert arrays["features"].size == sum(ds.features.size for ds in datasets)
+    sizes = json.loads((tmp_path / "manifest.json").read_text())["sizes"]
+    assert sizes["rows"] == [ds.n_samples for ds in datasets]
+    assert sizes["width"] == [ds.dim for ds in datasets]
+    assert len(load_clients(tmp_path)[0]) == clients

@@ -200,7 +200,7 @@ class TestAlphaEpochDivergence:
         """The anchor step reads every training row's embedding; a
         non-finite one is a divergence of the alignment term."""
         client, state, cfg = self.round_inputs()
-        state.anchors.cov_learnable = cov_learnable
+        state.anchors = replace(state.anchors, cov_learnable=cov_learnable)
         n_train = len(client.data.train_idx)
         assert cfg.batch_size < n_train
 
@@ -246,7 +246,7 @@ class TestAlphaEpochDivergence:
         """Without alignment the anchors are passed on as the global
         arrays themselves."""
         client, state, cfg = self.round_inputs()
-        state.anchors.cov_learnable = cov_learnable
+        state.anchors = replace(state.anchors, cov_learnable=cov_learnable)
         cfg = replace(cfg, lambda1=lam, lambda2=lam)
         proposal, _ = client_local_round(client, state, cfg, round_idx=2)
         shared = shared_arrays(state.alpha.params(), state.anchors)
@@ -257,7 +257,7 @@ class TestAlphaEpochDivergence:
     @pytest.mark.parametrize("cov_learnable", [False, True])
     def test_round_trains_the_client_in_place_and_leaves_the_global_state(self, cov_learnable):
         client, state, cfg = self.round_inputs()
-        state.anchors.cov_learnable = cov_learnable
+        state.anchors = replace(state.anchors, cov_learnable=cov_learnable)
         shared = [p.copy() for p in state.alpha.params() + [state.anchors.means,
                                                              state.anchors.factors]]
         phi, head = client.phi.copy(), client.head.copy()
@@ -367,7 +367,7 @@ class TestAggregate:
     def test_two_clients_equal_weights(self, cov_learnable):
         rng = np.random.default_rng(10)
         s1, s2 = shared_state(rng, cov_learnable), shared_state(rng, cov_learnable)
-        s2.anchors.factors = 2.0 * s2.anchors.factors
+        s2.anchors = replace(s2.anchors, factors=2.0 * s2.anchors.factors)
         out = aggregate(s1, [proposal_of(s1), proposal_of(s2)], [0.5, 0.5], total_clients=2)
         for got, a, b in zip(proposal_of(out), proposal_of(s1), proposal_of(s2)):
             np.testing.assert_allclose(got, (a + b) / 2)
@@ -470,7 +470,7 @@ class TestAggregate:
     def test_frozen_factors_are_a_copy_of_the_state(self, cov_learnable):
         rng = np.random.default_rng(17)
         state, local = shared_state(rng, cov_learnable), shared_state(rng, cov_learnable)
-        local.anchors.factors = 3.0 * local.anchors.factors
+        local.anchors = replace(local.anchors, factors=3.0 * local.anchors.factors)
         out = aggregate(state, [proposal_of(local)], [1.0], 1)
         assert out.anchors.factors is not state.anchors.factors
         expected = local.anchors.factors if cov_learnable else state.anchors.factors

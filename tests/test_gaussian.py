@@ -263,7 +263,7 @@ class TestBuresBatchValueGrad:
         duplicated = rng.standard_normal((3, k))[[0, 1, 1, 2, 0, 0]]
         slices.append(duplicated - duplicated.mean(axis=0))
         for Hc in slices:
-            value, HG = bures_sq_batch_value_grad(np.eye(k), Hc, eps)
+            value, HG = bures_sq_batch_value_grad(None, Hc, eps)
             ref_value, ref_HG = factor_route(np.eye(k), Hc, eps)
             assert value == pytest.approx(ref_value, rel=1e-10)
             np.testing.assert_allclose(HG, ref_HG, rtol=1e-10, atol=1e-10 * np.abs(ref_HG).max())
@@ -273,7 +273,7 @@ class TestBuresBatchValueGrad:
         rng = np.random.default_rng(25)
         Hc = centred(rng, n, 8)
         calls = count_eigh(monkeypatch)
-        value, HG = bures_sq_batch_value_grad(np.eye(8), Hc, 1e-6)
+        value, HG = bures_sq_batch_value_grad(None, Hc, 1e-6)
         assert calls == [(8, 8)]
         ref_value, ref_HG = factor_route(np.eye(8), Hc, 1e-6)
         assert value == ref_value
@@ -296,20 +296,20 @@ class TestBuresBatchValueGrad:
         for bad in (np.nan, np.inf):
             Hc[1, 2] = bad
             with pytest.raises(BuresGradientError, match="non-finite"):
-                bures_sq_batch_value_grad(np.eye(5), Hc, 1e-6)
+                bures_sq_batch_value_grad(None, Hc, 1e-6)
 
     def test_rejects_overflowing_gram_matrix(self):
         Hc = np.zeros((2, 5))
         Hc[0, 0], Hc[1, 0] = 1e200, -1e200
         with pytest.raises(BuresGradientError, match="non-finite"):
-            bures_sq_batch_value_grad(np.eye(5), Hc, 1e-6)
+            bures_sq_batch_value_grad(None, Hc, 1e-6)
 
     def test_rejects_numerically_singular_covariance(self):
         # eps is below 1e-14 of the batch's spectral scale in both routes
         rng = np.random.default_rng(27)
         for n in (4, 8):
             with pytest.raises(BuresGradientError, match="numerically singular"):
-                bures_sq_batch_value_grad(np.eye(8), centred(rng, n, 8, 1e8), 1e-6)
+                bures_sq_batch_value_grad(None, centred(rng, n, 8, 1e8), 1e-6)
 
     def test_rejects_negative_gram_eigenvalue_beyond_round_off(self, monkeypatch):
         rng = np.random.default_rng(28)
@@ -323,4 +323,4 @@ class TestBuresBatchValueGrad:
         monkeypatch.setattr(np.linalg, "eigh", shifted)
         # smallest eigenvalue of S stays eps - 1e-8 > 0: only the sign check can catch it
         with pytest.raises(BuresGradientError, match="below zero"):
-            bures_sq_batch_value_grad(np.eye(8), Hc, 1e-6)
+            bures_sq_batch_value_grad(None, Hc, 1e-6)

@@ -229,6 +229,17 @@ class TestAlignmentLoss:
         alignment_loss_grad(batches, identity_anchors(5, k), eps=1e-6)
         assert calls == [(3, 3), (7, 7), (k, k), (k, k)]
 
+    def test_each_class_takes_the_route_of_its_own_factor(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        k = 8
+        factors = np.tile(np.eye(k), (3, 1, 1))
+        factors[1] += 0.1 * rng.standard_normal((k, k))
+        anchors = AnchorSet(rng.standard_normal((3, k)), factors, cov_learnable=True)
+        batches = {c: rng.standard_normal((5, k)) for c in range(3)}
+        calls = count_eigh(monkeypatch)
+        alignment_loss_grad(batches, anchors, eps=1e-6)
+        assert calls == [(5, 5), (k, k), (5, 5)]
+
     def test_short_slice_gradient_matches_fd(self):
         rng = np.random.default_rng(13)
         k, n = 7, 4

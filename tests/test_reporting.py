@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     k, n_classes = 6, 5
     anchors = init_anchors(n_classes, k, rng, cov_learnable=True)
-    anchors.factors += 0.1 * rng.standard_normal(anchors.factors.shape)
+    anchors = replace(anchors, factors=anchors.factors + 0.1 * rng.standard_normal(
+        anchors.factors.shape))
     state = GlobalState(build_shared(k, rng), anchors, round=7)
     clients = []
     for cid, dim in ((3, 4), (8, 9)):
