@@ -16,6 +16,12 @@ list after its steps, and :func:`aggregate` is the one server step over
 it. Clients never upload features or labels — the simulated message log
 records exactly those arrays' bytes.
 
+A batch's classes are the nonzero bins of ``np.bincount`` over its
+labels, not ``np.unique``, whose first call imports ``numpy.ma`` (tens of
+milliseconds and over a megabyte per run); the alignment term builds one
+row-index array per class and uses it both to gather the class's slice
+and to scatter its gradient back.
+
 Clients run one after another and each client's embedding, head and
 Adam states are updated in place; the global state is never mutated,
 each round builds a new one. The server holds one upload at a time:
@@ -29,6 +35,7 @@ the order in which clients run.
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
@@ -57,6 +64,7 @@ __all__ = [
     "GlobalState",
     "RoundConfig",
     "DivergenceError",
+    "active_count",
     "select_active_clients",
     "shared_arrays",
     "client_local_round",
@@ -98,8 +106,8 @@ def _objective(client_id, round_idx, step, *args, **kwargs):
         out = local_objective_grads(*args, **kwargs)
     except BuresGradientError as exc:
         raise DivergenceError(client_id, round_idx, step, "align", str(exc)) from exc
-    if not np.isfinite(out[0]["total"]):
-        bad = [t for t in ("data", "align", "anchor") if not np.isfinite(out[0][t])]
+    if not math.isfinite(out[0]["total"]):
+        bad = [t for t in ("data", "align", "anchor") if not math.isfinite(out[0][t])]
         raise DivergenceError(client_id, round_idx, step, (bad or ["total"])[0])
     return out
 
@@ -179,12 +187,26 @@ def make_client(
     )
 
 
-def select_active_clients(b: int, rate: float, rng) -> np.ndarray:
-    """Uniform subset of size max(1, floor(rate*b)), sorted, no replacement."""
+def active_count(b: int, rate: float) -> int:
+    """The size of an active set: ``max(1, floor(rate * b))``, the floor
+    taken of the rate as written. The float product can fall just short of
+    a whole number (``0.29 * 100`` is 28.999999999999996), so its floor is
+    raised by one when ``(floor + 1) / b`` rounds to ``rate`` or below:
+    0.29 of 100 clients is 29, and a rate of ``m / b`` gives ``m``."""
     if b < 1:
         raise ValueError("need at least one client")
-    size = max(1, int(np.floor(rate * b)))
-    return np.sort(rng.choice(b, size=size, replace=False))
+    m = math.floor(rate * b)
+    if (m + 1) / b <= rate:
+        m += 1
+    return max(1, m)
+
+
+def select_active_clients(b: int, rate: float, rng) -> np.ndarray:
+    """Uniform subset of ``max(1, floor(rate * b))`` clients, sorted, drawn
+    without replacement. The floor is of the rate as written, so 0.29 of
+    100 clients selects 29 though ``0.29 * 100`` is just below 29 in
+    floating point (see :func:`active_count`)."""
+    return np.sort(rng.choice(b, size=active_count(b, rate), replace=False))
 
 
 def local_objective_grads(phi, alpha, head, X, y, anchors, lam1, lam2, eps, z_classes, Z,
@@ -207,6 +229,11 @@ def local_objective_grads(phi, alpha, head, X, y, anchors, lam1, lam2, eps, z_cl
     respect to the anchor samples (used for anchor updates), or ``None``
     when there is none.
 
+    The W2 term takes the batch's classes from ``np.bincount(y)`` (not
+    ``np.unique``, which imports ``numpy.ma`` on its first call) and one
+    row-index array per class, which gathers the class's slice of the
+    embedding and scatters its gradient back.
+
     ``shared_grads=False`` is for the local steps, which move only phi
     and the head: the data path's pass back through ``alpha`` forms only
     the gradient ``phi`` needs, and the anchor-sample term stops after
@@ -223,11 +250,14 @@ def local_objective_grads(phi, alpha, head, X, y, anchors, lam1, lam2, eps, z_cl
 
     align_loss = 0.0
     if lam1 > 0:
-        slices = {int(c): H[y == c] for c in np.unique(y)}
-        align_loss, align_grads = alignment_loss_grad(slices, anchors, eps)
+        # cross_entropy has checked the labels, so bincount takes them.
+        rows = {int(c): np.flatnonzero(y == c) for c in np.flatnonzero(np.bincount(y))}
+        align_loss, align_grads = alignment_loss_grad(
+            {c: H[r] for c, r in rows.items()}, anchors, eps
+        )
         dH_align = np.zeros_like(H)
-        for c, g in align_grads.items():
-            dH_align[y == c] = g
+        for c, r in rows.items():
+            dH_align[r] = align_grads[c]
         dH = dH + lam1 * dH_align
     g_phi, _ = backward(phi, cache_phi, dH, input_grad=False)
 
@@ -270,7 +300,7 @@ def _local_steps(client, alpha, anchors, cfg, rng, round_idx):
     for m in range(cfg.local_steps):
         batch = _draw_batch(rng, data.train_idx, cfg.batch_size)
         Xb, yb = data.features[batch], data.labels[batch]
-        present = np.unique(yb)
+        present = np.flatnonzero(np.bincount(yb))
         Z = sample_anchor(anchors, present, cfg.anchor_samples, rng)[0] if cfg.lambda2 > 0 else None
         parts, g_phi, _, g_head, _ = _objective(
             data.client_id, round_idx, m,

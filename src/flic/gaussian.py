@@ -27,6 +27,8 @@ about 33 rows in 64 dimensions), and the k x k factor form of
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -102,28 +104,31 @@ def bures_sq_batch_value_grad(L, Hc, eps: float) -> tuple[float, np.ndarray]:
     """
     Hc = np.asarray(Hc, dtype=float)
     n, k = Hc.shape
-    if not np.all(np.isfinite(Hc)):
+    if not np.isfinite(Hc).all():
         raise BuresGradientError("batch contains non-finite entries")
     if n >= k or L is not None:
         L = np.eye(k) if L is None else L
         value, G = bures_sq_value_grad(L, Hc.T @ Hc / n + eps * np.eye(k))
         return value, Hc @ G
     with np.errstate(over="ignore", invalid="ignore"):  # checked next
-        K = Hc @ Hc.T / n
-    if not np.all(np.isfinite(K)):
+        K = Hc @ Hc.T
+        K /= n
+    if not np.isfinite(K).all():
         raise BuresGradientError("batch Gram matrix contains non-finite entries")
     lam, U = np.linalg.eigh(K)
-    floor = SINGULAR_RTOL * max(1.0, float(lam[-1]) + eps)
-    smallest = min(float(lam[0]), 0.0) + eps  # smallest eigenvalue of S
+    lam0, lam_top = float(lam[0]), float(lam[-1])
+    floor = SINGULAR_RTOL * max(1.0, lam_top + eps)
+    smallest = min(lam0, 0.0) + eps  # smallest eigenvalue of S
     if not smallest > floor:
         raise _singular(smallest)
-    if lam[0] < -floor:
+    if lam0 < -floor:
         raise BuresGradientError(
-            f"batch Gram matrix has eigenvalue {lam[0]:.3e} below zero beyond round-off"
+            f"batch Gram matrix has eigenvalue {lam0:.3e} below zero beyond round-off"
         )
+    s = lam + eps  # eigenvalues of S, less the k - n at eps
     value = float(
-        k + np.trace(K) + k * eps
-        - 2.0 * (np.sum(np.sqrt(lam + eps)) + (k - n) * np.sqrt(eps))
+        k + K.trace() + k * eps
+        - 2.0 * (np.sqrt(s).sum() + (k - n) * math.sqrt(eps))
     )
-    W = U * (lam + eps) ** -0.25
+    W = U * s**-0.25
     return max(value, 0.0), Hc - W @ (W.T @ Hc)

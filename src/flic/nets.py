@@ -4,7 +4,10 @@ Forward/backward passes, softmax cross-entropy, the distribution
 alignment loss (squared W2 to per-class anchors, differentiated through
 the batch mean and covariance), and Adam. All arrays are float64; the
 gradient of every path is pinned to central finite differences by the
-test suite, so no approximation shortcuts are taken here. The Bures part
+test suite, so no approximation shortcuts are taken here. The backward
+pass hands an identity layer's gradient through unchanged and multiplies
+by a ReLU layer's boolean mask itself, which gives the same bits as
+multiplying by the derivative as floats. The Bures part
 of the alignment loss comes from
 :func:`flic.gaussian.bures_sq_batch_value_grad`, given ``None`` for an
 anchor factor that the anchor set marks as the identity.
@@ -43,9 +46,12 @@ def _leaky_deriv(z):
     return np.where(z > 0, 1.0, 0.01)
 
 
+# (activation, derivative); None for the identity's derivative of ones,
+# which backward skips. The ReLU mask stays boolean: G * (z > 0) equals
+# G * (z > 0).astype(float) bit for bit.
 ACTIVATIONS = {
-    "identity": (lambda z: z, lambda z: np.ones_like(z)),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0).astype(float)),
+    "identity": (lambda z: z, None),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z: z > 0),
     "leaky_relu": (_leaky, _leaky_deriv),
 }
 
@@ -61,7 +67,7 @@ class Layer:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.W.ndim != 2 or self.b.shape != (self.W.shape[1],):
             raise ValueError("layer weight/bias shapes inconsistent")
-        if not (np.all(np.isfinite(self.W)) and np.all(np.isfinite(self.b))):
+        if not (np.isfinite(self.W).all() and np.isfinite(self.b).all()):
             raise ValueError("layer parameters must be finite")
 
 
@@ -146,7 +152,8 @@ def forward(mlp: Mlp, X):
     cache = []
     A = X
     for layer in mlp.layers:
-        Z = A @ layer.W + layer.b
+        Z = A @ layer.W
+        Z += layer.b
         cache.append((A, Z))
         A = ACTIVATIONS[layer.activation][0](Z)
     return A, cache
@@ -161,6 +168,10 @@ def backward(mlp: Mlp, cache, output_grad, param_grads=True, input_grad=True):
     the embedding). A caller that needs only one of the two passes
     ``param_grads=False`` or ``input_grad=False``: that part is not
     formed and comes back as ``None``, and the other is unchanged.
+
+    An identity layer passes the incoming gradient through as it is, and a
+    ReLU layer multiplies it by the boolean mask ``Z > 0``: both give the
+    bits of multiplying by the float derivative, without forming it.
     """
     if len(cache) != len(mlp.layers):
         raise ValueError("cache does not match network depth")
@@ -171,7 +182,8 @@ def backward(mlp: Mlp, cache, output_grad, param_grads=True, input_grad=True):
     for idx in range(len(mlp.layers) - 1, -1, -1):
         layer = mlp.layers[idx]
         A_in, Z = cache[idx]
-        dZ = G * ACTIVATIONS[layer.activation][1](Z)
+        deriv = ACTIVATIONS[layer.activation][1]
+        dZ = G if deriv is None else G * deriv(Z)
         if param_grads:
             grads[2 * idx] = A_in.T @ dZ
             grads[2 * idx + 1] = dZ.sum(axis=0)
@@ -190,11 +202,12 @@ def cross_entropy(logits, labels):
         raise ValueError("labels must be one id per row")
     if labels.min() < 0 or labels.max() >= C:
         raise ValueError(f"label out of range [0, {C})")
+    rows = np.arange(n)
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    loss = -log_probs[np.arange(n), labels].mean()
+    loss = -log_probs[rows, labels].mean()
     grad = np.exp(log_probs)
-    grad[np.arange(n), labels] -= 1.0
+    grad[rows, labels] -= 1.0
     return float(loss), grad / n
 
 
@@ -232,7 +245,7 @@ def alignment_loss_grad(embedded_by_class, anchors, eps: float):
         if H.ndim != 2 or H.shape[0] < 1:
             raise ValueError(f"class {c} slice is empty")
         n_c = H.shape[0]
-        m = H.mean(axis=0)
+        m = H.sum(axis=0) / n_c  # H.mean(axis=0), bit for bit
         Hc = H - m
         L = None if anchors.identity[c] else anchors.factors[c]
         bures, Hc_G = bures_sq_batch_value_grad(L, Hc, eps)

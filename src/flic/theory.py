@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .federation import select_active_clients
+from .federation import active_count, select_active_clients
 from .rng import stream
 
 __all__ = [
@@ -91,8 +91,8 @@ class TheoryConfig:
             raise ValueError("theory_participation must lie in (0, 1]")
         if not self.step_size > 0:
             raise ValueError("theory_step_size must be > 0")
-        active = int(np.floor(self.participation * self.clients))
-        if active < self.head_dim:
+        if (self.clients < self.head_dim
+                or active_count(self.clients, self.participation) < self.head_dim):
             raise ValueError(
                 "theory_clients * theory_participation must be at least "
                 "theory_head_dim, so that the selected heads can span the head space"
@@ -252,7 +252,7 @@ def make_instance(config: TheoryConfig) -> TheoryInstance:
         inst.y_test[i] = Z @ w
         inst.phi_test[i] = Z * Q
 
-    active_size = max(1, int(np.floor(config.participation * b)))
+    active_size = active_count(b, config.participation)
     cap = _sigma_max_sq_cap(betas_star, active_size, rng)
     inst.step_size = min(config.step_size, 1.0 / (4.0 * cap))
     return inst

@@ -1,10 +1,14 @@
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flic
 from flic import cli
 from flic.datagen import CLIENT_ARRAYS, load_clients, save_clients
 
@@ -210,6 +214,32 @@ def test_datagen_run_eval_onboard_end_to_end(tmp_path, monkeypatch, capsys):
     assert cli.main(argv) == cli.EXIT_OK
     assert re.fullmatch(r"onboarded client 0: accuracy \d\.\d{4}\n", capsys.readouterr().out)
     assert _file_bytes(ckpt) == before
+
+
+@pytest.mark.parametrize("mode", ["flic", "local"])
+def test_training_never_imports_numpy_ma(mode, tmp_path):
+    """``np.unique`` imports ``numpy.ma`` on its first call, which costs a
+    fresh process tens of milliseconds; a training run takes its classes
+    from a bincount and never pays it."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "clients": 20, "samples_per_class": 20, "rounds": 1, "participation": 0.25,
+        "latent_dim": 6, "hidden_dim": 8, "local_steps": 2,
+    }))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("FLIC_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(flic.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    script = ("import sys; from flic import cli; code = cli.main(sys.argv[1:]); "
+              "print(code, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "run", "--config", str(config), "--mode", mode,
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == [str(cli.EXIT_OK), "False"]
+    assert (tmp_path / "out" / "summary.json").exists()
 
 
 def test_theory_subcommand_is_gone(capsys):

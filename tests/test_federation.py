@@ -1,5 +1,7 @@
+import math
 import weakref
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from flic.federation import (
     DivergenceError,
     GlobalState,
     RoundConfig,
+    active_count,
     aggregate,
     client_local_round,
     evaluate,
@@ -141,10 +144,76 @@ def test_select_active_clients_is_a_sorted_subset_of_the_documented_size(b, rate
         assert active.min() >= 0 and active.max() < b
 
 
+@pytest.mark.parametrize("b, rate, size", [(100, 0.29, 29), (100, 0.57, 57), (100, 0.58, 58),
+                                           (50, 0.58, 29)])
+def test_active_count_floors_the_rate_as_written(b, rate, size):
+    assert math.floor(rate * b) == size - 1  # the float product falls just short
+    assert active_count(b, rate) == size
+    for t in range(3):
+        assert select_active_clients(b, rate, stream(0, federation.TAG_SELECT, t)).size == size
+
+
+@pytest.mark.parametrize("b, rate, size", [(40, 0.25, 10), (100, 0.1, 10), (100, 0.5, 50),
+                                           (20, 0.5, 10), (20, 1.0, 20)])
+def test_benchmark_and_golden_active_sizes_do_not_move(b, rate, size):
+    assert active_count(b, rate) == max(1, math.floor(rate * b)) == size
+
+
+def test_active_count_is_the_exact_floor_of_two_decimal_rates():
+    for b in range(1, 201):
+        for i in range(1, 101):
+            exact = max(1, math.floor(Fraction(i, 100) * b))
+            assert active_count(b, i / 100) == exact, (b, i)
+
+
 @pytest.mark.parametrize("b", [0, -3])
 def test_select_active_clients_needs_a_client(b):
     with pytest.raises(ValueError, match="at least one client"):
         select_active_clients(b, 0.5, np.random.default_rng(0))
+
+
+def unique_mask_reference(phi, alpha, head, X, y, anchors, lam1, eps):
+    """The data and W2 terms with classes from np.unique and a boolean mask
+    per class for the gather and again for the scatter."""
+    H, cache_phi = forward(phi, X)
+    R, cache_alpha = forward(alpha, H)
+    logits, cache_head = forward(head, R)
+    data_loss, dlogits = cross_entropy(logits, y)
+    g_head, dR = backward(head, cache_head, dlogits)
+    g_alpha, dH = backward(alpha, cache_alpha, dR)
+    slices = {int(c): H[y == c] for c in np.unique(y)}
+    align_loss, align_grads = alignment_loss_grad(slices, anchors, eps)
+    dH_align = np.zeros_like(H)
+    for c, g in align_grads.items():
+        dH_align[y == c] = g
+    g_phi, _ = backward(phi, cache_phi, dH + lam1 * dH_align, input_grad=False)
+    parts = {"data": data_loss, "align": align_loss, "anchor": 0.0,
+             "total": data_loss + lam1 * align_loss + 0.0}
+    return parts, g_phi, g_alpha, g_head
+
+
+@pytest.mark.parametrize("factor_scale", [1.0, 1.5])
+def test_alignment_rows_match_the_unique_and_mask_reference(factor_scale):
+    """Unsorted labels with gaps ({0, 3, 7} of 8) and unequal counts: the
+    bincount classes and row indices give the reference's bits."""
+    rng = np.random.default_rng(23)
+    phi = build_embedding(D, K, HIDDEN, rng)
+    alpha = build_shared(K, rng)
+    head = build_head(K, 8, rng)
+    anchors = init_anchors(8, K, rng)
+    # Identity factors take the Gram route, scaled ones the k x k route.
+    anchors = replace(anchors, factors=anchors.factors * factor_scale)
+    y = np.array([7, 3, 0, 7, 7, 3, 0, 3, 7, 0, 3, 7, 7, 3, 0, 7, 3, 7, 0, 7])
+    X = rng.standard_normal((y.size, D))
+    ref = unique_mask_reference(phi, alpha, head, X, y, anchors, 0.5, 1e-6)
+    for shared in (True, False):
+        got = local_objective_grads(phi, alpha, head, X, y, anchors, 0.5, 0.0, 1e-6, None, None,
+                                    shared_grads=shared)
+        assert got[0] == ref[0] and got[0]["align"] > 0
+        arrays = got[1] + got[3] + (got[2] if shared else [])
+        refs = ref[1] + ref[3] + (ref[2] if shared else [])
+        for a, r in zip(arrays, refs, strict=True):
+            assert np.array_equal(a.view(np.uint64), r.view(np.uint64))
 
 
 class TestAlphaEpochDivergence:

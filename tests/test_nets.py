@@ -143,6 +143,88 @@ def test_leaky_relu_matches_the_where_form_bit_for_bit():
     np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
 
 
+# The float derivatives backward multiplied by before it passed identity
+# gradients through and used the boolean ReLU mask.
+FLOAT_DERIVS = {
+    "identity": lambda z: np.ones_like(z),
+    "relu": lambda z: (z > 0).astype(float),
+    "leaky_relu": lambda z: np.where(z > 0, 1.0, 0.01),
+}
+
+
+def same_bits(a, b):
+    """Equal shapes and equal bits: unlike ``==``, -0.0 differs from 0.0."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def reference_forward(mlp, X):
+    cache, A = [], X
+    for layer in mlp.layers:
+        Z = A @ layer.W + layer.b
+        cache.append((A, Z))
+        A = ACTIVATIONS[layer.activation][0](Z)
+    return A, cache
+
+
+def reference_backward(mlp, cache, G):
+    grads = []
+    for layer, (A_in, Z) in zip(reversed(mlp.layers), reversed(cache)):
+        dZ = G * FLOAT_DERIVS[layer.activation](Z)
+        grads = [A_in.T @ dZ, dZ.sum(axis=0)] + grads
+        G = dZ @ layer.W.T
+    return grads, G
+
+
+def signed_zeros(rng, shape):
+    """Normal draws with a row of 0.0, a row of -0.0 and scattered zeros
+    of both signs."""
+    A = rng.standard_normal(shape)
+    A[0], A[1] = 0.0, -0.0
+    A[2:, 0] = np.where(A[2:, 0] > 0, 0.0, -0.0)
+    return A
+
+
+class TestBitIdentity:
+    """forward and backward give the bits of a plain matmul + bias and a
+    multiply by the float derivative, signed zeros included."""
+
+    @pytest.mark.parametrize("act", ["identity", "relu", "leaky_relu"])
+    def test_one_layer_on_signed_zero_pre_activations(self, act):
+        rng = np.random.default_rng(zlib.crc32(act.encode()))
+        net = Mlp([Layer(rng.standard_normal((4, 5)), rng.standard_normal(5), act)])
+        X = signed_zeros(rng, (6, 4))
+        out, cache = forward(net, X)
+        ref_out, ref_cache = reference_forward(net, X)
+        assert same_bits(out, ref_out)
+        assert same_bits(cache[0][1], ref_cache[0][1])
+        # A cache whose pre-activations hold exact zeros of both signs.
+        # The gradient's zeros sit elsewhere, so the mask at Z == 0 matters.
+        Z = signed_zeros(rng, (6, 5))
+        G = signed_zeros(rng, (6, 5))[::-1, ::-1]
+        assert np.signbit(Z[Z == 0]).any() and not np.signbit(Z[Z == 0]).all()
+        assert (G[Z == 0] != 0).any()
+        grads, g_in = backward(net, [(X, Z)], G)
+        ref_grads, ref_in = reference_backward(net, [(X, Z)], G)
+        assert same_bits(g_in, ref_in)
+        assert all(same_bits(g, r) for g, r in zip(grads, ref_grads))
+
+    def test_stacked_layers(self):
+        rng = np.random.default_rng(31)
+        net = random_net(rng, [4, 6, 5, 3], ["relu", "leaky_relu", "identity"])
+        X = signed_zeros(rng, (7, 4))
+        G = signed_zeros(rng, (7, 3))
+        out, cache = forward(net, X)
+        ref_out, ref_cache = reference_forward(net, X)
+        assert same_bits(out, ref_out)
+        for (A, Z), (ref_A, ref_Z) in zip(cache, ref_cache):
+            assert same_bits(A, ref_A) and same_bits(Z, ref_Z)
+        grads, g_in = backward(net, cache, G)
+        ref_grads, ref_in = reference_backward(net, ref_cache, G)
+        assert same_bits(g_in, ref_in)
+        assert all(same_bits(g, r) for g, r in zip(grads, ref_grads))
+
+
 class TestCrossEntropy:
     def test_uniform_logits(self):
         loss, _ = cross_entropy(np.zeros((5, 7)), np.arange(5) % 7)

@@ -424,3 +424,32 @@ class TestConfigValidation:
     def test_active_set_spanning_bound(self):
         with pytest.raises(ValueError, match="span"):
             TheoryConfig(clients=20, participation=0.1, head_dim=3)
+
+    @pytest.mark.parametrize("clients, participation, size",
+                             [(100, 0.29, 29), (100, 0.57, 57), (100, 0.58, 58), (50, 0.58, 29)])
+    def test_spanning_bound_counts_the_rate_as_written(self, clients, participation, size):
+        def config(d):
+            return TheoryConfig(clients=clients, participation=participation, latent_dim=d,
+                                head_dim=d, raw_dim_min=d, raw_dim_max=d)
+
+        assert config(size).head_dim == size  # floor(rate * b) alone gives size - 1
+        with pytest.raises(ValueError, match="span"):
+            config(size + 1)
+
+
+@pytest.mark.parametrize("clients, participation, size",
+                         [(100, 0.29, 29), (100, 0.58, 58), (50, 0.58, 29), (100, 0.5, 50)])
+def test_make_instance_caps_the_step_over_active_sets_of_the_documented_size(
+        monkeypatch, clients, participation, size):
+    seen = []
+    cap = flic.theory._sigma_max_sq_cap
+
+    def recording(betas_star, active_size, rng):
+        seen.append(active_size)
+        return cap(betas_star, active_size, rng)
+
+    monkeypatch.setattr(flic.theory, "_sigma_max_sq_cap", recording)
+    make_instance(TheoryConfig(clients=clients, participation=participation, samples=4,
+                               test_samples=1, latent_dim=2, head_dim=1, raw_dim_min=2,
+                               raw_dim_max=2))
+    assert seen == [size]
