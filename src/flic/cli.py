@@ -101,7 +101,7 @@ def _cmd_onboard(args) -> int:
         raise ConfigError(f"client {args.client_id} not present in dataset")
     data = by_id[args.client_id]
     n_classes = state.anchors.n_classes
-    if data.classes.min() < 0 or data.classes.max() >= n_classes:
+    if data.classes[-1] >= n_classes:
         raise ConfigError(
             f"client {args.client_id} holds classes {data.classes.tolist()}, "
             f"outside the checkpoint's {n_classes} anchor classes"

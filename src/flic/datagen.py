@@ -14,19 +14,19 @@ client gets a stratified train/test split. Generation is a pure
 function of the spec (seed included).
 
 ``flic datagen`` writes a dataset directory with :func:`save_clients`,
-and :func:`load_clients` reads it back exactly. ``arrays.npz`` holds one
-member per name in ``CLIENT_ARRAYS``: the clients' arrays of that name
-joined end to end in manifest order, ``features`` raveled because every
-client has its own width, dtypes kept. ``manifest.json`` lists the
-client ids, the class count and, under ``sizes``, each client's row
-count, feature width and ``classes``, ``train_idx`` and ``test_idx``
-lengths, which cut the members back into clients.
+and :func:`load_clients` reads it back exactly. ``arrays.npz`` holds four
+members, ``X_train``, ``y_train``, ``X_test`` and ``y_test``: each is the
+clients' arrays of that name joined end to end in manifest order, the
+feature arrays raveled because every client has its own width, dtypes
+kept. ``manifest.json`` lists the client ids, the class count and, under
+``sizes``, each client's ``train_rows``, ``test_rows`` and feature
+``width``, which cut the members back into clients.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -51,10 +51,9 @@ _TAG_CLIENT = 14
 
 # The per-client arrays of a dataset directory, in ``ClientDataset`` order;
 # ``arrays.npz`` holds one member for each.
-CLIENT_ARRAYS = ("features", "labels", "classes", "train_idx", "test_idx")
-# The manifest's per-client lengths: rows, feature width, and the lengths
-# of the three index arrays.
-SIZES = ("rows", "width", *CLIENT_ARRAYS[2:])
+CLIENT_ARRAYS = ("X_train", "y_train", "X_test", "y_test")
+# The manifest's per-client lengths, which cut the members into clients.
+SIZES = ("train_rows", "test_rows", "width")
 
 
 class PoolTooSmallError(ValueError):
@@ -107,48 +106,42 @@ class ToyDatasetSpec:
 
 @dataclass
 class ClientDataset:
+    """One client's data in its own feature space: training rows and labels,
+    test rows and labels. ``classes``, the distinct training labels in
+    increasing order, is derived from a bincount (``np.unique`` imports
+    ``numpy.ma``); every test label must be one of them."""
+
     client_id: int
-    features: np.ndarray
-    labels: np.ndarray
-    classes: np.ndarray
-    train_idx: np.ndarray
-    test_idx: np.ndarray
+    X_train: np.ndarray
+    y_train: np.ndarray
+    X_test: np.ndarray
+    y_test: np.ndarray
+    classes: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int)
-        self.classes = np.asarray(sorted(set(np.asarray(self.classes).tolist())), dtype=int)
-        self.train_idx = np.asarray(self.train_idx, dtype=int)
-        self.test_idx = np.asarray(self.test_idx, dtype=int)
-        for name in ("classes", "train_idx", "test_idx"):
-            if len(getattr(self, name)) == 0:
-                raise ValueError(f"client {self.client_id} has no {name}")
-        if self.features.shape[0] != self.labels.shape[0]:
-            raise ValueError("features and labels disagree on sample count")
-        # A label's position among the sorted classes, its class when held.
-        pos = np.searchsorted(self.classes, self.labels)
-        if np.any(self.classes.take(pos, mode="clip") != self.labels):
-            raise ValueError("labels outside the declared class set")
-        for name in ("train_idx", "test_idx"):
-            idx = getattr(self, name)
-            if np.any((idx < 0) | (idx >= self.n_samples)):
-                raise ValueError(f"{name} outside [0, {self.n_samples})")
-        in_train = np.zeros(self.n_samples, dtype=bool)
-        in_train[self.train_idx] = True
-        if in_train[self.test_idx].any():
-            raise ValueError("train/test splits overlap")
-        trained = np.zeros(len(self.classes), dtype=bool)
-        trained[pos[self.train_idx]] = True
-        if not trained.all():
-            raise ValueError(f"classes {self.classes[~trained].tolist()} have no training row")
+        self.X_train, self.X_test = (np.asarray(X, float) for X in (self.X_train, self.X_test))
+        self.y_train, self.y_test = (np.asarray(y, int) for y in (self.y_train, self.y_test))
+        if not (len(self.y_train) and len(self.y_test)):
+            raise ValueError(f"client {self.client_id} has an empty training or test split")
+        if (len(self.X_train), len(self.X_test)) != (len(self.y_train), len(self.y_test)):
+            raise ValueError("rows and labels disagree in count")
+        if self.y_train.min() < 0 or self.y_test.min() < 0:
+            raise ValueError("a label is negative")
+        if self.X_train.shape[1:] != self.X_test.shape[1:]:
+            raise ValueError("training and test rows differ in width")
+        self.classes = np.flatnonzero(np.bincount(self.y_train))
+        pos = np.searchsorted(self.classes, self.y_test)
+        untrained = self.y_test[self.classes.take(pos, mode="clip") != self.y_test]
+        if untrained.size:
+            raise ValueError(f"test labels {sorted(set(untrained.tolist()))} have no training row")
 
     @property
     def dim(self) -> int:
-        return self.features.shape[1]
+        return self.X_train.shape[1]
 
     @property
     def n_samples(self) -> int:
-        return self.features.shape[0]
+        return len(self.y_train) + len(self.y_test)
 
 
 def _assign_classes(spec: ToyDatasetSpec, rng) -> list[np.ndarray]:
@@ -289,7 +282,8 @@ def generate(spec: ToyDatasetSpec) -> list[ClientDataset]:
             raise PoolTooSmallError(
                 f"client {i} keeps too few rows ({len(ids)}) for a training and a test row"
             )
-        datasets.append(ClientDataset(i, feats, labels[ids], classes, train, test))
+        y = labels[ids]
+        datasets.append(ClientDataset(i, feats[train], y[train], feats[test], y[test]))
     return datasets
 
 
@@ -302,12 +296,12 @@ def save_clients(datasets: list[ClientDataset], out_dir, n_classes: int, extra=N
         name: np.concatenate([getattr(ds, name).ravel() for ds in datasets])
         for name in CLIENT_ARRAYS
     })
-    sizes = {"rows": [ds.n_samples for ds in datasets], "width": [ds.dim for ds in datasets]}
-    sizes.update((name, [len(getattr(ds, name)) for ds in datasets]) for name in SIZES[2:])
     manifest = {
         "clients": [int(ds.client_id) for ds in datasets],
         "n_classes": int(n_classes),
-        "sizes": sizes,
+        "sizes": {"train_rows": [len(ds.y_train) for ds in datasets],
+                  "test_rows": [len(ds.y_test) for ds in datasets],
+                  "width": [ds.dim for ds in datasets]},
     }
     manifest.update(extra or {})
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
@@ -317,11 +311,11 @@ def load_clients(data_dir) -> tuple[list[ClientDataset], int]:
     """Read a dataset directory that :func:`save_clients` wrote.
 
     Each member of ``arrays.npz`` is read once and cut into the clients'
-    arrays, views of it. A missing or extra member (a directory in the
-    older one-member-per-client-array layout included), a client id
-    listed twice, sizes that are negative or do not add up to a member, a
-    client that fails the ``ClientDataset`` checks and a class outside
-    ``[0, n_classes)`` raise an ``OSError`` naming ``arrays.npz``.
+    arrays, views of it. A missing or extra member (a directory in an
+    older layout included), a client id listed twice, sizes that are
+    negative or do not add up to a member, a training label outside
+    ``[0, n_classes)`` and a client that fails the ``ClientDataset``
+    checks raise an ``OSError`` naming ``arrays.npz``.
     """
     root = Path(data_dir)
     manifest_path, arrays_path = root / "manifest.json", root / "arrays.npz"
@@ -345,22 +339,25 @@ def load_clients(data_dir) -> tuple[list[ClientDataset], int]:
             raise ValueError(f"sizes must give {', '.join(SIZES)} for each of {len(ids)} clients")
         if np.any(table < 0):
             raise ValueError("sizes hold a negative length")
-        rows, width, *index_lengths = table
+        train_rows, test_rows, width = table
         pieces = {}
-        for name, lengths in zip(CLIENT_ARRAYS, (rows * width, rows, *index_lengths)):
+        for name, lengths in zip(CLIENT_ARRAYS, (train_rows * width, train_rows,
+                                                 test_rows * width, test_rows)):
             member = arrays[name]
             if member.shape != (lengths.sum(),):
                 raise ValueError(
                     f"sizes give {lengths.sum()} values of {name}, the member has shape "
                     f"{member.shape}"
                 )
-            if name == "classes":
+            if name == "y_train":
+                # Test labels must be training classes, so they are in range too.
                 outside = (member < 0) | (member >= n_classes)
                 if outside.any():
                     owner = np.searchsorted(np.cumsum(lengths), outside.argmax(), side="right")
-                    raise ValueError(f"client {ids[owner]} classes outside [0, {n_classes})")
+                    raise ValueError(f"client {ids[owner]} y_train outside [0, {n_classes})")
             pieces[name] = np.split(member, np.cumsum(lengths)[:-1])
-        pieces["features"] = [f.reshape(r, w) for f, r, w in zip(pieces["features"], rows, width)]
+        for name, rows in (("X_train", train_rows), ("X_test", test_rows)):
+            pieces[name] = [X.reshape(r, w) for X, r, w in zip(pieces[name], rows, width)]
         datasets = [
             ClientDataset(cid, *client)
             for cid, *client in zip(ids, *(pieces[name] for name in CLIENT_ARRAYS))

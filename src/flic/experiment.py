@@ -98,6 +98,7 @@ def run_command(cfg: ExperimentConfig) -> int:
     else:  # local baseline: no communication, so no rounds to report
         accs = local_baseline(clients, state, cfg.training)
         metrics, log = [], []
+    accs = dict(sorted(accs.items()))
     write_metrics(metrics, out / "metrics.csv")
     with open(out / "messages.log", "w") as fh:
         fh.writelines(json.dumps(m) + "\n" for m in log)
@@ -106,7 +107,7 @@ def run_command(cfg: ExperimentConfig) -> int:
         "seed": cfg.seed,
         "rounds": cfg.training.rounds,
         "n_clients": len(clients),
-        "per_client_accuracy": {str(k): accs[k] for k in sorted(accs)},
+        "per_client_accuracy": {str(k): a for k, a in accs.items()},
         "mean_accuracy": float(np.mean(list(accs.values()))),
         "min_accuracy": min(accs.values()),
         "max_accuracy": max(accs.values()),

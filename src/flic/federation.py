@@ -287,9 +287,11 @@ def local_objective_grads(phi, alpha, head, X, y, anchors, lam1, lam2, eps, z_cl
     return parts, g_phi, g_alpha, g_head, dZ
 
 
-def _draw_batch(rng, train_idx, batch_size):
-    size = min(batch_size, len(train_idx))
-    return rng.choice(train_idx, size=size, replace=False)
+def _draw_batch(rng, data, batch_size):
+    """At most ``batch_size`` training rows and their labels, without replacement."""
+    n = len(data.y_train)
+    batch = rng.choice(n, size=min(batch_size, n), replace=False)
+    return data.X_train[batch], data.y_train[batch]
 
 
 def _local_steps(client, alpha, anchors, cfg, rng, round_idx):
@@ -298,8 +300,7 @@ def _local_steps(client, alpha, anchors, cfg, rng, round_idx):
     data, phi, head = client.data, client.phi, client.head
     losses = []
     for m in range(cfg.local_steps):
-        batch = _draw_batch(rng, data.train_idx, cfg.batch_size)
-        Xb, yb = data.features[batch], data.labels[batch]
+        Xb, yb = _draw_batch(rng, data, cfg.batch_size)
         present = np.flatnonzero(np.bincount(yb))
         Z = sample_anchor(anchors, present, cfg.anchor_samples, rng)[0] if cfg.lambda2 > 0 else None
         parts, g_phi, _, g_head, _ = _objective(
@@ -336,22 +337,20 @@ def client_local_round(client: ClientState, global_state: GlobalState, cfg: Roun
 
     # Global-parameter phase: fresh batch, anchor samples for every held
     # class, single plain gradient steps.
-    batch = _draw_batch(rng, data.train_idx, cfg.batch_size)
+    Xb, yb = _draw_batch(rng, data, cfg.batch_size)
     Z = xi = None
     if cfg.lambda2 > 0:
         Z, xi = sample_anchor(anchors, data.classes, cfg.anchor_samples, rng)
     # lambda1 = 0: g_alpha and dZ do not depend on the alignment term.
     _, _, g_alpha, _, dZ = _objective(
         data.client_id, round_idx, cfg.local_steps, client.phi, alpha, client.head,
-        data.features[batch], data.labels[batch], anchors, 0.0, cfg.lambda2, cfg.eps,
-        data.classes, Z,
+        Xb, yb, anchors, 0.0, cfg.lambda2, cfg.eps, data.classes, Z,
     )
     alpha_params = [p - cfg.lr * g for p, g in zip(alpha.params(), g_alpha)]
 
     if cfg.lambda1 > 0 or cfg.lambda2 > 0:
-        H_train = forward(client.phi, data.features[data.train_idx])[0]
-        y_train = data.labels[data.train_idx]
-        points = [H_train[y_train == c] for c in data.classes]
+        H_train = forward(client.phi, data.X_train)[0]
+        points = [H_train[data.y_train == c] for c in data.classes]
         try:
             anchor_prop = local_anchor_update(anchors, data.classes, points, dZ, xi, cfg.lr,
                                               cfg.lambda1, cfg.lambda2, cfg.eps)
@@ -429,11 +428,12 @@ def run_training(clients, global_state, cfg: RoundConfig):
     the last round's evaluation, which is repeated only when there was no
     round or the final local rounds changed the clients. The clients are
     updated in place, the active ones each round and all of them in the
-    final local rounds; ``global_state`` is not mutated.
+    final local rounds; ``global_state`` is not mutated. Active sets are
+    drawn from the clients sorted by id, the order of the returned list.
     """
+    clients = sorted(clients, key=lambda c: c.data.client_id)
     if not clients:
         raise ValueError("need at least one client")
-    clients = list(clients)
     b = len(clients)
     log = []
     metrics = []
@@ -485,9 +485,9 @@ def run_training(clients, global_state, cfg: RoundConfig):
 
 def client_accuracy(phi: Mlp, head: Mlp, alpha: Mlp, data: ClientDataset) -> float:
     """Test accuracy of ``head(alpha(phi(x)))`` on the client's test split."""
-    H = forward(phi, data.features[data.test_idx])[0]
+    H = forward(phi, data.X_test)[0]
     logits = forward(head, forward(alpha, H)[0])[0]
-    return float(np.mean(np.argmax(logits, axis=1) == data.labels[data.test_idx]))
+    return float(np.mean(np.argmax(logits, axis=1) == data.y_test))
 
 
 def evaluate(clients, global_state: GlobalState):
@@ -531,7 +531,7 @@ def onboard_new_client(
     state is left untouched.
     """
     n_classes = global_state.anchors.n_classes
-    if dataset.classes.min() < 0 or dataset.classes.max() >= n_classes:
+    if dataset.classes[-1] >= n_classes:
         raise ValueError("dataset labels outside the anchor class range")
     rng = stream(cfg.seed, TAG_ONBOARD, dataset.client_id)
     client = make_client(

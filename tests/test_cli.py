@@ -13,9 +13,7 @@ from flic import cli
 from flic.datagen import CLIENT_ARRAYS, load_clients, save_clients
 
 
-def test_diverging_run_exits_with_divergence_code(tmp_path, monkeypatch, capsys):
-    for key in [k for k in os.environ if k.startswith("FLIC_")]:
-        monkeypatch.delenv(key)
+def test_diverging_run_exits_with_divergence_code(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(
         json.dumps({"lr": 100, "rounds": 3, "clients": 20, "samples_per_class": 200})
@@ -35,9 +33,7 @@ def test_diverging_run_exits_with_divergence_code(tmp_path, monkeypatch, capsys)
         {"mode": "theory", "theory_samples": -5, "theory_rounds": 3},
     ],
 )
-def test_theory_sample_counts_below_one_exit_with_config_code(values, tmp_path, monkeypatch, capsys):
-    for key in [k for k in os.environ if k.startswith("FLIC_")]:
-        monkeypatch.delenv(key)
+def test_theory_sample_counts_below_one_exit_with_config_code(values, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(values))
     code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
@@ -47,8 +43,6 @@ def test_theory_sample_counts_below_one_exit_with_config_code(values, tmp_path, 
 
 
 def _run(values, tmp_path, monkeypatch, env=None):
-    for key in [k for k in os.environ if k.startswith("FLIC_")]:
-        monkeypatch.delenv(key)
     for key, value in (env or {}).items():
         monkeypatch.setenv(key, value)
     config = tmp_path / "config.json"
@@ -111,11 +105,7 @@ def test_unrunnable_data_and_theory_shapes_exit_with_config_code(
 
 
 @pytest.mark.parametrize("command", ["run", "datagen"])
-def test_class_pool_smaller_than_its_holders_exits_with_config_code(
-    command, tmp_path, monkeypatch, capsys
-):
-    for key in [k for k in os.environ if k.startswith("FLIC_")]:
-        monkeypatch.delenv(key)
+def test_class_pool_smaller_than_its_holders_exits_with_config_code(command, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"samples_per_class": 2, "clients": 20, "rounds": 1}))
     out = tmp_path / "out"
@@ -126,10 +116,8 @@ def test_class_pool_smaller_than_its_holders_exits_with_config_code(
 
 
 @pytest.mark.parametrize("command", ["run", "datagen"])
-def test_single_row_class_slices_exit_with_config_code(command, tmp_path, monkeypatch, capsys):
+def test_single_row_class_slices_exit_with_config_code(command, tmp_path, capsys):
     """Every class has one holder and one row, so no client has a test row."""
-    for key in [k for k in os.environ if k.startswith("FLIC_")]:
-        monkeypatch.delenv(key)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(
         {"samples_per_class": 1, "clients": 20, "classes_per_client": 1, "rounds": 1}
@@ -148,8 +136,6 @@ def test_single_row_class_slices_exit_with_config_code(command, tmp_path, monkey
     ids=["run-flic", "run-local", "run-theory", "run-env", "datagen"],
 )
 def test_negative_seed_exits_with_config_code(argv, env, tmp_path, monkeypatch, capsys):
-    for key in [k for k in os.environ if k.startswith("FLIC_")]:
-        monkeypatch.delenv(key)
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     out = tmp_path / "out"
@@ -158,12 +144,10 @@ def test_negative_seed_exits_with_config_code(argv, env, tmp_path, monkeypatch, 
     assert not out.exists()
 
 
-def test_unwritable_output_directory_exits_with_io_code(tmp_path, monkeypatch, capsys):
+def test_unwritable_output_directory_exits_with_io_code(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("a regular file, not a directory")
     values = {"mode": "theory", "theory_rounds": 3}
-    for key in [k for k in os.environ if k.startswith("FLIC_")]:
-        monkeypatch.delenv(key)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(values))
     code = cli.main(["run", "--config", str(config), "--out", str(blocker / "out")])
@@ -176,12 +160,10 @@ def _file_bytes(root):
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def test_datagen_run_eval_onboard_end_to_end(tmp_path, monkeypatch, capsys):
+def test_datagen_run_eval_onboard_end_to_end(tmp_path, capsys):
     """A dataset directory feeds ``run``; ``eval`` on the checkpoint prints
     the accuracies of summary.json; ``onboard`` leaves the checkpoint as
     it was."""
-    for key in [k for k in os.environ if k.startswith("FLIC_")]:
-        monkeypatch.delenv(key)
     data, out = tmp_path / "data", tmp_path / "out"
     values = {
         "clients": 20, "samples_per_class": 20, "rounds": 2, "participation": 0.25,
@@ -251,9 +233,7 @@ TINY = {"clients": 20, "samples_per_class": 20, "rounds": 1, "participation": 0.
         "latent_dim": 6, "hidden_dim": 8, "local_steps": 2}
 
 
-def _datagen(values, out, tmp_path, monkeypatch):
-    for key in [k for k in os.environ if k.startswith("FLIC_")]:
-        monkeypatch.delenv(key)
+def _datagen(values, out, tmp_path):
     config = tmp_path / f"{out.name}.json"
     config.write_text(json.dumps(values))
     assert cli.main(["datagen", "--config", str(config), "--out", str(out)]) == cli.EXIT_OK
@@ -261,14 +241,38 @@ def _datagen(values, out, tmp_path, monkeypatch):
 
 
 @pytest.fixture
-def trained(tmp_path, monkeypatch):
+def trained(tmp_path):
     """(config, dataset directory, checkpoint) of a one-round run."""
     data, out = tmp_path / "data", tmp_path / "out"
-    config = _datagen(TINY, data, tmp_path, monkeypatch)
+    config = _datagen(TINY, data, tmp_path)
     config.write_text(json.dumps({**TINY, "dataset_path": str(data)}))
     assert cli.main(["run", "--config", str(config), "--out", str(out)]) == cli.EXIT_OK
     return config, data, out / "checkpoint"
 
+
+
+@pytest.mark.parametrize("mode", ["flic", "local"])
+def test_a_reversed_manifest_writes_the_same_outputs(mode, tmp_path):
+    """The run depends on the set of clients, not on the order in which
+    the manifest lists them; ``metrics.csv`` is compared without its
+    ``wall_ms`` column."""
+    data, reversed_data = tmp_path / "data", tmp_path / "reversed"
+    config = _datagen(TINY, data, tmp_path)
+    datasets, n_classes = load_clients(data)
+    save_clients(datasets[::-1], reversed_data, n_classes)
+    outputs = []
+    for source in (data, reversed_data):
+        config.write_text(json.dumps({**TINY, "dataset_path": str(source)}))
+        out = tmp_path / f"out_{source.name}"
+        assert cli.main(["run", "--config", str(config), "--mode", mode, "--out", str(out)]) \
+            == cli.EXIT_OK
+        files = _file_bytes(out)
+        metrics = files.pop(Path("metrics.csv")).decode().splitlines()
+        wall = metrics[0].split(",").index("wall_ms")
+        files["metrics"] = [line.split(",")[:wall] + line.split(",")[wall + 1:]
+                            for line in metrics]
+        outputs.append(files)
+    assert outputs[1] == outputs[0]
 
 def test_onboard_negative_rounds_exits_with_config_code(trained, capsys):
     config, data, ckpt = trained
@@ -281,13 +285,13 @@ def test_onboard_negative_rounds_exits_with_config_code(trained, capsys):
 
 
 def test_onboard_client_outside_the_anchor_classes_exits_with_config_code(
-    trained, tmp_path, monkeypatch, capsys
+    trained, tmp_path, capsys
 ):
     from flic.datagen import load_clients
 
     config, _, ckpt = trained
     wide = tmp_path / "wide"
-    _datagen({**TINY, "n_classes": 30}, wide, tmp_path, monkeypatch)
+    _datagen({**TINY, "n_classes": 30}, wide, tmp_path)
     client = next(ds for ds in load_clients(wide)[0] if ds.classes.max() >= 20)
     argv = ["onboard", "--config", str(config), "--checkpoint", str(ckpt), "--data", str(wide),
             "--client-id", str(client.client_id)]
@@ -306,11 +310,11 @@ def test_onboard_client_outside_the_anchor_classes_exits_with_config_code(
     ],
 )
 def test_eval_on_a_mismatched_dataset_exits_with_config_code(
-    change, pattern, trained, tmp_path, monkeypatch, capsys
+    change, pattern, trained, tmp_path, capsys
 ):
     _, _, ckpt = trained
     other = tmp_path / "other"
-    _datagen({**TINY, **change}, other, tmp_path, monkeypatch)
+    _datagen({**TINY, **change}, other, tmp_path)
     capsys.readouterr()
     assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(other)]) == cli.EXIT_CONFIG
     out = capsys.readouterr()
@@ -342,12 +346,13 @@ def test_onboard_of_a_client_missing_from_the_dataset_exits_with_config_code(tra
     assert out.out == ""
 
 
-def test_eval_names_a_client_whose_feature_dimension_differs(trained, monkeypatch, capsys):
+def test_eval_names_a_client_whose_feature_dimension_differs(trained, capsys):
     from flic.datagen import load_clients, save_clients
 
     _, data, ckpt = trained
     datasets, n_classes = load_clients(data)
-    datasets[4].features = datasets[4].features[:, :-1]
+    datasets[4].X_train = datasets[4].X_train[:, :-1]
+    datasets[4].X_test = datasets[4].X_test[:, :-1]
     save_clients(datasets, data, n_classes)
     assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == cli.EXIT_CONFIG
     assert re.search(r"config error: client 4: dataset features have dimension \d+, "
@@ -382,13 +387,13 @@ def _damage(kind, data, ckpt):
         (data / "manifest.json").write_text('{"n_classes": 20}')
         return data / "manifest.json"
     if kind == "npz without the labels member":
-        _rewrite_npz(data / "arrays.npz", labels=None)
+        _rewrite_npz(data / "arrays.npz", y_train=None)
         return data / "arrays.npz"
     if kind == "npz not an npz":
         (data / "arrays.npz").write_text("not an npz file")
         return data / "arrays.npz"
     if kind == "labels outside the classes":
-        _rewrite_client0(data, labels=lambda ds: ds.labels + 100)
+        _rewrite_client0(data, y_train=lambda ds: ds.y_train + 100)
         return data / "arrays.npz"
     if kind == "client 0 with no rows":
         _rewrite_client0(data, **{name: lambda ds, name=name: getattr(ds, name)[:0]
@@ -472,50 +477,63 @@ def _break_dataset(kind, data):
             for name in CLIENT_ARRAYS
         })
         del manifest["sizes"]
+    elif kind == "five-member layout":
+        # every row with index arrays into them, as older versions wrote
+        datasets, _ = load_clients(data)
+        rows = [len(ds.y_train) + len(ds.y_test) for ds in datasets]
+        old = {
+            "features": [np.vstack([ds.X_train, ds.X_test]).ravel() for ds in datasets],
+            "labels": [np.r_[ds.y_train, ds.y_test] for ds in datasets],
+            "classes": [ds.classes for ds in datasets],
+            "train_idx": [np.arange(len(ds.y_train)) for ds in datasets],
+            "test_idx": [np.arange(len(ds.y_train), n) for ds, n in zip(datasets, rows)],
+        }
+        np.savez(data / "arrays.npz", **{name: np.concatenate(a) for name, a in old.items()})
+        manifest["sizes"] = {"rows": rows, "width": [ds.dim for ds in datasets],
+                             **{name: [len(a) for a in old[name]] for name in list(old)[2:]}}
     elif kind == "manifest n_classes below the held classes":
         assert load_clients(data)[0][0].classes.max() >= 5
         manifest["n_classes"] = 5
     elif kind == "one row too many for client 0":
-        sizes["rows"][0] += 1
-    elif kind == "negative train_idx length":
-        sizes["train_idx"][0] = -sizes["train_idx"][0]
+        sizes["train_rows"][0] += 1
+    elif kind == "negative test_rows length":
+        sizes["test_rows"][0] = -sizes["test_rows"][0]
     elif kind == "sizes of 19 clients":
         manifest["sizes"] = {name: column[1:] for name, column in sizes.items()}
     elif kind == "a width of 1.5":
         sizes["width"][0] = 1.5
     elif kind == "client 1 listed twice":
         manifest["clients"][0] = 1
-    else:
-        first = {
-            "train index past the rows": lambda ds: np.r_[10**6, ds.train_idx[1:]],
-            "train index -1": lambda ds: np.r_[-1, ds.train_idx[1:]],
-            "held class without a training row":
-                lambda ds: ds.train_idx[ds.labels[ds.train_idx] != ds.classes[0]],
-        }[kind]
-        _rewrite_client0(data, train_idx=first)
+    elif kind == "test label without a training row":
+        def untrained_first(ds):
+            untrained = min(set(range(manifest["n_classes"])) - set(ds.classes.tolist()))
+            return np.r_[untrained, ds.y_test[1:]]
+
+        _rewrite_client0(data, y_test=untrained_first)
         return
+    else:
+        raise AssertionError(kind)
     (data / "manifest.json").write_text(json.dumps(manifest))
 
 
 @pytest.mark.parametrize(
     "kind, message",
     [
-        ("train index past the rows", "train_idx outside [0, "),
-        ("train index -1", "train_idx outside [0, "),
         ("manifest n_classes below the held classes", "outside [0, 5)"),
-        ("held class without a training row", "have no training row"),
-        ("one row too many for client 0", "values of features"),
-        ("negative train_idx length", "negative length"),
+        ("test label without a training row", "have no training row"),
+        ("one row too many for client 0", "values of X_train"),
+        ("negative test_rows length", "negative length"),
         ("sizes of 19 clients", "for each of 20 clients"),
         ("a width of 1.5", "must be integers"),
         ("client 1 listed twice", "listed twice"),
         ("per-client layout", "write the directory again with `flic datagen`"),
+        ("five-member layout", "write the directory again with `flic datagen`"),
     ],
 )
 def test_inconsistent_dataset_directory_exits_with_io_code(kind, message, trained, tmp_path,
                                                            capsys):
-    """Sizes are checked against the members, and indices and classes
-    against the rows and the class count, when a dataset directory is
+    """Sizes are checked against the members, and labels against the
+    class count and the training classes, when a dataset directory is
     read, not when training reaches them."""
     config, data, _ = trained
     _break_dataset(kind, data)

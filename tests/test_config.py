@@ -3,7 +3,6 @@ file, environment and flags, and the rejection of invalid values."""
 
 import json
 import math
-import os
 import re
 import tempfile
 from dataclasses import fields
@@ -64,12 +63,6 @@ DEFAULTS = {
     "variant": "lm",
     "workers": 1,
 }
-
-
-@pytest.fixture(autouse=True)
-def no_flic_env(monkeypatch):
-    for key in [k for k in os.environ if k.startswith("FLIC_")]:
-        monkeypatch.delenv(key)
 
 
 def flat(cfg) -> dict:

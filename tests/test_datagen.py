@@ -1,6 +1,7 @@
 """The toy generator and the dataset directory format: fixed-seed
-fingerprints of ``generate``, properties of ``partition_clients``, and
-an exact ``save_clients``/``load_clients`` round trip in the flat layout."""
+fingerprints of ``generate``, properties of ``partition_clients``, an
+exact ``save_clients``/``load_clients`` round trip in the flat layout,
+and the checks of ``ClientDataset``."""
 
 import hashlib
 import json
@@ -10,9 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flic.datagen import ToyDatasetSpec, generate, load_clients, partition_clients, save_clients
+from flic.datagen import (
+    CLIENT_ARRAYS,
+    ClientDataset,
+    ToyDatasetSpec,
+    generate,
+    load_clients,
+    partition_clients,
+    save_clients,
+)
 
-ARRAYS = ("features", "labels", "classes", "train_idx", "test_idx")
+# Every array a client holds: the stored ones and the derived classes.
+ARRAYS = (*CLIENT_ARRAYS, "classes")
 
 SMALL = {"n_classes": 6, "samples_per_class": 30, "clients": 8, "classes_per_client": 2}
 
@@ -30,27 +40,31 @@ def fingerprint(datasets) -> str:
 
 
 # Fixed-seed hashes of whole generated datasets. A change to any of them
-# is a change to every dataset the generator writes.
+# is a change to every dataset the generator writes. They were computed
+# when a client stored all its rows with index arrays into them, from
+# ``features[train_idx]``, ``labels[train_idx]``, ``features[test_idx]``,
+# ``labels[test_idx]`` and ``classes``: the split arrays hold the same
+# rows in the same order, and the classes are the same.
 FINGERPRINTS = {
     ("lm", 0, None): (
-        "c0813d625c9d315317dc8d34f0c2d602"
-        "7a2b6c73a4190f364ec8b5efe552ff8d"
+        "675cb224acd95997fd3746ec9bc932e3"
+        "cd82cb57500bbdeb48d32c641d849fb1"
     ),
     ("lm", 7, None): (
-        "8430a2aa40d439897a7fcf4d955bc822"
-        "61623a9ce47ef57763944ebcaeb28340"
+        "b33077c318ff2d9d25ebef51b727515f"
+        "94da78b136e59cb8a9263f753efcb5b3"
     ),
     ("nf", 0, None): (
-        "0fba3345b764889266c9a9ebc3cd3041"
-        "4bc6578f8db6cebaa3b01a039f49dc83"
+        "bb197582cb415ec998829941d527e1dc"
+        "242ce99466f9496f424c9c9bb9cd5680"
     ),
     ("nf", 7, None): (
-        "cc4092e1e27f5c56b5ed0d4cd5b9ed25"
-        "751c3286f0d106426a97e8229fd214ff"
+        "63fff36cc8f8591e6b86038e05de6fe8"
+        "5e87e810509c7de3f5e5778cdad441b9"
     ),
     ("nf", 1, (0, 0)): (
-        "f4e43a0f83d34dc62409239eed4d4b02"
-        "cc7dd63752aa7342f4f3a6d3527fcd0d"
+        "18a507b79380bf6d2da028d1c12c4178"
+        "60493ab6fdc8e032bbebc081f36b37bb"
     ),
 }
 
@@ -121,9 +135,8 @@ def test_save_then_load_is_exact(variant, tmp_path):
             assert a.dtype == b.dtype and a.shape == b.shape, name
             np.testing.assert_array_equal(a, b)
     assert fingerprint(loaded) == fingerprint(datasets)
-    # the data arrays are views of one member per name (``classes`` is
-    # made unique, a copy)
-    for name in ("features", "labels", "train_idx", "test_idx"):
+    # the stored arrays are views of one member per name
+    for name in CLIENT_ARRAYS:
         first, last = getattr(loaded[0], name), getattr(loaded[-1], name)
         assert first.base is not None and first.base is last.base, name
 
@@ -134,9 +147,31 @@ def test_arrays_npz_holds_one_member_per_client_array(clients, tmp_path):
     datasets = generate(spec)
     save_clients(datasets, tmp_path, spec.n_classes)
     with np.load(tmp_path / "arrays.npz") as arrays:
-        assert arrays.files == list(ARRAYS)
-        assert arrays["features"].size == sum(ds.features.size for ds in datasets)
+        assert arrays.files == list(CLIENT_ARRAYS)
+        for name in CLIENT_ARRAYS:
+            assert arrays[name].size == sum(getattr(ds, name).size for ds in datasets)
     sizes = json.loads((tmp_path / "manifest.json").read_text())["sizes"]
-    assert sizes["rows"] == [ds.n_samples for ds in datasets]
-    assert sizes["width"] == [ds.dim for ds in datasets]
+    assert sizes == {
+        "train_rows": [len(ds.y_train) for ds in datasets],
+        "test_rows": [len(ds.y_test) for ds in datasets],
+        "width": [ds.dim for ds in datasets],
+    }
     assert len(load_clients(tmp_path)[0]) == clients
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"X_test": np.zeros((0, 3)), "y_test": np.zeros(0)}, "client 5 has an empty"),
+        ({"y_train": [0, 1, 1]}, "rows and labels disagree in count"),
+        ({"X_test": np.zeros((2, 4))}, "differ in width"),
+        ({"y_test": [0, -1]}, "a label is negative"),
+        ({"y_test": [2, 7]}, r"test labels \[2, 7\] have no training row"),
+    ],
+)
+def test_client_dataset_checks(change, message):
+    arrays = {"X_train": np.zeros((4, 3)), "y_train": [0, 1, 1, 4],
+              "X_test": np.zeros((2, 3)), "y_test": [4, 0]}
+    assert ClientDataset(5, **arrays).classes.tolist() == [0, 1, 4]
+    with pytest.raises(ValueError, match=message):
+        ClientDataset(5, **{**arrays, **change})

@@ -223,15 +223,9 @@ class TestAlphaEpochDivergence:
 
     def round_inputs(self):
         rng = np.random.default_rng(4)
-        labels = np.repeat([0, 2, 3], 20)
-        data = ClientDataset(
-            client_id=3,
-            features=rng.standard_normal((labels.size, D)),
-            labels=labels,
-            classes=[0, 2, 3],
-            train_idx=np.arange(0, labels.size, 2),
-            test_idx=np.arange(1, labels.size, 2),
-        )
+        labels = np.repeat([0, 2, 3], 10)
+        features = rng.standard_normal((2 * labels.size, D))
+        data = ClientDataset(3, features[0::2], labels, features[1::2], labels)
         client = make_client(data, N_CLASSES, K, HIDDEN, lr=1e-3, weight=1.0, rng=rng)
         state = GlobalState(build_shared(K, rng), init_anchors(N_CLASSES, K, rng))
         cfg = RoundConfig(local_steps=3, batch_size=12, anchor_samples=5)
@@ -270,7 +264,7 @@ class TestAlphaEpochDivergence:
         non-finite one is a divergence of the alignment term."""
         client, state, cfg = self.round_inputs()
         state.anchors = replace(state.anchors, cov_learnable=cov_learnable)
-        n_train = len(client.data.train_idx)
+        n_train = len(client.data.y_train)
         assert cfg.batch_size < n_train
 
         def poisoned(mlp, X):
@@ -403,13 +397,66 @@ def test_messages_name_the_clients_by_their_ids():
 
 
 def test_unselected_clients_hold_no_adam_moments():
+    """A client selected in no round ends at its initialization: the
+    networks a fresh ``make_client`` draws from its init stream, and
+    empty Adam states."""
     clients, state, cfg = small_federation(participation=0.1)
+    selected = {
+        int(i) for t in range(cfg.rounds)
+        for i in select_active_clients(20, 0.1, stream(cfg.seed, federation.TAG_SELECT, t))
+    }
     clients, *_ = run_training(clients, state, cfg)
-    never = [c for c in clients if c.phi_opt.t == 0]
+    never = [c for i, c in enumerate(clients) if i not in selected]
     assert 16 <= len(never) < len(clients)  # two of the 20 clients train per round
     for c in never:
         for opt in (c.phi_opt, c.head_opt):
             assert opt.t == 0 and opt.m == opt.v == []
+        fresh = make_client(c.data, state.anchors.n_classes, 6, 8, cfg.lr, c.weight,
+                            stream(cfg.seed, federation.TAG_INIT, 1, c.data.client_id))
+        for got, ref in zip(c.phi.params() + c.head.params(),
+                            fresh.phi.params() + fresh.head.params(), strict=True):
+            assert np.array_equal(got, ref)
+
+
+def trained_arrays(clients, state):
+    """Every array a run trains, keyed by its owner."""
+    arrays = {"server": [*state.alpha.params(), state.anchors.means, state.anchors.factors]}
+    arrays.update((c.data.client_id, c.phi.params() + c.head.params()) for c in clients)
+    return arrays
+
+
+def assert_same_arrays(got, ref):
+    assert list(got) == list(ref)
+    for key in ref:
+        for a, b in zip(got[key], ref[key], strict=True):
+            assert np.array_equal(a, b), key
+
+
+def test_the_run_depends_on_the_set_of_clients_not_their_order():
+    runs = []
+    for order in (1, -1):
+        clients, state, cfg = small_federation(rounds=3)
+        clients, state, metrics, log, accs = run_training(clients[::order], state, cfg)
+        runs.append((trained_arrays(clients, state), list(accs.items()), log,
+                     [replace(m, wall_ms=0.0) for m in metrics]))
+    assert_same_arrays(runs[1][0], runs[0][0])
+    assert runs[1][1:] == runs[0][1:]
+
+
+def test_test_rows_never_reach_training():
+    """Replacing every client's test rows with large noise leaves every
+    trained array as it was."""
+    runs = []
+    for noisy in (False, True):
+        clients, state, cfg = small_federation(cov_learnable=True, final_local_rounds=1)
+        if noisy:
+            rng = np.random.default_rng(0)
+            for c in clients:
+                c.data.X_test = 100 * rng.standard_normal(c.data.X_test.shape)
+        clients, state, metrics, *_ = run_training(clients, state, cfg)
+        runs.append((trained_arrays(clients, state), [m.train_loss for m in metrics]))
+    assert_same_arrays(runs[1][0], runs[0][0])
+    assert runs[1][1] == runs[0][1]
 
 
 def shared_state(rng, cov_learnable, C=4, k=3, scale=1.0):

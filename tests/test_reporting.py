@@ -19,9 +19,9 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     state = GlobalState(build_shared(k, rng), anchors, round=7)
     clients = []
     for cid, dim in ((3, 4), (8, 9)):
-        labels = np.repeat([0, 2, 4], 4)
-        data = ClientDataset(cid, rng.standard_normal((labels.size, dim)), labels, [0, 2, 4],
-                             np.arange(0, 12, 2), np.arange(1, 12, 2))
+        labels = np.repeat([0, 2, 4], 2)
+        features = rng.standard_normal((2 * labels.size, dim))
+        data = ClientDataset(cid, features[0::2], labels, features[1::2], labels)
         clients.append(make_client(data, n_classes, k, 8, lr=1e-3, weight=0.25 * cid, rng=rng))
 
     first, second = tmp_path / "first", tmp_path / "second"
