@@ -8,10 +8,13 @@ small base space:
 * ``lm`` (linear mapping): every client sees its own random linear image
   of the base space, with a client-specific output dimension.
 
-Each class pool is shared evenly among the clients holding that class,
-clients are randomly subsampled to create size imbalance, and every
-client gets a stratified train/test split. Generation is a pure
-function of the spec (seed included).
+Sample ids number the base rows class by class, so a class pool is a
+range of consecutive ids. Each pool is shared evenly among the clients
+holding that class, clients are randomly subsampled to create size
+imbalance, and every client gets a stratified train/test split:
+:func:`partition_clients` hands each client one array of training ids
+and one of test ids. Generation is a pure function of the spec (seed
+included).
 
 ``flic datagen`` writes a dataset directory with :func:`save_clients`,
 and :func:`load_clients` reads it back exactly. ``arrays.npz`` holds four
@@ -58,7 +61,7 @@ SIZES = ("train_rows", "test_rows", "width")
 
 class PoolTooSmallError(ValueError):
     """A class pool has fewer samples than the clients holding the class,
-    or a client keeps too few rows for a training and a test row.
+    or a client keeps too few rows for a test row.
 
     The holder counts are drawn at random, so the spec cannot be checked
     for this before the partition is drawn."""
@@ -151,85 +154,64 @@ def _assign_classes(spec: ToyDatasetSpec, rng) -> list[np.ndarray]:
         np.sort(rng.choice(spec.n_classes, size=spec.classes_per_client, replace=False))
         for _ in range(spec.clients)
     ]
-    counts = np.zeros(spec.n_classes, dtype=int)
-    for cls in assignment:
-        counts[cls] += 1
-    for c in range(spec.n_classes):
-        if counts[c] > 0:
-            continue
+    counts = np.bincount(np.concatenate(assignment), minlength=spec.n_classes)
+    for c in np.flatnonzero(counts == 0):
         # steal a slot from a client whose classes all have other holders
-        order = rng.permutation(spec.clients)
-        placed = False
-        for j in order:
+        for j in rng.permutation(spec.clients):
             cand = [x for x in assignment[j] if counts[x] > 1]
-            if not cand:
-                continue
-            drop = cand[int(np.argmax([counts[x] for x in cand]))]
-            cls = assignment[j].tolist()
-            cls.remove(drop)
-            cls.append(c)
-            assignment[j] = np.sort(np.asarray(cls))
-            counts[drop] -= 1
-            counts[c] += 1
-            placed = True
-            break
-        if not placed:
+            if cand:
+                drop = cand[int(np.argmax([counts[x] for x in cand]))]
+                assignment[j] = np.sort(np.append(assignment[j][assignment[j] != drop], c))
+                counts[drop] -= 1
+                counts[c] += 1
+                break
+        else:
             raise ValueError("could not cover every class with a holder")
     return assignment
 
 
-def partition_clients(pools: dict[int, np.ndarray], spec: ToyDatasetSpec, rng):
-    """Distribute per-class sample pools to clients.
+def partition_clients(spec: ToyDatasetSpec, rng) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Distribute the class pools to clients.
 
-    Every class pool is split evenly among its holders, each client then
-    keeps a random fraction (drawn from the imbalance range) of every
-    class slice, and the kept samples get a stratified train/test split.
-    Assignments are disjoint across clients.
+    Class ``c``'s pool is the ids ``c * n`` to ``(c + 1) * n - 1``, for
+    ``n = samples_per_class``. Every pool is split evenly among its
+    holders, each client then keeps a random fraction (drawn from the
+    imbalance range) of every class slice, and the kept samples get a
+    stratified train/test split. Assignments are disjoint across clients.
 
-    Returns a list (one entry per client) of dicts
-    ``{"ids": {class: sample ids}, "train": {class: ids}, "test": {class: ids}}``.
+    Returns one ``(train_ids, test_ids)`` pair per client; each array joins
+    the client's per-class splits in class order.
     """
-    for c in range(spec.n_classes):
-        if c not in pools or len(pools[c]) == 0:
-            raise ValueError(f"class {c} has an empty pool")
-    assignment = _assign_classes(spec, rng)
-    holders: dict[int, list[int]] = {c: [] for c in range(spec.n_classes)}
-    for i, cls in enumerate(assignment):
+    n = spec.samples_per_class
+    holders: list[list[int]] = [[] for _ in range(spec.n_classes)]
+    for i, cls in enumerate(_assign_classes(spec, rng)):
         for c in cls:
-            holders[int(c)].append(i)
+            holders[c].append(i)
 
-    shares: list[dict[int, np.ndarray]] = [dict() for _ in range(spec.clients)]
-    for c in range(spec.n_classes):
-        if not holders[c]:
-            raise ValueError(f"class {c} has zero holders")
-        if len(pools[c]) < len(holders[c]):
+    # Classes are visited in order, so each client's slices are in class order.
+    slices: list[list[np.ndarray]] = [[] for _ in range(spec.clients)]
+    for c, held_by in enumerate(holders):
+        if n < len(held_by):
             raise PoolTooSmallError(
-                f"class {c} pool of {len(pools[c])} samples is smaller than "
-                f"its {len(holders[c])} holders"
+                f"class {c} pool of {n} samples is smaller than its {len(held_by)} holders"
             )
-        pool = rng.permutation(np.asarray(pools[c]))
-        for i, chunk in zip(holders[c], np.array_split(pool, len(holders[c]))):
-            shares[i][c] = chunk
+        pool = rng.permutation(np.arange(c * n, (c + 1) * n))
+        for i, chunk in zip(held_by, np.array_split(pool, len(held_by))):
+            slices[i].append(chunk)
 
     out = []
-    for i in range(spec.clients):
+    for chunks in slices:
         frac = rng.uniform(spec.imbalance_min, spec.imbalance_max)
-        kept: dict[int, np.ndarray] = {}
-        train: dict[int, np.ndarray] = {}
-        test: dict[int, np.ndarray] = {}
-        for c in sorted(shares[i]):
-            chunk = shares[i][c]
-            n_keep = int(round(frac * len(chunk)))
-            n_keep = min(len(chunk), max(2, n_keep)) if len(chunk) >= 2 else len(chunk)
-            ids = rng.permutation(chunk)[:n_keep]
-            kept[c] = np.sort(ids)
-            shuffled = rng.permutation(kept[c])
-            n_test = int(np.floor(spec.test_fraction * len(shuffled)))
-            if n_test == 0 and len(shuffled) >= 2:
+        train, test = [], []
+        for chunk in chunks:
+            n_keep = min(len(chunk), max(2, int(round(frac * len(chunk)))))
+            shuffled = rng.permutation(np.sort(rng.permutation(chunk)[:n_keep]))
+            n_test = int(np.floor(spec.test_fraction * n_keep))
+            if n_test == 0 and n_keep >= 2:
                 n_test = 1
-            test[c] = shuffled[:n_test]
-            train[c] = shuffled[n_test:]
-        out.append({"ids": kept, "train": train, "test": test})
+            test.append(shuffled[:n_test])
+            train.append(shuffled[n_test:])
+        out.append((np.concatenate(train), np.concatenate(test)))
     return out
 
 
@@ -259,16 +241,13 @@ def generate(spec: ToyDatasetSpec) -> list[ClientDataset]:
         [means[c] + rng_base.standard_normal((n, spec.base_dim)) * scales[c]
          for c in range(spec.n_classes)]
     )
-    labels = np.repeat(np.arange(spec.n_classes), n)
-    pools = {c: np.arange(c * n, (c + 1) * n) for c in range(spec.n_classes)}
-    parts = partition_clients(pools, spec, stream(spec.seed, _TAG_PARTITION))
+    parts = partition_clients(spec, stream(spec.seed, _TAG_PARTITION))
 
     datasets = []
-    for i, part in enumerate(parts):
-        classes = sorted(part["ids"])
-        # Pools are consecutive id ranges in class order, so ``ids`` is
-        # sorted and a sample's row is its position in ``ids``.
-        ids = np.concatenate([part["ids"][c] for c in classes])
+    for i, (train_ids, test_ids) in enumerate(parts):
+        # Pools are consecutive id ranges in class order: a client's base
+        # rows are its ids in increasing order, and an id's class is id // n.
+        ids = np.sort(np.concatenate([train_ids, test_ids]))
         rng = stream(spec.seed, _TAG_CLIENT, i)
         if spec.variant == "lm":
             out_dim = int(rng.integers(spec.map_dim_min, spec.map_dim_max + 1))
@@ -276,14 +255,10 @@ def generate(spec: ToyDatasetSpec) -> list[ClientDataset]:
         else:
             extra = int(rng.integers(spec.noise_dim_min, spec.noise_dim_max + 1))
             feats = np.hstack([base[ids], rng.standard_normal((len(ids), extra))])
-        train = np.searchsorted(ids, np.concatenate([part["train"][c] for c in classes]))
-        test = np.searchsorted(ids, np.concatenate([part["test"][c] for c in classes]))
-        if not (len(train) and len(test)):
-            raise PoolTooSmallError(
-                f"client {i} keeps too few rows ({len(ids)}) for a training and a test row"
-            )
-        y = labels[ids]
-        datasets.append(ClientDataset(i, feats[train], y[train], feats[test], y[test]))
+        if not len(test_ids):
+            raise PoolTooSmallError(f"client {i} keeps too few rows ({len(ids)}) for a test row")
+        train, test = np.searchsorted(ids, train_ids), np.searchsorted(ids, test_ids)
+        datasets.append(ClientDataset(i, feats[train], train_ids // n, feats[test], test_ids // n))
     return datasets
 
 
@@ -311,17 +286,19 @@ def load_clients(data_dir) -> tuple[list[ClientDataset], int]:
     """Read a dataset directory that :func:`save_clients` wrote.
 
     Each member of ``arrays.npz`` is read once and cut into the clients'
-    arrays, views of it. A missing or extra member (a directory in an
-    older layout included), a client id listed twice, sizes that are
-    negative or do not add up to a member, a training label outside
-    ``[0, n_classes)`` and a client that fails the ``ClientDataset``
-    checks raise an ``OSError`` naming ``arrays.npz``.
+    arrays, views of it. A manifest that lists no clients, a missing or
+    extra member (a directory in an older layout included), a client id
+    listed twice, sizes that are negative or do not add up to a member, a
+    training label outside ``[0, n_classes)`` and a client that fails the
+    ``ClientDataset`` checks raise an ``OSError`` naming the file at fault.
     """
     root = Path(data_dir)
     manifest_path, arrays_path = root / "manifest.json", root / "arrays.npz"
     with malformed_file(manifest_path):
         manifest = json.loads(manifest_path.read_text())
         ids, n_classes = list(manifest["clients"]), int(manifest["n_classes"])
+        if not ids:
+            raise ValueError("the manifest lists no clients")
     with malformed_file(arrays_path, manifest_path), np.load(arrays_path) as arrays:
         if sorted(arrays.files) != sorted(CLIENT_ARRAYS):
             shown = arrays.files[:len(CLIENT_ARRAYS)]

@@ -148,6 +148,8 @@ def load_checkpoint(ckpt_dir):
     root = Path(ckpt_dir)
     with malformed_file(root / "meta.json"):
         meta = json.loads((root / "meta.json").read_text())
+        if not meta["clients"]:
+            raise ValueError("the checkpoint lists no clients")
     with malformed_file(root / "arrays.npz", root / "meta.json"), \
             np.load(root / "arrays.npz") as arrays:
         alpha = _load_mlp("alpha", meta["alpha_activations"], arrays)

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import flic
 from flic import cli
@@ -399,6 +401,20 @@ def _damage(kind, data, ckpt):
         _rewrite_client0(data, **{name: lambda ds, name=name: getattr(ds, name)[:0]
                                   for name in CLIENT_ARRAYS})
         return data / "arrays.npz"
+    if kind == "manifest with no clients":
+        # consistent in every other way: no sizes and empty members
+        manifest = json.loads((data / "manifest.json").read_text())
+        (data / "manifest.json").write_text(json.dumps(
+            {**manifest, "clients": [], "sizes": {name: [] for name in manifest["sizes"]}}
+        ))
+        with np.load(data / "arrays.npz") as arrays:
+            empty = {name: arrays[name][:0] for name in arrays.files}
+        _rewrite_npz(data / "arrays.npz", **empty)
+        return data / "manifest.json"
+    if kind == "meta with no clients":
+        meta = json.loads((ckpt / "meta.json").read_text())
+        (ckpt / "meta.json").write_text(json.dumps({**meta, "clients": []}))
+        return ckpt / "meta.json"
     if kind == "meta not JSON":
         (ckpt / "meta.json").write_text('{"round": 1,')
         return ckpt / "meta.json"
@@ -439,9 +455,15 @@ def _damage(kind, data, ckpt):
         ("eval", "alpha without layers"),
         ("eval", "head with 3 input rows"),
         ("eval", "anchors at latent 4"),
+        ("eval", "manifest with no clients"),
+        ("eval", "meta with no clients"),
         ("run", "manifest not JSON"),
         ("run", "client 0 with no rows"),
+        ("run", "manifest with no clients"),
+        ("run-local", "manifest with no clients"),
         ("onboard", "meta not JSON"),
+        ("onboard", "manifest with no clients"),
+        ("onboard", "meta with no clients"),
         ("onboard", "client 0 with no rows"),
         ("onboard", "head with 3 input rows"),
         ("onboard", "anchors at latent 4"),
@@ -454,6 +476,8 @@ def test_malformed_dataset_or_checkpoint_exits_with_io_code(command, kind, train
     argv = {
         "eval": ["eval", "--checkpoint", str(ckpt), "--data", str(data)],
         "run": ["run", "--config", str(config), "--out", str(tmp_path / "again")],
+        "run-local": ["run", "--config", str(config), "--mode", "local",
+                      "--out", str(tmp_path / "again")],
         "onboard": ["onboard", "--config", str(config), "--checkpoint", str(ckpt),
                     "--data", str(data), "--client-id", "0"],
     }[command]
@@ -543,3 +567,64 @@ def test_inconsistent_dataset_directory_exits_with_io_code(kind, message, traine
     out = capsys.readouterr()
     assert out.err.startswith("i/o error: malformed ") and str(data / "arrays.npz") in out.err
     assert message in out.err
+
+
+# A tiny valid run, and for each key the edges of its range, a step past
+# them, and extremes a tiny run can still afford.
+EDGE_BASE = {"clients": 8, "n_classes": 4, "classes_per_client": 2, "samples_per_class": 20,
+             "rounds": 1, "participation": 0.5, "local_steps": 1, "batch_size": 10,
+             "anchor_samples": 10, "latent_dim": 3, "hidden_dim": 4, "noise_dim_max": 2,
+             "map_dim_min": 2, "map_dim_max": 4}
+EDGES = {
+    "seed": [-1, 0, 2**63 - 1],
+    "workers": [0, 1, 2],
+    "variant": ["lm", "nf", "xx"],
+    "rounds": [-1, 0, 2],
+    "participation": [0.0, 1e-9, 1.0, 1.5],
+    "local_steps": [0, 1, 3],
+    "batch_size": [0, 1, 10**9],
+    "lr": [-1.0, 0.0, 1e-12, 1e3],
+    "lambda1": [-1.0, 0.0, 1e3],
+    "lambda2": [-1.0, 0.0, 1e3],
+    "anchor_samples": [0, 1, 2],
+    "eps": [0.0, 1e-300, 1e3],
+    "final_local_rounds": [-1, 0, 1],
+    "n_classes": [0, 1, 2, 16],
+    "samples_per_class": [0, 1, 2, 3],
+    "base_dim": [0, 1, 30],
+    "clients": [0, 1, 2, 3],
+    "classes_per_client": [0, 1, 4, 5],
+    "noise_dim_min": [-1, 0, 3],
+    "noise_dim_max": [0, 1, 40],
+    "map_dim_min": [0, 1, 5],
+    "map_dim_max": [1, 40],
+    "imbalance_min": [0.0, 1e-9, 1.0],
+    "imbalance_max": [1e-9, 1.0, 1.5],
+    "mean_scale": [-1.0, 0.0, 1e9],
+    "test_fraction": [0.0, 1e-9, 0.999, 1.0],
+    "latent_dim": [0, 1, 40],
+    "hidden_dim": [0, 1, 40],
+    "cov_learnable": [False, True],
+    "anchor_init_scale": [None, 0.0, 1e-9, 1e9],
+}
+
+
+@st.composite
+def edge_configs(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(EDGES)), unique=True, max_size=3))
+    return {**EDGE_BASE, **{key: draw(st.sampled_from(EDGES[key])) for key in keys}}
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@example(values=EDGE_BASE, mode="flic")
+@given(values=edge_configs(), mode=st.sampled_from(["flic", "local"]))
+def test_run_exits_only_with_documented_codes(tmp_path_factory, values, mode):
+    """``flic run`` ends in 0, 2, 3 or 4 whatever the config; any other
+    exception, a warning included, fails the test."""
+    tmp = tmp_path_factory.mktemp("edge")
+    config = tmp / "config.json"
+    config.write_text(json.dumps(values))
+    code = cli.main(["run", "--config", str(config), "--mode", mode, "--out", str(tmp / "out")])
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DIVERGENCE, cli.EXIT_IO)
+    if values == EDGE_BASE:
+        assert code == cli.EXIT_OK

@@ -69,11 +69,32 @@ FINGERPRINTS = {
 }
 
 
+# ``{**SMALL, "clients": 4}`` at seed 0. The first class draws there leave
+# classes 1 and 4 without a holder, so these go through the repair of the
+# class assignment, which none of ``FINGERPRINTS`` reaches.
+REPAIR_FINGERPRINTS = {
+    "lm": (
+        "5d9923823032d827b3bb7373994bf735"
+        "5af6dc279fe086ebe2523e8f0cf1d093"
+    ),
+    "nf": (
+        "fc3703637477f28f372ed977f77e4f37"
+        "7a0df97c5f871808a87dc6c9741592a9"
+    ),
+}
+
+
 @pytest.mark.parametrize("variant,seed,noise", sorted(FINGERPRINTS, key=str))
 def test_generate_fingerprint(variant, seed, noise):
     extra = {} if noise is None else {"noise_dim_min": noise[0], "noise_dim_max": noise[1]}
     spec = ToyDatasetSpec(variant=variant, seed=seed, **SMALL, **extra)
     assert fingerprint(generate(spec)) == FINGERPRINTS[variant, seed, noise]
+
+
+@pytest.mark.parametrize("variant", sorted(REPAIR_FINGERPRINTS))
+def test_generate_fingerprint_through_the_class_repair(variant):
+    spec = ToyDatasetSpec(variant=variant, seed=0, **{**SMALL, "clients": 4})
+    assert fingerprint(generate(spec)) == REPAIR_FINGERPRINTS[variant]
 
 
 def test_zero_noise_dims_keep_the_base_space():
@@ -104,21 +125,25 @@ def partition_cases(draw):
 @given(partition_cases())
 def test_partition_properties(case):
     spec, seed = case
-    per = spec.samples_per_class
-    pools = {c: np.arange(c * per, (c + 1) * per) for c in range(spec.n_classes)}
-    parts = partition_clients(pools, spec, np.random.default_rng(seed))
+    n = spec.samples_per_class
+    parts = partition_clients(spec, np.random.default_rng(seed))
     assert len(parts) == spec.clients
     owner = {}
-    for i, part in enumerate(parts):
-        assert len(part["ids"]) == spec.classes_per_client
-        for c, ids in part["ids"].items():
-            assert len(ids) > 0 and set(ids.tolist()) <= set(pools[c].tolist())
-            for g in ids.tolist():
-                assert owner.setdefault(g, i) == i, f"sample {g} held by two clients"
-            train, test = set(part["train"][c].tolist()), set(part["test"][c].tolist())
-            assert not train & test
-            assert train | test == set(ids.tolist())
-    held = {c for part in parts for c in part["ids"]}
+    held = set()
+    for i, (train, test) in enumerate(parts):
+        ids = np.concatenate([train, test])
+        # class c's pool is the ids c * n to (c + 1) * n - 1
+        assert ids.min() >= 0 and ids.max() < spec.n_classes * n
+        classes = set((ids // n).tolist())
+        assert len(classes) == spec.classes_per_client
+        assert set((train // n).tolist()) == classes, "a held class has no training id"
+        for split in (train, test):
+            assert np.all(np.diff(split // n) >= 0), "a split is not in class order"
+        assert len(set(ids.tolist())) == len(ids), "a client holds an id twice"
+        assert not set(train.tolist()) & set(test.tolist())
+        for g in ids.tolist():
+            assert owner.setdefault(g, i) == i, f"sample {g} held by two clients"
+        held |= classes
     assert held == set(range(spec.n_classes))
 
 
