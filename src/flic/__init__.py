@@ -33,12 +33,14 @@ from .gaussian import bures_sq_value_grad
 from .nets import AdamState, Mlp, adam_step, alignment_loss_grad, backward, cross_entropy, forward
 from .theory import (
     TheoryConfig,
+    TheoryInstance,
     fedrep_linear_round,
     init_A0,
     make_instance,
     oracle_phi_star,
     principal_angle_dist,
     run_theory_experiment,
+    solve_head,
 )
 
 __version__ = "0.1.0"

@@ -156,7 +156,10 @@ def _assign_classes(spec: ToyDatasetSpec, rng) -> list[np.ndarray]:
     ]
     counts = np.bincount(np.concatenate(assignment), minlength=spec.n_classes)
     for c in np.flatnonzero(counts == 0):
-        # steal a slot from a client whose classes all have other holders
+        # Steal a slot from a client holding a class that has another
+        # holder. There always is one: the clients * classes_per_client >=
+        # n_classes slots lie on at most n_classes - 1 classes while c has
+        # none, so some class has two holders.
         for j in rng.permutation(spec.clients):
             cand = [x for x in assignment[j] if counts[x] > 1]
             if cand:
@@ -165,8 +168,6 @@ def _assign_classes(spec: ToyDatasetSpec, rng) -> list[np.ndarray]:
                 counts[drop] -= 1
                 counts[c] += 1
                 break
-        else:
-            raise ValueError("could not cover every class with a holder")
     return assignment
 
 

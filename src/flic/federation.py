@@ -528,11 +528,11 @@ def onboard_new_client(
     The shared layer and anchors are received read-only; only the
     client's embedding and head are trained, for ``rounds`` rounds of
     ``cfg.local_steps`` steps (default: ``cfg.rounds``). The global
-    state is left untouched.
+    state is left untouched. Every class the dataset holds must be one of
+    the anchors' classes, below ``global_state.anchors.n_classes``; the
+    ``onboard`` command checks this on its input.
     """
     n_classes = global_state.anchors.n_classes
-    if dataset.classes[-1] >= n_classes:
-        raise ValueError("dataset labels outside the anchor class range")
     rng = stream(cfg.seed, TAG_ONBOARD, dataset.client_id)
     client = make_client(
         dataset,

@@ -13,15 +13,14 @@ with the principal angle distance.
 
 The data and the embedding are fixed for the whole run, so a client's
 head solve and its representation gradient depend on its training data
-only through the sufficient statistics ``G_i = Phi_i^T Phi_i`` and
-``c_i = Phi_i^T y_i`` of its embedded training set ``Phi_i``, the
-spectral initialization only through the label-weighted second moment
-``(Phi_i * y_i^2)^T Phi_i / n_i``, and its test error only through the
-embedded test set. :func:`make_instance` whitens every client's raw
-draws once, as it draws them, and keeps only these, stacked over
-clients; nothing re-embeds raw data, so the rounds' cost and the
-instance's memory do not grow with the number of training samples per
-client.
+only through ``G_i = Phi_i^T Phi_i`` and ``c_i = Phi_i^T y_i`` of its
+embedded training set ``Phi_i``, the spectral initialization only
+through the client average of ``(Phi_i * y_i^2)^T Phi_i / n``, and its
+test error only through the embedded test set. :func:`make_instance`
+whitens each client's raw draws once and keeps only these, in a frozen
+:class:`TheoryInstance`, so no cost grows with the training samples per
+client. The run's state is not in the instance: a round takes the
+representation ``A`` and returns the next one with the active heads.
 """
 
 from __future__ import annotations
@@ -99,70 +98,59 @@ class TheoryConfig:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TheoryInstance:
-    """One generated problem and the state of the rounds run on it.
+    """One generated problem: the oracle and the per-client statistics
+    of the estimated embedding ``Q * oracle_phi_star``. Rounds only read it.
 
-    The raw data are not kept. ``gram``, ``moment``, ``label_moment``,
-    ``n_train`` and ``phi_test`` are the per-client statistics of the
-    estimated embedding ``Q * oracle_phi_star``, stacked over clients:
-    of the training set, the unnormalized Gram matrix ``Phi_i^T Phi_i``,
-    the moment ``Phi_i^T y_i``, the label-weighted second moment
-    ``(Phi_i * y_i^2)^T Phi_i / n_i`` and the sample count ``n_i``; and
-    the embedded test set. They must agree with one draw of raw data;
+    The raw data are not kept. ``gram`` and ``moment`` hold, per client,
+    the unnormalized Gram matrix ``Phi_i^T Phi_i`` and the moment
+    ``Phi_i^T y_i`` of the embedded training set, ``n_train`` rows each;
+    ``init_moment`` is the client average of ``(Phi_i * y_i^2)^T Phi_i /
+    n_train``; ``phi_test`` and ``y_test`` are the embedded test sets and
+    their labels. They must agree with one draw of raw data;
     :func:`make_instance` builds all of them together.
     """
 
-    latent_dim: int
-    head_dim: int
-    means: list[np.ndarray]
-    eig_vecs: list[np.ndarray]  # per client, columns sorted by decreasing eigenvalue
-    eig_vals: list[np.ndarray]
-    sign_star: np.ndarray  # diagonal of the oracle's +-1 matrix, shared
-    sign_hat: np.ndarray  # diagonal of the estimate's +-1 matrix, shared
     A_star: np.ndarray  # (k, d), orthonormal columns
     betas_star: np.ndarray  # (b, d), rows of norm sqrt(d)
-    y_test: np.ndarray  # (b, n_test)
+    Q: np.ndarray  # (k,), diagonal of the +-1 matrix between estimate and oracle
     gram: np.ndarray  # (b, k, k)
     moment: np.ndarray  # (b, k)
-    label_moment: np.ndarray  # (b, k, k)
-    n_train: np.ndarray  # (b,)
+    init_moment: np.ndarray  # (k, k)
+    n_train: int
     phi_test: np.ndarray  # (b, n_test, k)
+    y_test: np.ndarray  # (b, n_test)
     step_size: float
-    A: np.ndarray | None = None
-    betas: np.ndarray | None = None
 
     @property
     def n_clients(self) -> int:
-        return len(self.means)
+        return self.betas_star.shape[0]
 
     @property
-    def Q(self) -> np.ndarray:
-        """Diagonal of the sign indeterminacy between estimate and oracle."""
-        return self.sign_hat * self.sign_star
+    def latent_dim(self) -> int:
+        return self.A_star.shape[0]
+
+    @property
+    def head_dim(self) -> int:
+        return self.A_star.shape[1]
 
     @property
     def QA_star(self) -> np.ndarray:
         return self.Q[:, None] * self.A_star
 
 
-def oracle_phi_star(inst: TheoryInstance, i: int, X) -> np.ndarray:
-    """The ground-truth whitening embedding of client i."""
+def oracle_phi_star(X, mean, eig_vecs, eig_vals, sign_star) -> np.ndarray:
+    """The ground-truth whitening embedding of the rows of ``X``, for a
+    client drawn from ``N(mean, eig_vecs diag(eig_vals) eig_vecs^T)``
+    (eigenvalues decreasing), with the oracle signs ``sign_star``."""
     X = np.asarray(X, dtype=float)
-    single = X.ndim == 1
-    if single:
-        X = X[None, :]
     if not np.all(np.isfinite(X)):
         raise ValueError("input contains non-finite values")
-    k = inst.latent_dim
-    if X.shape[1] != inst.means[i].size:
-        raise ValueError(
-            f"input dimension {X.shape[1]} does not match client {i}"
-        )
-    P_k = inst.eig_vecs[i][:, :k]
-    vals = inst.eig_vals[i][:k]
-    out = ((X - inst.means[i]) @ P_k) / np.sqrt(vals) * inst.sign_star
-    return out[0] if single else out
+    if X.ndim != 2 or X.shape[1] != mean.size:
+        raise ValueError(f"input of shape {X.shape} is not rows of dimension {mean.size}")
+    k = sign_star.size
+    return ((X - mean) @ eig_vecs[:, :k]) / np.sqrt(eig_vals[:k]) * sign_star
 
 
 def _sigma_max_sq_cap(betas_star, active_size, rng) -> float:
@@ -192,15 +180,13 @@ def _draw_oracle(rng, config: TheoryConfig):
     return A_star, betas_star, sign_star, sign_hat
 
 
-def _draw_client(rng, config: TheoryConfig, i: int):
-    """Client i's draws, in stream order: ``(mean, eig_vecs, eig_vals,
+def _draw_client(rng, config: TheoryConfig):
+    """A client's draws, in stream order: ``(mean, eig_vecs, eig_vals,
     X_train, X_test)``, the raw sets from ``N(mean, P diag(vals) P^T)``."""
     k_i = int(rng.integers(config.raw_dim_min, config.raw_dim_max + 1))
     m_i = rng.standard_normal(k_i)
     P_i = _positive_qr(rng.standard_normal((k_i, k_i)))[0]
-    vals = np.sort(rng.uniform(0.5, 2.0, size=k_i))[::-1]
-    if vals[config.latent_dim - 1] < _EIG_FLOOR:
-        raise ValueError(f"client {i}: degenerate top-{config.latent_dim} spectrum")
+    vals = np.sort(rng.uniform(0.5, 2.0, size=k_i))[::-1]  # at least 0.5: never degenerate
 
     def draw(n):
         xi = rng.standard_normal((n, k_i))
@@ -213,70 +199,59 @@ def make_instance(config: TheoryConfig) -> TheoryInstance:
     rng = stream(config.seed, _TAG_INSTANCE)
     k, b, n_test = config.latent_dim, config.clients, config.test_samples
     A_star, betas_star, sign_star, sign_hat = _draw_oracle(rng, config)
-    inst = TheoryInstance(
-        latent_dim=k,
-        head_dim=config.head_dim,
-        means=[],
-        eig_vecs=[],
-        eig_vals=[],
-        sign_star=sign_star,
-        sign_hat=sign_hat,
-        A_star=A_star,
-        betas_star=betas_star,
-        y_test=np.empty((b, n_test)),
-        gram=np.empty((b, k, k)),
-        moment=np.empty((b, k)),
-        label_moment=np.empty((b, k, k)),
-        n_train=np.empty(b, dtype=int),
-        phi_test=np.empty((b, n_test, k)),
-        step_size=config.step_size,
-    )
+    Q = sign_hat * sign_star
+    gram = np.empty((b, k, k))
+    moment = np.empty((b, k))
+    phi_test = np.empty((b, n_test, k))
+    y_test = np.empty((b, n_test))
+    init_moment = np.zeros((k, k))
     # Each client's raw sets are reduced to its statistics before the next
     # client is drawn. One whitening pass per set: the oracle embedding
     # gives the labels, and times Q (exact, a sign flip) the estimated one.
-    Q = inst.Q
     for i in range(b):
-        m_i, P_i, vals, X_train, X_test = _draw_client(rng, config, i)
-        inst.means.append(m_i)
-        inst.eig_vecs.append(P_i)
-        inst.eig_vals.append(vals)
+        m_i, P_i, vals, X_train, X_test = _draw_client(rng, config)
         w = A_star @ betas_star[i]
-        Z = oracle_phi_star(inst, i, X_train)
+        Z = oracle_phi_star(X_train, m_i, P_i, vals, sign_star)
         y = Z @ w
         Phi = Z * Q
-        inst.gram[i] = Phi.T @ Phi
-        inst.moment[i] = Phi.T @ y
-        inst.label_moment[i] = (Phi * (y**2)[:, None]).T @ Phi / y.size
-        inst.n_train[i] = y.size
-        Z = oracle_phi_star(inst, i, X_test)
-        inst.y_test[i] = Z @ w
-        inst.phi_test[i] = Z * Q
+        gram[i] = Phi.T @ Phi
+        moment[i] = Phi.T @ y
+        init_moment += (Phi * (y**2)[:, None]).T @ Phi / y.size
+        Z = oracle_phi_star(X_test, m_i, P_i, vals, sign_star)
+        y_test[i] = Z @ w
+        phi_test[i] = Z * Q
 
     active_size = active_count(b, config.participation)
     cap = _sigma_max_sq_cap(betas_star, active_size, rng)
-    inst.step_size = min(config.step_size, 1.0 / (4.0 * cap))
-    return inst
+    return TheoryInstance(
+        A_star=A_star,
+        betas_star=betas_star,
+        Q=Q,
+        gram=gram,
+        moment=moment,
+        init_moment=init_moment / b,
+        n_train=config.samples,
+        phi_test=phi_test,
+        y_test=y_test,
+        step_size=min(config.step_size, 1.0 / (4.0 * cap)),
+    )
 
 
 def init_A0(inst: TheoryInstance) -> np.ndarray:
-    """Spectral initialization from label-weighted second moments.
-
-    Each client contributes ``(1/n) sum_j y_j^2 phi(x_j) phi(x_j)^T`` for
-    the estimated embedding ``phi = Q * oracle_phi_star``,
-    stored as ``inst.label_moment``; the top-d eigenvectors of the client
-    average seed the representation.
+    """Spectral initialization: the top-d eigenvectors of the client
+    average of ``(1/n) sum_j y_j^2 phi(x_j) phi(x_j)^T`` for the
+    estimated embedding ``phi = Q * oracle_phi_star``, stored as
+    ``inst.init_moment``, seed the representation.
     """
-    M = inst.label_moment.sum(axis=0) / inst.n_clients
-    vals, vecs = np.linalg.eigh(M)
+    vals, vecs = np.linalg.eigh(inst.init_moment)
     d = inst.head_dim
     if vals[-d] <= _EIG_FLOOR * max(vals[-1], 1.0):
         raise ValueError("fewer than d numerically distinct dominant directions")
     A0 = vecs[:, -d:][:, ::-1]
-    # fix eigenvector signs for determinism
+    # fix eigenvector signs for determinism: a unit column's largest
+    # entry is nonzero, so each sign is +-1
     picks = np.argmax(np.abs(A0), axis=0)
-    signs = np.sign(A0[picks, np.arange(d)])
-    signs[signs == 0] = 1.0
-    return A0 * signs
+    return A0 * np.sign(A0[picks, np.arange(d)])
 
 
 def solve_head(inst: TheoryInstance, i, A: np.ndarray) -> np.ndarray:
@@ -289,27 +264,22 @@ def solve_head(inst: TheoryInstance, i, A: np.ndarray) -> np.ndarray:
     return np.linalg.solve(G, rhs[..., None])[..., 0]
 
 
-def fedrep_linear_round(inst: TheoryInstance, active) -> TheoryInstance:
-    """One communication round: exact head solves for the active clients
-    (one batched solve), one averaged gradient step on the representation,
-    QR re-orthonormalization (positive diagonal convention).
+def fedrep_linear_round(inst: TheoryInstance, A: np.ndarray, active):
+    """One communication round from representation ``A``: exact head
+    solves for the active clients (one batched solve), one averaged
+    gradient step on the representation, QR re-orthonormalization
+    (positive diagonal convention). Returns ``(A_next, betas)``, ``betas``
+    the heads of the active clients in increasing client order.
 
-    Client i's squared-loss gradient is ``-(2/n_i)(c_i - G_i A beta_i)
+    Client i's squared-loss gradient is ``-(2/n)(c_i - G_i A beta_i)
     beta_i^T``, so the step reads only the per-client statistics."""
-    if inst.A is None:
-        raise ValueError("initialize inst.A (e.g. via init_A0) first")
     idx = np.sort(np.asarray(active, dtype=int))
     if idx.size == 0:
         raise ValueError("active set is empty")
-    A = inst.A
     betas = solve_head(inst, idx, A)
-    inst.betas[idx] = betas
-    counts = inst.n_train[idx].astype(float)
     resid = inst.moment[idx] - (inst.gram[idx] @ A @ betas[:, :, None])[:, :, 0]
-    grads = -(2.0 / counts)[:, None, None] * resid[:, :, None] * betas[:, None, :]
-    A_bar = A - inst.step_size * grads.mean(axis=0)
-    inst.A = _positive_qr(A_bar)[0]
-    return inst
+    grads = -(2.0 / inst.n_train) * resid[:, :, None] * betas[:, None, :]
+    return _positive_qr(A - inst.step_size * grads.mean(axis=0))[0], betas
 
 
 def principal_angle_dist(M, N) -> float:
@@ -338,9 +308,10 @@ def _orthonormalize(M: np.ndarray) -> np.ndarray:
     return Q
 
 
-def _test_mse(inst: TheoryInstance) -> float:
-    """Held-out squared error, averaged per client, then over clients."""
-    W = inst.betas @ inst.A.T
+def _test_mse(inst: TheoryInstance, A: np.ndarray, betas: np.ndarray) -> float:
+    """Held-out squared error of representation ``A`` and the heads
+    ``betas`` (one row per client), averaged per client, then over clients."""
+    W = betas @ A.T
     pred = (inst.phi_test @ W[:, :, None])[:, :, 0]
     return float(np.mean(np.mean((pred - inst.y_test) ** 2, axis=1)))
 
@@ -348,19 +319,19 @@ def _test_mse(inst: TheoryInstance) -> float:
 def run_theory_experiment(config: TheoryConfig):
     """Build an instance, run the alternating rounds, record the trace.
 
-    Returns ``(instance, rows)`` with one row ``(t, dist, mse)`` per
-    round plus the initial row, T+1 rows total. ``dist`` measures the
-    principal angle between the current representation and the
-    sign-corrected oracle one; ``mse`` is held-out prediction error.
+    Returns ``(A, rows)``: the final representation and one row ``(t,
+    dist, mse)`` per round plus the initial row, T+1 rows total. ``dist``
+    measures the principal angle between the current representation and
+    the sign-corrected oracle one; ``mse`` is held-out prediction error.
     """
     inst = make_instance(config)
-    inst.A = init_A0(inst)
-    inst.betas = solve_head(inst, np.arange(inst.n_clients), inst.A)
+    A = init_A0(inst)
+    betas = solve_head(inst, np.arange(inst.n_clients), A)
     target = inst.QA_star
-    rows = [(0, principal_angle_dist(inst.A, target), _test_mse(inst))]
+    rows = [(0, principal_angle_dist(A, target), _test_mse(inst, A, betas))]
     for t in range(1, config.rounds + 1):
         active = select_active_clients(inst.n_clients, config.participation,
                                        stream(config.seed, _TAG_SELECT, t))
-        fedrep_linear_round(inst, active)
-        rows.append((t, principal_angle_dist(inst.A, target), _test_mse(inst)))
-    return inst, rows
+        A, betas[np.sort(active)] = fedrep_linear_round(inst, A, active)
+        rows.append((t, principal_angle_dist(A, target), _test_mse(inst, A, betas)))
+    return A, rows

@@ -8,7 +8,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flic.datagen import (
@@ -121,8 +121,17 @@ def partition_cases(draw):
     return spec, draw(st.integers(0, 2**32 - 1))
 
 
-@settings(max_examples=80, deadline=None)
+def _tight(n_classes, classes_per_client, clients):
+    """A spec whose clients hold exactly ``n_classes`` class slots."""
+    return ToyDatasetSpec(n_classes=n_classes, classes_per_client=classes_per_client,
+                          clients=clients, samples_per_class=clients + 5)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
 @given(partition_cases())
+@example((_tight(6, 2, 3), 0))
+@example((_tight(12, 3, 4), 1))
+@example((_tight(10, 1, 10), 2))
 def test_partition_properties(case):
     spec, seed = case
     n = spec.samples_per_class

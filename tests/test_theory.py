@@ -1,4 +1,5 @@
-from dataclasses import fields
+import copy
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,82 +22,75 @@ from flic.theory import (
 SMALL = TheoryConfig(clients=8, samples=300, test_samples=100, rounds=30, seed=3)
 
 
-def phi_hat(inst, i, X):
-    """The estimated embedding, the oracle one up to the sign matrix Q."""
-    return inst.Q * oracle_phi_star(inst, i, X)
-
-
-def raw_data(config, inst):
-    """The raw training sets, their labels and the raw test sets of
-    ``make_instance(config)``, drawn again as it draws them; the instance
-    itself keeps only statistics."""
+def raw_data(config):
+    """The draws of ``make_instance(config)``, drawn again as it draws
+    them: the oracle signs and, per client, the Gaussian's mean,
+    eigenvectors and eigenvalues, the raw training set, its labels and
+    the raw test set. The instance itself keeps only statistics."""
     rng = stream(config.seed, flic.theory._TAG_INSTANCE)
-    flic.theory._draw_oracle(rng, config)
-    raw = SimpleNamespace(X_train=[], y_train=[], X_test=[])
+    A_star, betas_star, sign_star, _ = flic.theory._draw_oracle(rng, config)
+    raw = SimpleNamespace(sign_star=sign_star, clients=[], X_train=[], y_train=[], X_test=[])
     for i in range(config.clients):
-        *_, X_train, X_test = flic.theory._draw_client(rng, config, i)
+        mean, vecs, vals, X_train, X_test = flic.theory._draw_client(rng, config)
+        raw.clients.append((mean, vecs, vals))
         raw.X_train.append(X_train)
-        raw.y_train.append(oracle_phi_star(inst, i, X_train) @ (inst.A_star @ inst.betas_star[i]))
+        raw.y_train.append(phi_star(raw, i, X_train) @ (A_star @ betas_star[i]))
         raw.X_test.append(X_test)
     return raw
 
 
-def identity_instance(k=3, k_i=3, n=50, seed=0):
-    """Hand-built instance with Sigma = I, m = 0, positive signs."""
-    from flic.theory import TheoryInstance
+def phi_star(raw, i, X):
+    """The oracle embedding of client i's rows."""
+    return oracle_phi_star(X, *raw.clients[i], raw.sign_star)
 
-    rng = np.random.default_rng(seed)
-    A_star, _ = np.linalg.qr(rng.standard_normal((k, 2)))
-    X_train = rng.standard_normal((n, k_i))
-    X_test = rng.standard_normal((n, k_i))
-    inst = TheoryInstance(
-        latent_dim=k,
-        head_dim=2,
-        means=[np.zeros(k_i)],
-        eig_vecs=[np.eye(k_i)],
-        eig_vals=[np.ones(k_i)],
-        sign_star=np.ones(k),
-        sign_hat=np.ones(k),
-        A_star=A_star,
-        betas_star=np.sqrt(2) * np.array([[1.0, 0.0]]),
-        y_test=np.zeros((1, n)),
-        gram=(X_train.T @ X_train)[None],
-        moment=np.zeros((1, k)),
-        label_moment=np.zeros((1, k, k)),
-        n_train=np.array([n]),
-        phi_test=X_test[None],
-        step_size=0.05,
-    )
-    return inst
+
+def phi_hat(inst, raw, i, X):
+    """The estimated embedding, the oracle one up to the sign matrix Q."""
+    return inst.Q * phi_star(raw, i, X)
+
+
+def same_bits(a, b):
+    """Equal shapes and identical float64 bit patterns (so -0.0 != 0.0)."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestEmbeddings:
     def test_center_maps_to_zero(self):
-        inst = make_instance(SMALL)
-        out = oracle_phi_star(inst, 0, inst.means[0])
-        np.testing.assert_allclose(out, np.zeros(inst.latent_dim), atol=1e-12)
+        raw = raw_data(SMALL)
+        out = phi_star(raw, 0, raw.clients[0][0][None])
+        np.testing.assert_allclose(out, np.zeros((1, SMALL.latent_dim)), atol=1e-12)
 
-    def test_identity_instance_is_identity_map(self):
-        inst = identity_instance()
+    def test_identity_client_is_identity_map(self):
+        """Sigma = I, m = 0 and positive signs whiten to the rows themselves."""
         X = np.random.default_rng(1).standard_normal((10, 3))
-        np.testing.assert_array_equal(oracle_phi_star(inst, 0, X), X)
+        ones = np.ones(3)
+        np.testing.assert_array_equal(oracle_phi_star(X, np.zeros(3), np.eye(3), ones, ones), X)
 
     def test_pushforward_is_standard_normal(self):
-        inst = make_instance(SMALL)
+        raw = raw_data(SMALL)
         rng = np.random.default_rng(2)
         i = 1
-        k_i = inst.means[i].size
-        xi = rng.standard_normal((50_000, k_i))
-        X = inst.means[i] + (xi * np.sqrt(inst.eig_vals[i])) @ inst.eig_vecs[i].T
-        Z = oracle_phi_star(inst, i, X)
+        mean, vecs, vals = raw.clients[i]
+        xi = rng.standard_normal((50_000, mean.size))
+        X = mean + (xi * np.sqrt(vals)) @ vecs.T
+        Z = phi_star(raw, i, X)
         assert np.max(np.abs(Z.mean(axis=0))) < 3.0 / np.sqrt(50_000) * 3
         cov = np.cov(Z.T, bias=True)
-        assert np.max(np.abs(cov - np.eye(inst.latent_dim))) < 0.05
+        assert np.max(np.abs(cov - np.eye(SMALL.latent_dim))) < 0.05
 
     def test_non_finite_rejected(self):
-        inst = make_instance(SMALL)
-        with pytest.raises(ValueError):
-            oracle_phi_star(inst, 0, np.full(inst.means[0].size, np.nan))
+        raw = raw_data(SMALL)
+        with pytest.raises(ValueError, match="non-finite"):
+            phi_star(raw, 0, np.full((1, raw.clients[0][0].size), np.nan))
+
+    def test_wrong_dimension_rejected(self):
+        raw = raw_data(SMALL)
+        width = raw.clients[0][0].size
+        with pytest.raises(ValueError, match="dimension"):
+            phi_star(raw, 0, np.zeros((2, width + 1)))
+        # one row must come as a one-row matrix
+        with pytest.raises(ValueError, match="dimension"):
+            phi_star(raw, 0, np.zeros(width))
 
 
 class TestInitA0:
@@ -121,35 +115,26 @@ class TestInitA0:
 class TestFedrepRound:
     def test_fixed_point_at_target(self):
         inst = make_instance(SMALL)
-        inst.A = inst.QA_star.copy()
-        inst.betas = np.zeros((inst.n_clients, inst.head_dim))
-        target = inst.QA_star.copy()
-        fedrep_linear_round(inst, np.arange(inst.n_clients))
-        assert principal_angle_dist(inst.A, target) < 1e-8
+        A, betas = fedrep_linear_round(inst, inst.QA_star, np.arange(inst.n_clients))
+        assert principal_angle_dist(A, inst.QA_star) < 1e-8
         # recovered heads reproduce the training labels exactly
-        raw = raw_data(SMALL, inst)
+        raw = raw_data(SMALL)
         for i in range(inst.n_clients):
-            pred = phi_hat(inst, i, raw.X_train[i]) @ (inst.A @ inst.betas[i])
+            pred = phi_hat(inst, raw, i, raw.X_train[i]) @ (A @ betas[i])
             np.testing.assert_allclose(pred, raw.y_train[i], atol=1e-6)
 
     def test_zero_step_size_is_qr_idempotent(self):
-        inst = make_instance(SMALL)
-        inst.A = init_A0(inst)
-        inst.betas = np.zeros((inst.n_clients, inst.head_dim))
-        inst.step_size = 0.0
-        fedrep_linear_round(inst, np.arange(inst.n_clients))
-        A_once = inst.A.copy()
-        fedrep_linear_round(inst, np.arange(inst.n_clients))
-        np.testing.assert_allclose(inst.A, A_once, atol=1e-13)
+        inst = dataclasses.replace(make_instance(SMALL), step_size=0.0)
+        everyone = np.arange(inst.n_clients)
+        A_once, _ = fedrep_linear_round(inst, init_A0(inst), everyone)
+        A_twice, _ = fedrep_linear_round(inst, A_once, everyone)
+        np.testing.assert_allclose(A_twice, A_once, atol=1e-13)
 
     def test_one_round_decreases_distance(self):
         inst = make_instance(SMALL)
-        inst.A = init_A0(inst)
-        inst.betas = np.zeros((inst.n_clients, inst.head_dim))
-        before = principal_angle_dist(inst.A, inst.QA_star)
-        fedrep_linear_round(inst, np.arange(inst.n_clients))
-        after = principal_angle_dist(inst.A, inst.QA_star)
-        assert after < before
+        A0 = init_A0(inst)
+        A1, _ = fedrep_linear_round(inst, A0, np.arange(inst.n_clients))
+        assert principal_angle_dist(A1, inst.QA_star) < principal_angle_dist(A0, inst.QA_star)
 
 
 class TestPrincipalAngle:
@@ -193,15 +178,61 @@ class TestPrincipalAngle:
 
 class TestRunExperiment:
     def test_trace_properties(self):
-        inst, rows = run_theory_experiment(SMALL)
+        A, rows = run_theory_experiment(SMALL)
         assert len(rows) == SMALL.rounds + 1
         dists = np.array([r[1] for r in rows])
         # monotone decay after the first round
         assert np.all(np.diff(dists[1:]) <= 1e-9)
         # representation stays orthonormal
-        np.testing.assert_allclose(
-            inst.A.T @ inst.A, np.eye(inst.head_dim), atol=1e-10
-        )
+        np.testing.assert_allclose(A.T @ A, np.eye(SMALL.head_dim), atol=1e-10)
+
+    def test_rounds_only_read_the_instance(self, monkeypatch):
+        built = []
+        original = flic.theory.make_instance
+
+        def keeping(config):
+            inst = original(config)
+            built.append((inst, copy.deepcopy(inst)))
+            return inst
+
+        monkeypatch.setattr(flic.theory, "make_instance", keeping)
+        run_theory_experiment(dataclasses.replace(SMALL, participation=0.5))
+        [(inst, before)] = built
+        for f in dataclasses.fields(inst):
+            np.testing.assert_array_equal(getattr(inst, f.name), getattr(before, f.name),
+                                          strict=True)
+
+    def test_a_round_keeps_the_inactive_heads(self, monkeypatch):
+        """Between two scored rows the runner replaces the heads of the
+        round's active clients with the ones the round returned and keeps
+        every other head, bit for bit."""
+        cfg = TheoryConfig(clients=10, samples=100, participation=0.5, rounds=6, seed=4)
+        rounds, scored = [], []
+        original_round, original_mse = flic.theory.fedrep_linear_round, flic.theory._test_mse
+
+        def recording_round(inst, A, active):
+            A_next, betas = original_round(inst, A, active)
+            rounds.append((np.sort(active), betas.copy()))
+            return A_next, betas
+
+        def recording_mse(inst, A, betas):
+            scored.append(betas.copy())
+            return original_mse(inst, A, betas)
+
+        monkeypatch.setattr(flic.theory, "fedrep_linear_round", recording_round)
+        monkeypatch.setattr(flic.theory, "_test_mse", recording_mse)
+        run_theory_experiment(cfg)
+        assert len(scored) == cfg.rounds + 1 and len(rounds) == cfg.rounds
+        inst = make_instance(cfg)
+        assert same_bits(scored[0], solve_head(inst, np.arange(cfg.clients), init_A0(inst)))
+        for t, (before, after, (active, heads)) in enumerate(zip(scored, scored[1:], rounds), 1):
+            inactive = np.setdiff1d(np.arange(cfg.clients), active)
+            assert inactive.size == 5
+            assert same_bits(after[active], heads)
+            assert same_bits(after[inactive], before[inactive])
+            # round 1 solves at A0, as the initial row did; later rounds
+            # move every active head
+            assert np.array_equal(after[active], before[active]) == (t == 1)
 
     def test_geometric_decay_log_linear(self):
         _, rows = run_theory_experiment(SMALL)
@@ -252,9 +283,9 @@ class TestRunExperiment:
         drawn = []
         original = flic.theory.fedrep_linear_round
 
-        def recording(inst, active):
+        def recording(inst, A, active):
             drawn.append(np.array(active))
-            return original(inst, active)
+            return original(inst, A, active)
 
         monkeypatch.setattr(flic.theory, "fedrep_linear_round", recording)
         run_theory_experiment(cfg)
@@ -273,19 +304,18 @@ class TestRunExperiment:
 
 def direct_head(inst, raw, i, A):
     """The head solve written on the embedded training data itself."""
-    E = phi_hat(inst, i, raw.X_train[i]) @ A
+    E = phi_hat(inst, raw, i, raw.X_train[i]) @ A
     G = E.T @ E + 1e-10 * np.eye(A.shape[1])
     return np.linalg.solve(G, E.T @ raw.y_train[i])
 
 
-def direct_round(inst, raw, active):
+def direct_round(inst, raw, A, active):
     """One round written on the embedded training data: per-client head,
     residual and gradient, then the averaged step and the QR fix-up."""
-    A = inst.A
     proposals = np.zeros_like(A)
     betas = {}
     for i in active:
-        Phi = phi_hat(inst, i, raw.X_train[i])
+        Phi = phi_hat(inst, raw, i, raw.X_train[i])
         beta = direct_head(inst, raw, i, A)
         betas[i] = beta
         resid = raw.y_train[i] - (Phi @ A) @ beta
@@ -298,24 +328,32 @@ def direct_round(inst, raw, active):
 class TestSufficientStatistics:
     def test_statistics_match_embedded_data(self):
         inst = make_instance(SMALL)
-        raw = raw_data(SMALL, inst)
+        raw = raw_data(SMALL)
+        assert inst.n_train == SMALL.samples
         for i in range(inst.n_clients):
-            Phi = phi_hat(inst, i, raw.X_train[i])
+            Phi = phi_hat(inst, raw, i, raw.X_train[i])
             y = raw.y_train[i]
+            assert y.size == inst.n_train
             np.testing.assert_allclose(inst.gram[i], Phi.T @ Phi, rtol=1e-12)
             np.testing.assert_allclose(inst.moment[i], Phi.T @ y, rtol=1e-10)
-            np.testing.assert_array_equal(
-                inst.label_moment[i], (Phi * (y**2)[:, None]).T @ Phi / y.size
-            )
-            assert inst.n_train[i] == SMALL.samples == y.size
-            np.testing.assert_array_equal(inst.phi_test[i], phi_hat(inst, i, raw.X_test[i]))
+            np.testing.assert_array_equal(inst.phi_test[i], phi_hat(inst, raw, i, raw.X_test[i]))
+
+    def test_init_moment_is_the_client_average_over_raw_data(self):
+        inst = make_instance(SMALL)
+        raw = raw_data(SMALL)
+        moments = [
+            (Phi * (y**2)[:, None]).T @ Phi / y.size
+            for Phi, y in ((phi_hat(inst, raw, i, X), y)
+                           for i, (X, y) in enumerate(zip(raw.X_train, raw.y_train)))
+        ]
+        np.testing.assert_allclose(inst.init_moment, np.mean(moments, axis=0), rtol=1e-12)
 
     def test_init_A0_matches_the_moment_summed_over_raw_data(self):
         inst = make_instance(SMALL)
-        raw = raw_data(SMALL, inst)
+        raw = raw_data(SMALL)
         M = np.zeros((inst.latent_dim, inst.latent_dim))
         for i in range(inst.n_clients):
-            Phi = phi_hat(inst, i, raw.X_train[i])
+            Phi = phi_hat(inst, raw, i, raw.X_train[i])
             M += (Phi * (raw.y_train[i] ** 2)[:, None]).T @ Phi / Phi.shape[0]
         M /= inst.n_clients
         vecs = np.linalg.eigh(M)[1][:, -inst.head_dim:][:, ::-1]
@@ -325,14 +363,14 @@ class TestSufficientStatistics:
     def test_instance_memory_does_not_grow_with_training_samples(self):
         def array_bytes(samples):
             inst = make_instance(TheoryConfig(clients=8, samples=samples, seed=3))
-            return sum(getattr(inst, f.name).nbytes for f in fields(inst)
+            return sum(getattr(inst, f.name).nbytes for f in dataclasses.fields(inst)
                        if isinstance(getattr(inst, f.name), np.ndarray))
 
         assert array_bytes(300) == array_bytes(3000)
 
     def test_solve_head_matches_direct_formula(self):
         inst = make_instance(SMALL)
-        raw = raw_data(SMALL, inst)
+        raw = raw_data(SMALL)
         A = init_A0(inst)
         for i in range(inst.n_clients):
             np.testing.assert_allclose(
@@ -350,34 +388,31 @@ class TestSufficientStatistics:
 
     def test_round_matches_direct_formula(self):
         inst = make_instance(SMALL)
-        inst.A = init_A0(inst)
-        inst.betas = np.zeros((inst.n_clients, inst.head_dim))
+        A = init_A0(inst)
         active = [0, 2, 3, 5, 7]
-        A_ref, betas_ref = direct_round(inst, raw_data(SMALL, inst), active)
-        fedrep_linear_round(inst, np.array(active))
-        np.testing.assert_allclose(inst.A, A_ref, rtol=1e-10)
-        for i in active:
-            np.testing.assert_allclose(inst.betas[i], betas_ref[i], rtol=1e-10)
-        for i in set(range(inst.n_clients)) - set(active):
-            np.testing.assert_array_equal(inst.betas[i], 0.0)
+        A_ref, betas_ref = direct_round(inst, raw_data(SMALL), A, active)
+        A_next, betas = fedrep_linear_round(inst, A, np.array([7, 0, 5, 3, 2]))
+        np.testing.assert_allclose(A_next, A_ref, rtol=1e-10)
+        # one head per active client, in increasing client order
+        assert betas.shape == (len(active), inst.head_dim)
+        for beta, i in zip(betas, active):
+            np.testing.assert_allclose(beta, betas_ref[i], rtol=1e-10)
 
     def test_test_mse_matches_direct_formula(self):
         inst = make_instance(SMALL)
-        inst.A = init_A0(inst)
-        inst.betas = solve_head(inst, np.arange(inst.n_clients), inst.A)
-        raw = raw_data(SMALL, inst)
+        A = init_A0(inst)
+        betas = solve_head(inst, np.arange(inst.n_clients), A)
+        raw = raw_data(SMALL)
         errs = [
-            np.mean((phi_hat(inst, i, raw.X_test[i]) @ (inst.A @ inst.betas[i]) - inst.y_test[i]) ** 2)
+            np.mean((phi_hat(inst, raw, i, raw.X_test[i]) @ (A @ betas[i]) - inst.y_test[i]) ** 2)
             for i in range(inst.n_clients)
         ]
-        assert flic.theory._test_mse(inst) == pytest.approx(np.mean(errs), rel=1e-10)
+        assert flic.theory._test_mse(inst, A, betas) == pytest.approx(np.mean(errs), rel=1e-10)
 
     def test_empty_active_set_rejected(self):
         inst = make_instance(SMALL)
-        inst.A = init_A0(inst)
-        inst.betas = np.zeros((inst.n_clients, inst.head_dim))
         with pytest.raises(ValueError, match="empty"):
-            fedrep_linear_round(inst, [])
+            fedrep_linear_round(inst, init_A0(inst), [])
 
     def test_rounds_do_not_re_embed(self, monkeypatch):
         calls = []
@@ -397,12 +432,12 @@ class TestSufficientStatistics:
 class TestSolveHead:
     def test_recovers_oracle_at_target(self):
         inst = make_instance(SMALL)
-        raw = raw_data(SMALL, inst)
+        raw = raw_data(SMALL)
         A = inst.QA_star
         for i in range(3):
             beta = solve_head(inst, i, A)
             # labels are exactly linear in phi_hat @ A at the target
-            pred = (phi_hat(inst, i, raw.X_train[i]) @ A) @ beta
+            pred = (phi_hat(inst, raw, i, raw.X_train[i]) @ A) @ beta
             np.testing.assert_allclose(pred, raw.y_train[i], atol=1e-6)
 
 
