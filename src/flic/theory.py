@@ -16,11 +16,13 @@ head solve and its representation gradient depend on its training data
 only through ``G_i = Phi_i^T Phi_i`` and ``c_i = Phi_i^T y_i`` of its
 embedded training set ``Phi_i``, the spectral initialization only
 through the client average of ``(Phi_i * y_i^2)^T Phi_i / n``, and its
-test error only through the embedded test set. :func:`make_instance`
-whitens each client's raw draws once and keeps only these, in a frozen
-:class:`TheoryInstance`, so no cost grows with the training samples per
-client. The run's state is not in the instance: a round takes the
-representation ``A`` and returns the next one with the active heads.
+test error only through the R factor of ``[Phi_test_i, y_test_i]``.
+:func:`make_instance` whitens each client's raw draws once and keeps
+only these, in a frozen :class:`TheoryInstance`, so no cost grows with
+the training or test samples per client. The run's state is not in the
+instance: a round takes the representation ``A`` and returns the next
+one with the active heads. Each round is scored against the orthonormal
+complement of the target ``QA*``, formed once per run.
 """
 
 from __future__ import annotations
@@ -107,9 +109,12 @@ class TheoryInstance:
     the unnormalized Gram matrix ``Phi_i^T Phi_i`` and the moment
     ``Phi_i^T y_i`` of the embedded training set, ``n_train`` rows each;
     ``init_moment`` is the client average of ``(Phi_i * y_i^2)^T Phi_i /
-    n_train``; ``phi_test`` and ``y_test`` are the embedded test sets and
-    their labels. They must agree with one draw of raw data;
-    :func:`make_instance` builds all of them together.
+    n_train``. ``test_r[i]`` is the upper triangular R factor of the
+    client's embedded test set beside its labels, ``[Phi_test_i,
+    y_test_i]`` (``n_test`` rows, ``k+1`` columns), so that ``R_i^T R_i =
+    [Phi_test_i, y_test_i]^T [Phi_test_i, y_test_i]``; when ``n_test <
+    k+1`` its missing rows are zeros. They must agree with one draw of raw
+    data; :func:`make_instance` builds all of them together.
     """
 
     A_star: np.ndarray  # (k, d), orthonormal columns
@@ -119,8 +124,8 @@ class TheoryInstance:
     moment: np.ndarray  # (b, k)
     init_moment: np.ndarray  # (k, k)
     n_train: int
-    phi_test: np.ndarray  # (b, n_test, k)
-    y_test: np.ndarray  # (b, n_test)
+    test_r: np.ndarray  # (b, k+1, k+1), upper triangular
+    n_test: int
     step_size: float
 
     @property
@@ -202,8 +207,7 @@ def make_instance(config: TheoryConfig) -> TheoryInstance:
     Q = sign_hat * sign_star
     gram = np.empty((b, k, k))
     moment = np.empty((b, k))
-    phi_test = np.empty((b, n_test, k))
-    y_test = np.empty((b, n_test))
+    test_r = np.zeros((b, k + 1, k + 1))
     init_moment = np.zeros((k, k))
     # Each client's raw sets are reduced to its statistics before the next
     # client is drawn. One whitening pass per set: the oracle embedding
@@ -218,8 +222,8 @@ def make_instance(config: TheoryConfig) -> TheoryInstance:
         moment[i] = Phi.T @ y
         init_moment += (Phi * (y**2)[:, None]).T @ Phi / y.size
         Z = oracle_phi_star(X_test, m_i, P_i, vals, sign_star)
-        y_test[i] = Z @ w
-        phi_test[i] = Z * Q
+        R = np.linalg.qr(np.column_stack([Z * Q, Z @ w]), mode="r")
+        test_r[i, :R.shape[0]] = R  # fewer than k+1 test rows: zero rows below
 
     active_size = active_count(b, config.participation)
     cap = _sigma_max_sq_cap(betas_star, active_size, rng)
@@ -231,8 +235,8 @@ def make_instance(config: TheoryConfig) -> TheoryInstance:
         moment=moment,
         init_moment=init_moment / b,
         n_train=config.samples,
-        phi_test=phi_test,
-        y_test=y_test,
+        test_r=test_r,
+        n_test=n_test,
         step_size=min(config.step_size, 1.0 / (4.0 * cap)),
     )
 
@@ -283,37 +287,50 @@ def fedrep_linear_round(inst: TheoryInstance, A: np.ndarray, active):
 
 
 def principal_angle_dist(M, N) -> float:
-    """Spectral-norm distance between the column spaces of M and N."""
+    """Spectral-norm distance between the column spaces of M and N, the
+    sine of their largest principal angle: ``||N_perp^T M_hat||_2``, with
+    ``M_hat`` an orthonormal basis of ``span(M)`` and ``N_perp`` one of
+    the orthonormal complement of ``span(N)``. M and N have one shape, so
+    the two spaces have equal dimension, and this is the same value as
+    ``||M_perp^T N_hat||_2``: the distance is symmetric."""
     M = np.asarray(M, dtype=float)
     N = np.asarray(N, dtype=float)
     if M.shape != N.shape or M.ndim != 2:
         raise ValueError("arguments must be matrices of identical shape")
-    k, d = M.shape
-    M_hat = _orthonormalize(M)
-    N_hat = _orthonormalize(N)
-    if d == k:
-        return 0.0
-    # orthonormal basis of span(M)^perp from the full QR
-    Q_full, _ = np.linalg.qr(M_hat, mode="complete")
-    M_perp = Q_full[:, d:]
-    val = float(np.linalg.norm(M_perp.T @ N_hat, 2))
-    return min(val, 1.0)
+    return _sin_max(_complement(N), _orthonormalize(M))
 
 
-def _orthonormalize(M: np.ndarray) -> np.ndarray:
-    Q, R = _positive_qr(M)
+def _orthonormalize(M: np.ndarray, mode: str = "reduced") -> np.ndarray:
+    """Q of the QR of ``M`` (``mode`` as in ``np.linalg.qr``), ``M`` of
+    full column rank."""
+    Q, R = np.linalg.qr(M, mode=mode)
     diag = np.abs(np.diag(R))
     if np.any(diag < 1e-10 * max(1.0, float(diag.max(initial=0.0)))):
         raise ValueError("matrix is rank deficient")
     return Q
 
 
+def _complement(N: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of ``span(N)^perp``, ``(k, k - d)`` for ``N`` of
+    shape ``(k, d)`` and full column rank."""
+    return _orthonormalize(N, mode="complete")[:, N.shape[1]:]
+
+
+def _sin_max(N_perp: np.ndarray, M_hat: np.ndarray) -> float:
+    """``||N_perp^T M_hat||_2`` for orthonormal ``M_hat``, clipped to 1;
+    zero when the complement is empty."""
+    return min(float(np.linalg.norm(N_perp.T @ M_hat, 2)), 1.0)
+
+
 def _test_mse(inst: TheoryInstance, A: np.ndarray, betas: np.ndarray) -> float:
     """Held-out squared error of representation ``A`` and the heads
-    ``betas`` (one row per client), averaged per client, then over clients."""
-    W = betas @ A.T
-    pred = (inst.phi_test @ W[:, :, None])[:, :, 0]
-    return float(np.mean(np.mean((pred - inst.y_test) ** 2, axis=1)))
+    ``betas`` (one row per client), averaged per client, then over
+    clients. Client i's residual ``Phi_test_i A beta_i - y_test_i`` is
+    ``[Phi_test_i, y_test_i] v_i`` with ``v_i = [A beta_i; -1]``, so its
+    squared norm is ``||R_i v_i||^2`` with ``R_i = inst.test_r[i]``."""
+    v = np.concatenate([betas @ A.T, np.full((len(betas), 1), -1.0)], axis=1)
+    resid = (inst.test_r @ v[:, :, None])[:, :, 0]
+    return float(np.sum(resid**2)) / (len(betas) * inst.n_test)
 
 
 def run_theory_experiment(config: TheoryConfig):
@@ -322,16 +339,19 @@ def run_theory_experiment(config: TheoryConfig):
     Returns ``(A, rows)``: the final representation and one row ``(t,
     dist, mse)`` per round plus the initial row, T+1 rows total. ``dist``
     measures the principal angle between the current representation and
-    the sign-corrected oracle one; ``mse`` is held-out prediction error.
+    the sign-corrected oracle one, as :func:`principal_angle_dist` does,
+    against the target's complement formed once (``A`` is orthonormal:
+    it comes from ``init_A0`` or a round's QR); ``mse`` is held-out
+    prediction error.
     """
     inst = make_instance(config)
     A = init_A0(inst)
     betas = solve_head(inst, np.arange(inst.n_clients), A)
-    target = inst.QA_star
-    rows = [(0, principal_angle_dist(A, target), _test_mse(inst, A, betas))]
+    target_perp = _complement(inst.QA_star)
+    rows = [(0, _sin_max(target_perp, A), _test_mse(inst, A, betas))]
     for t in range(1, config.rounds + 1):
         active = select_active_clients(inst.n_clients, config.participation,
                                        stream(config.seed, _TAG_SELECT, t))
         A, betas[np.sort(active)] = fedrep_linear_round(inst, A, active)
-        rows.append((t, principal_angle_dist(A, target), _test_mse(inst, A, betas)))
+        rows.append((t, _sin_max(target_perp, A), _test_mse(inst, A, betas)))
     return A, rows

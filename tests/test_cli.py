@@ -628,3 +628,45 @@ def test_run_exits_only_with_documented_codes(tmp_path_factory, values, mode):
     assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DIVERGENCE, cli.EXIT_IO)
     if values == EDGE_BASE:
         assert code == cli.EXIT_OK
+
+
+# The same for theory mode: a tiny valid run, and edges of the theory_*
+# ranges. The base's test set is shorter than the default latent
+# dimension plus one, 6, so its R factor is padded with a zero row.
+THEORY_EDGE_BASE = {"theory_clients": 4, "theory_samples": 20, "theory_test_samples": 5,
+                    "theory_rounds": 2}
+THEORY_EDGES = {
+    "theory_clients": [0, 1, 3, 20],
+    "theory_samples": [0, 1, 2],
+    "theory_test_samples": [0, 1, 2, 5, 6],
+    "theory_latent_dim": [0, 1, 3, 8, 9],
+    "theory_head_dim": [0, 1, 5, 6],
+    "theory_raw_dim_min": [0, 4, 5, 16, 17],
+    "theory_raw_dim_max": [4, 8, 40],
+    "theory_participation": [0.0, 1e-9, 0.5, 1.0, 1.5],
+    "theory_rounds": [-1, 0, 3],
+    "theory_step_size": [-1.0, 0.0, 1e-12, 1e3],
+}
+
+
+@st.composite
+def theory_edge_configs(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(THEORY_EDGES)), unique=True, max_size=3))
+    return {**THEORY_EDGE_BASE, **{key: draw(st.sampled_from(THEORY_EDGES[key])) for key in keys}}
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@example(values=THEORY_EDGE_BASE)
+@given(values=theory_edge_configs())
+def test_theory_run_exits_only_with_documented_codes(tmp_path_factory, values):
+    """``flic run --mode theory`` ends in 0, 2, 3 or 4 whatever the
+    theory_* settings; any other exception, a warning included, fails the
+    test."""
+    tmp = tmp_path_factory.mktemp("theory_edge")
+    config = tmp / "config.json"
+    config.write_text(json.dumps(values))
+    code = cli.main(["run", "--config", str(config), "--mode", "theory",
+                     "--out", str(tmp / "out")])
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DIVERGENCE, cli.EXIT_IO)
+    if values == THEORY_EDGE_BASE:
+        assert code == cli.EXIT_OK

@@ -25,17 +25,20 @@ SMALL = TheoryConfig(clients=8, samples=300, test_samples=100, rounds=30, seed=3
 def raw_data(config):
     """The draws of ``make_instance(config)``, drawn again as it draws
     them: the oracle signs and, per client, the Gaussian's mean,
-    eigenvectors and eigenvalues, the raw training set, its labels and
-    the raw test set. The instance itself keeps only statistics."""
+    eigenvectors and eigenvalues, the raw training and test sets and
+    their labels. The instance itself keeps only statistics."""
     rng = stream(config.seed, flic.theory._TAG_INSTANCE)
     A_star, betas_star, sign_star, _ = flic.theory._draw_oracle(rng, config)
-    raw = SimpleNamespace(sign_star=sign_star, clients=[], X_train=[], y_train=[], X_test=[])
+    raw = SimpleNamespace(sign_star=sign_star, clients=[], X_train=[], y_train=[], X_test=[],
+                          y_test=[])
     for i in range(config.clients):
         mean, vecs, vals, X_train, X_test = flic.theory._draw_client(rng, config)
         raw.clients.append((mean, vecs, vals))
+        w = A_star @ betas_star[i]
         raw.X_train.append(X_train)
-        raw.y_train.append(phi_star(raw, i, X_train) @ (A_star @ betas_star[i]))
+        raw.y_train.append(phi_star(raw, i, X_train) @ w)
         raw.X_test.append(X_test)
+        raw.y_test.append(phi_star(raw, i, X_test) @ w)
     return raw
 
 
@@ -296,6 +299,25 @@ class TestRunExperiment:
             assert active.size == 5
         assert len({tuple(a) for a in drawn}) > 1
 
+    def test_dist_is_the_principal_angle_of_each_round(self, monkeypatch):
+        """Each row's ``dist`` is ``principal_angle_dist`` of the row's
+        representation and the target, though the runner forms the
+        target's complement once and skips orthonormalizing ``A``."""
+        cfg = dataclasses.replace(SMALL, participation=0.5)
+        scored = []
+        original_mse = flic.theory._test_mse
+
+        def recording_mse(inst, A, betas):
+            scored.append(A.copy())
+            return original_mse(inst, A, betas)
+
+        monkeypatch.setattr(flic.theory, "_test_mse", recording_mse)
+        _, rows = run_theory_experiment(cfg)
+        assert len(scored) == len(rows) == cfg.rounds + 1
+        target = make_instance(cfg).QA_star
+        for (_, dist, _), A in zip(rows, scored):
+            assert abs(dist - principal_angle_dist(A, target)) <= 1e-15
+
     def test_deterministic(self):
         _, rows_a = run_theory_experiment(SMALL)
         _, rows_b = run_theory_experiment(SMALL)
@@ -325,18 +347,30 @@ def direct_round(inst, raw, A, active):
     return Qm * np.sign(np.diag(R)), betas
 
 
+# Test-set sizes around the latent dimension k = 5: one row, k rows (R
+# has a zero row below), k+1 rows (R is square) and many rows.
+TEST_SAMPLES = [1, SMALL.latent_dim, SMALL.latent_dim + 1, SMALL.test_samples]
+
+
 class TestSufficientStatistics:
-    def test_statistics_match_embedded_data(self):
-        inst = make_instance(SMALL)
-        raw = raw_data(SMALL)
-        assert inst.n_train == SMALL.samples
+    @pytest.mark.parametrize("test_samples", TEST_SAMPLES)
+    def test_statistics_match_embedded_data(self, test_samples):
+        cfg = dataclasses.replace(SMALL, test_samples=test_samples)
+        inst = make_instance(cfg)
+        raw = raw_data(cfg)
+        k = inst.latent_dim
+        assert inst.n_train == cfg.samples and inst.n_test == test_samples
+        assert inst.test_r.shape == (inst.n_clients, k + 1, k + 1)
         for i in range(inst.n_clients):
             Phi = phi_hat(inst, raw, i, raw.X_train[i])
             y = raw.y_train[i]
             assert y.size == inst.n_train
             np.testing.assert_allclose(inst.gram[i], Phi.T @ Phi, rtol=1e-12)
             np.testing.assert_allclose(inst.moment[i], Phi.T @ y, rtol=1e-10)
-            np.testing.assert_array_equal(inst.phi_test[i], phi_hat(inst, raw, i, raw.X_test[i]))
+            R = inst.test_r[i]
+            np.testing.assert_array_equal(R, np.triu(R))
+            test_set = np.column_stack([phi_hat(inst, raw, i, raw.X_test[i]), raw.y_test[i]])
+            np.testing.assert_allclose(R.T @ R, test_set.T @ test_set, rtol=1e-10)
 
     def test_init_moment_is_the_client_average_over_raw_data(self):
         inst = make_instance(SMALL)
@@ -360,13 +394,14 @@ class TestSufficientStatistics:
         A0 = init_A0(inst)
         np.testing.assert_array_equal(np.abs(A0), np.abs(vecs))
 
-    def test_instance_memory_does_not_grow_with_training_samples(self):
-        def array_bytes(samples):
-            inst = make_instance(TheoryConfig(clients=8, samples=samples, seed=3))
+    def test_instance_memory_does_not_grow_with_samples(self):
+        def array_bytes(samples, test_samples):
+            inst = make_instance(TheoryConfig(clients=8, samples=samples,
+                                              test_samples=test_samples, seed=3))
             return sum(getattr(inst, f.name).nbytes for f in dataclasses.fields(inst)
                        if isinstance(getattr(inst, f.name), np.ndarray))
 
-        assert array_bytes(300) == array_bytes(3000)
+        assert array_bytes(300, 200) == array_bytes(3000, 200) == array_bytes(300, 2000)
 
     def test_solve_head_matches_direct_formula(self):
         inst = make_instance(SMALL)
@@ -398,16 +433,25 @@ class TestSufficientStatistics:
         for beta, i in zip(betas, active):
             np.testing.assert_allclose(beta, betas_ref[i], rtol=1e-10)
 
-    def test_test_mse_matches_direct_formula(self):
-        inst = make_instance(SMALL)
+    @pytest.mark.parametrize("test_samples", TEST_SAMPLES)
+    def test_test_mse_matches_direct_formula(self, test_samples):
+        cfg = dataclasses.replace(SMALL, test_samples=test_samples)
+        inst = make_instance(cfg)
+        raw = raw_data(cfg)
+
+        def direct(A, betas):
+            return np.mean([
+                np.mean((phi_hat(inst, raw, i, X) @ (A @ beta) - y) ** 2)
+                for i, (X, y, beta) in enumerate(zip(raw.X_test, raw.y_test, betas))
+            ])
+
         A = init_A0(inst)
         betas = solve_head(inst, np.arange(inst.n_clients), A)
-        raw = raw_data(SMALL)
-        errs = [
-            np.mean((phi_hat(inst, raw, i, raw.X_test[i]) @ (A @ betas[i]) - inst.y_test[i]) ** 2)
-            for i in range(inst.n_clients)
-        ]
-        assert flic.theory._test_mse(inst, A, betas) == pytest.approx(np.mean(errs), rel=1e-10)
+        assert direct(A, betas) > 1e-3
+        assert flic.theory._test_mse(inst, A, betas) == pytest.approx(direct(A, betas), rel=1e-10)
+        # the oracle fits the noiseless labels: both errors are round-off
+        A, betas = inst.QA_star, inst.betas_star
+        assert flic.theory._test_mse(inst, A, betas) == pytest.approx(direct(A, betas), abs=1e-25)
 
     def test_empty_active_set_rejected(self):
         inst = make_instance(SMALL)
