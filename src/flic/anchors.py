@@ -89,6 +89,10 @@ def sample_anchor(anchors: AnchorSet, classes, count: int, rng):
     """``count`` reparameterized samples ``z = v_c + L_c xi`` for each class
     in ``classes``, as ``(Z, xi)`` of shape ``(len(classes), count, k)``.
 
+    A client round calls this once, first on its stream, for every class
+    the client holds (:func:`flic.federation.client_local_round`): the M
+    local steps and the global phase share that draw, and its image under
+    the shared layer is formed once, as the layer is fixed within a round.
     One draw gives the numbers of drawing class by class, in order. The
     noise ``xi`` carries the pathwise gradient to the factors; it is added
     as it is when ``anchors.identity`` marks every factor drawn from (the

@@ -6,9 +6,15 @@ active client runs M Adam steps on its private embedding and head (data
 loss, plus the W2 alignment penalty on the embedding and the
 anchor-sample classification penalty on the head), then takes a single
 plain gradient step each on the shared layer and on the anchors it
-holds, with the anchor samples as one stacked array. The W2 term reads
-only the embedding, so the shared-layer step leaves it out; the anchors
-take its gradient in :func:`flic.anchors.local_anchor_update`.
+holds. The W2 term reads only the embedding, so the shared-layer step
+leaves it out; the anchors take its gradient in
+:func:`flic.anchors.local_anchor_update`. A client round makes one
+anchor draw, first on its stream: samples of every held class as one
+stacked array, shared by the M local steps and the global phase. The
+shared layer is fixed within a round, so the samples' image under it
+and its cache are formed once with the draw; the local steps run only
+the head on that image, and the global phase backpropagates through the
+cached pass.
 :func:`shared_arrays` defines what crosses the client boundary in both
 directions: the shared layer's parameters, the anchor means, and the
 anchor factors only when they are learned. A client's proposal is that
@@ -85,6 +91,10 @@ TAG_ROUND = 1
 TAG_SELECT = 2
 TAG_FINAL = 3
 TAG_ONBOARD = 4
+# The onboarded client's initial weights. SeedSequence drops trailing zero
+# words, so (TAG_ONBOARD, c) would be the stream (TAG_ONBOARD, c, 0) of
+# round c of client 0.
+TAG_ONBOARD_INIT = 5
 
 
 class DivergenceError(RuntimeError):
@@ -209,7 +219,7 @@ def select_active_clients(b: int, rate: float, rng) -> np.ndarray:
     return np.sort(rng.choice(b, size=active_count(b, rate), replace=False))
 
 
-def local_objective_grads(phi, alpha, head, X, y, anchors, lam1, lam2, eps, z_classes, Z,
+def local_objective_grads(phi, alpha, head, X, y, anchors, lam1, lam2, eps, samples,
                           shared_grads=True):
     """Per-client objective on a fixed batch and its exact gradients.
 
@@ -217,17 +227,20 @@ def local_objective_grads(phi, alpha, head, X, y, anchors, lam1, lam2, eps, z_cl
               + lam1 * sum_c W2^2(anchor_c, embedded class batch)
               + lam2 * sum_c mean_j CE(c, head(alpha(Z_c[j])))
 
-    ``Z`` holds the fixed anchor samples of the classes ``z_classes``, as
-    :func:`flic.anchors.sample_anchor` draws them: shape
-    ``(len(z_classes), count, k)``, or ``None`` without the anchor-sample
-    term. That term runs as one batch: the samples of all classes take
-    one forward pass through ``alpha`` and ``head``, one
-    ``cross_entropy`` (scaled by the class count, so the term stays the
-    sum of per-class means) and one backward pass. Returns ``(parts,
-    g_phi, g_alpha, g_head, dZ)`` where ``parts`` is a dict of the three
-    loss components and ``dZ``, in ``Z``'s shape, is the gradient with
-    respect to the anchor samples (used for anchor updates), or ``None``
-    when there is none.
+    ``samples`` is a client round's one anchor draw, as
+    :func:`_draw_samples` makes it, or ``None`` without the anchor-sample
+    term: ``(z_classes, Z, Rz, cache)``, where ``Z`` holds the samples of
+    the classes ``z_classes`` in shape ``(len(z_classes), count, k)`` and
+    ``Rz, cache = forward(alpha, Z.reshape(-1, k))`` is their image under
+    the shared layer. The layer is fixed within a round, so every call of
+    the round reuses that image: the term runs the head forward on it as
+    one batch, one ``cross_entropy`` (scaled by the class count, so the
+    term stays the sum of per-class means) and the head backward, and
+    with ``shared_grads`` backpropagates through the cached shared-layer
+    pass. Returns ``(parts, g_phi, g_alpha, g_head, dZ)`` where ``parts``
+    is a dict of the three loss components and ``dZ``, in ``Z``'s shape,
+    is the gradient with respect to the anchor samples (used for anchor
+    updates), or ``None`` when there is none.
 
     The W2 term takes the batch's classes from ``np.bincount(y)`` (not
     ``np.unique``, which imports ``numpy.ma`` on its first call) and one
@@ -263,9 +276,9 @@ def local_objective_grads(phi, alpha, head, X, y, anchors, lam1, lam2, eps, z_cl
 
     anchor_loss = 0.0
     dZ = None
-    if lam2 > 0 and Z is not None:
-        n, count, k = Z.shape
-        Rz, cache_az = forward(alpha, Z.reshape(n * count, k))
+    if lam2 > 0 and samples is not None:
+        z_classes, Z, Rz, cache_az = samples
+        n, count = Z.shape[:2]
         logits_z, cache_hz = forward(head, Rz)
         # cross_entropy takes the mean over all rows; with equal counts the
         # class count times it is the sum of the per-class means.
@@ -294,18 +307,35 @@ def _draw_batch(rng, data, batch_size):
     return data.X_train[batch], data.y_train[batch]
 
 
-def _local_steps(client, alpha, anchors, cfg, rng, round_idx):
+def _draw_samples(client, alpha, anchors, cfg, rng):
+    """A client round's one anchor draw, made first on the round's stream.
+
+    :func:`flic.anchors.sample_anchor` draws ``cfg.anchor_samples``
+    samples of every class the client holds, and they take one forward
+    pass through the shared layer, which is fixed within a round. Returns
+    ``(samples, xi)``: ``samples`` as :func:`local_objective_grads` takes
+    it, for the M local steps and the global phase alike, and ``xi`` the
+    draw's noise for :func:`flic.anchors.local_anchor_update`. With
+    ``lambda2 = 0`` nothing is drawn and both are ``None``.
+    """
+    if cfg.lambda2 == 0:
+        return None, None
+    Z, xi = sample_anchor(anchors, client.data.classes, cfg.anchor_samples, rng)
+    return (client.data.classes, Z, *forward(alpha, Z.reshape(-1, Z.shape[-1]))), xi
+
+
+def _local_steps(client, alpha, anchors, cfg, rng, round_idx, samples):
     """M Adam steps on the client's (phi, head), in place; returns the
-    per-step losses."""
+    per-step losses. Each step draws its own batch; all of them read the
+    round's one anchor draw ``samples`` (see :func:`_draw_samples`), the
+    samples of every held class and their shared-layer image."""
     data, phi, head = client.data, client.phi, client.head
     losses = []
     for m in range(cfg.local_steps):
         Xb, yb = _draw_batch(rng, data, cfg.batch_size)
-        present = np.flatnonzero(np.bincount(yb))
-        Z = sample_anchor(anchors, present, cfg.anchor_samples, rng)[0] if cfg.lambda2 > 0 else None
         parts, g_phi, _, g_head, _ = _objective(
             data.client_id, round_idx, m,
-            phi, alpha, head, Xb, yb, anchors, cfg.lambda1, cfg.lambda2, cfg.eps, present, Z,
+            phi, alpha, head, Xb, yb, anchors, cfg.lambda1, cfg.lambda2, cfg.eps, samples,
             shared_grads=False,
         )
         phi.set_params(adam_step(client.phi_opt, phi.params(), g_phi))
@@ -318,10 +348,15 @@ def client_local_round(client: ClientState, global_state: GlobalState, cfg: Roun
                        round_idx: int) -> tuple[list[np.ndarray], float]:
     """One client's work for one round.
 
-    M local steps update the client's (phi, head) and Adam states in
-    place; then a single plain gradient step on the shared layer and on
-    the anchors of the client's classes, all evaluated at the final local
-    parameters on a fresh batch. That evaluation leaves out the W2 term,
+    The round's stream first gives one anchor draw for all the client's
+    held classes, and the samples go through the shared layer once
+    (:func:`_draw_samples`): the layer does not change within the round.
+    M local steps then update the client's (phi, head) and Adam states
+    in place; then a single plain gradient step on the shared layer and
+    on the anchors of the client's classes, all evaluated at the final
+    local parameters on a fresh batch. The local steps and this global
+    phase share the one draw, its image and its cache, and the anchor
+    step takes the draw's noise. The global phase leaves out the W2 term,
     which reads only ``phi``: the shared layer's and the anchor samples'
     gradients do not depend on ``lambda1``, and the anchors get theirs from
     :func:`flic.anchors.local_anchor_update`. The global state is not
@@ -333,18 +368,16 @@ def client_local_round(client: ClientState, global_state: GlobalState, cfg: Roun
     data = client.data
     rng = stream(cfg.seed, TAG_ROUND, round_idx, data.client_id)
     alpha, anchors = global_state.alpha, global_state.anchors
-    losses = _local_steps(client, alpha, anchors, cfg, rng, round_idx)
+    samples, xi = _draw_samples(client, alpha, anchors, cfg, rng)
+    losses = _local_steps(client, alpha, anchors, cfg, rng, round_idx, samples)
 
-    # Global-parameter phase: fresh batch, anchor samples for every held
-    # class, single plain gradient steps.
+    # Global-parameter phase: fresh batch, the round's anchor samples,
+    # single plain gradient steps.
     Xb, yb = _draw_batch(rng, data, cfg.batch_size)
-    Z = xi = None
-    if cfg.lambda2 > 0:
-        Z, xi = sample_anchor(anchors, data.classes, cfg.anchor_samples, rng)
     # lambda1 = 0: g_alpha and dZ do not depend on the alignment term.
     _, _, g_alpha, _, dZ = _objective(
         data.client_id, round_idx, cfg.local_steps, client.phi, alpha, client.head,
-        Xb, yb, anchors, 0.0, cfg.lambda2, cfg.eps, data.classes, Z,
+        Xb, yb, anchors, 0.0, cfg.lambda2, cfg.eps, samples,
     )
     alpha_params = [p - cfg.lr * g for p, g in zip(alpha.params(), g_alpha)]
 
@@ -411,10 +444,14 @@ def aggregate(state: GlobalState, proposals: Iterable[list[np.ndarray]], weights
 
 
 def _local_fit(client, global_state, cfg, rounds, tag):
-    """Rounds of local (phi, head) steps only, in place; shared state frozen."""
+    """Rounds of local (phi, head) steps only, in place; shared state
+    frozen. Each round makes one anchor draw first, as a client round
+    does, and its steps share it."""
+    alpha, anchors = global_state.alpha, global_state.anchors
     for r in range(rounds):
         rng = stream(cfg.seed, tag, r, client.data.client_id)
-        _local_steps(client, global_state.alpha, global_state.anchors, cfg, rng, r)
+        samples = _draw_samples(client, alpha, anchors, cfg, rng)[0]
+        _local_steps(client, alpha, anchors, cfg, rng, r, samples)
     return client
 
 
@@ -533,7 +570,7 @@ def onboard_new_client(
     ``onboard`` command checks this on its input.
     """
     n_classes = global_state.anchors.n_classes
-    rng = stream(cfg.seed, TAG_ONBOARD, dataset.client_id)
+    rng = stream(cfg.seed, TAG_ONBOARD_INIT, dataset.client_id)
     client = make_client(
         dataset,
         n_classes,

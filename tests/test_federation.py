@@ -50,13 +50,16 @@ def setup(seed, classes, samples=7):
     X = rng.standard_normal((30, D))
     z_classes = np.asarray(classes)
     Z = sample_anchor(anchors, z_classes, samples, rng)[0]
-    return phi, alpha, head, X, y, anchors, (z_classes, Z)
+    # The samples with their shared-layer image and cache, as a client
+    # round forms them once.
+    return phi, alpha, head, X, y, anchors, (z_classes, Z, *forward(alpha, Z.reshape(-1, K)))
 
 
-def per_class_reference(phi, alpha, head, X, y, anchors, lam1, lam2, eps, z_classes, Z):
+def per_class_reference(phi, alpha, head, X, y, anchors, lam1, lam2, eps, z):
     """The anchor-sample term class by class, each class its own passes."""
+    z_classes, Z = z[:2]
     parts, g_phi, g_alpha, g_head, _ = local_objective_grads(
-        phi, alpha, head, X, y, anchors, lam1, 0.0, eps, None, None
+        phi, alpha, head, X, y, anchors, lam1, 0.0, eps, None
     )
     anchor_loss = 0.0
     z_grads = np.empty_like(Z)
@@ -77,8 +80,8 @@ class TestBatchedAnchorPass:
     @pytest.mark.parametrize("classes", [[2], [0, 3, 5], list(range(N_CLASSES))])
     def test_matches_per_class_passes(self, classes):
         phi, alpha, head, X, y, anchors, z = setup(1, classes)
-        got = local_objective_grads(phi, alpha, head, X, y, anchors, 0.01, 0.3, 1e-6, *z)
-        ref = per_class_reference(phi, alpha, head, X, y, anchors, 0.01, 0.3, 1e-6, *z)
+        got = local_objective_grads(phi, alpha, head, X, y, anchors, 0.01, 0.3, 1e-6, z)
+        ref = per_class_reference(phi, alpha, head, X, y, anchors, 0.01, 0.3, 1e-6, z)
         for term in ("data", "align", "anchor", "total"):
             assert got[0][term] == pytest.approx(ref[0][term], rel=1e-12)
         for g, r in zip(got[1:4], ref[1:4]):
@@ -90,7 +93,10 @@ class TestBatchedAnchorPass:
             np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-12 * np.abs(r).max())
 
     @pytest.mark.parametrize("classes", [[1], [0, 4], list(range(N_CLASSES))])
-    def test_five_forward_and_backward_passes_whatever_the_class_count(self, monkeypatch, classes):
+    def test_four_forward_and_five_backward_passes_whatever_the_class_count(self, monkeypatch,
+                                                                            classes):
+        """The samples' shared-layer pass comes with them: a call runs the
+        head forward on its image and backpropagates through its cache."""
         phi, alpha, head, X, y, anchors, z = setup(2, classes)
         counts = {"forward": 0, "backward": 0}
 
@@ -102,18 +108,18 @@ class TestBatchedAnchorPass:
 
         monkeypatch.setattr(federation, "forward", counting("forward", forward))
         monkeypatch.setattr(federation, "backward", counting("backward", backward))
-        local_objective_grads(phi, alpha, head, X, y, anchors, 0.01, 0.3, 1e-6, *z)
-        assert counts == {"forward": 5, "backward": 5}
+        local_objective_grads(phi, alpha, head, X, y, anchors, 0.01, 0.3, 1e-6, z)
+        assert counts == {"forward": 4, "backward": 5}
         # Without the shared-layer gradients the anchor samples stop at the head.
         counts.update(forward=0, backward=0)
-        local_objective_grads(phi, alpha, head, X, y, anchors, 0.01, 0.3, 1e-6, *z,
+        local_objective_grads(phi, alpha, head, X, y, anchors, 0.01, 0.3, 1e-6, z,
                               shared_grads=False)
-        assert counts == {"forward": 5, "backward": 4}
+        assert counts == {"forward": 4, "backward": 4}
 
     @pytest.mark.parametrize("classes", [[2], [0, 3, 5], list(range(N_CLASSES))])
     def test_without_shared_grads_the_rest_is_bit_identical(self, classes):
         phi, alpha, head, X, y, anchors, z = setup(1, classes)
-        args = (phi, alpha, head, X, y, anchors, 0.01, 0.3, 1e-6, *z)
+        args = (phi, alpha, head, X, y, anchors, 0.01, 0.3, 1e-6, z)
         full = local_objective_grads(*args)
         local = local_objective_grads(*args, shared_grads=False)
         assert local[0] == full[0]
@@ -126,8 +132,8 @@ class TestBatchedAnchorPass:
         """The W2 term reads only phi: g_alpha and dZ at lam1 = 0 are those
         at lam1 > 0, bit for bit."""
         phi, alpha, head, X, y, anchors, z = setup(3, classes)
-        with_align = local_objective_grads(phi, alpha, head, X, y, anchors, 0.5, 0.3, 1e-6, *z)
-        without = local_objective_grads(phi, alpha, head, X, y, anchors, 0.0, 0.3, 1e-6, *z)
+        with_align = local_objective_grads(phi, alpha, head, X, y, anchors, 0.5, 0.3, 1e-6, z)
+        without = local_objective_grads(phi, alpha, head, X, y, anchors, 0.0, 0.3, 1e-6, z)
         assert with_align[0]["align"] > 0 and without[0]["align"] == 0.0
         for got, ref in zip(without[2], with_align[2]):
             np.testing.assert_array_equal(got, ref)
@@ -207,7 +213,7 @@ def test_alignment_rows_match_the_unique_and_mask_reference(factor_scale):
     X = rng.standard_normal((y.size, D))
     ref = unique_mask_reference(phi, alpha, head, X, y, anchors, 0.5, 1e-6)
     for shared in (True, False):
-        got = local_objective_grads(phi, alpha, head, X, y, anchors, 0.5, 0.0, 1e-6, None, None,
+        got = local_objective_grads(phi, alpha, head, X, y, anchors, 0.5, 0.0, 1e-6, None,
                                     shared_grads=shared)
         assert got[0] == ref[0] and got[0]["align"] > 0
         arrays = got[1] + got[3] + (got[2] if shared else [])
@@ -297,6 +303,39 @@ class TestAlphaEpochDivergence:
         client_local_round(client, state, cfg, round_idx=2)
         assert len(calls) == cfg.local_steps
 
+    def test_the_round_shares_one_anchor_draw(self, monkeypatch):
+        """Every objective call of the round, the global phase's included,
+        gets the one draw of the held classes with its shared-layer image,
+        and the anchor step gets that draw's noise."""
+        client, state, cfg = self.round_inputs()
+        assert cfg.lambda2 > 0
+        draws, samples, noise = [], [], []
+
+        def drawing(*args):
+            draws.append(sample_anchor(*args))
+            return draws[-1]
+
+        def objective(*args, **kwargs):
+            samples.append(args[9])
+            return local_objective_grads(*args, **kwargs)
+
+        def anchor_step(*args):
+            noise.append(args[4])
+            return local_anchor_update(*args)
+
+        monkeypatch.setattr(federation, "sample_anchor", drawing)
+        monkeypatch.setattr(federation, "local_objective_grads", objective)
+        monkeypatch.setattr(federation, "local_anchor_update", anchor_step)
+        client_local_round(client, state, cfg, round_idx=2)
+        [(Z, xi)] = draws
+        assert len(samples) == cfg.local_steps + 1
+        assert all(s is samples[0] for s in samples)
+        z_classes, got_Z, Rz, _ = samples[0]
+        assert got_Z is Z
+        np.testing.assert_array_equal(z_classes, client.data.classes)
+        np.testing.assert_array_equal(Rz, forward(state.alpha, Z.reshape(-1, K))[0])
+        assert len(noise) == 1 and noise[0] is xi
+
     def test_finite_run_completes(self):
         client, state, cfg = self.round_inputs()
         proposal, train_loss = client_local_round(client, state, cfg, round_idx=2)
@@ -342,6 +381,59 @@ def small_federation(**values):
         apply_env=False,
     )
     return (*build_federation(*load_or_generate(cfg), cfg), cfg.training)
+
+
+def test_one_anchor_draw_and_one_shared_layer_pass_per_client_round(monkeypatch):
+    """Each client round, and each client's final local round, draws the
+    samples of all its held classes once and forwards them through the
+    shared layer once: ``sum_t |A_t| + b`` draws in all."""
+    clients, state, cfg = small_federation(final_local_rounds=1)
+    draws, passes = [], []
+
+    def drawing(*args):
+        draws.append(sample_anchor(*args))
+        return draws[-1]
+
+    def forwarding(mlp, X):
+        if any(np.may_share_memory(X, Z) for Z, _ in draws):
+            passes.append(X)
+        return forward(mlp, X)
+
+    monkeypatch.setattr(federation, "sample_anchor", drawing)
+    monkeypatch.setattr(federation, "forward", forwarding)
+    selections = [select_active_clients(20, cfg.participation,
+                                        stream(cfg.seed, federation.TAG_SELECT, t))
+                  for t in range(cfg.rounds)]
+    run_training(clients, state, cfg)
+    held = [clients[i].data.classes for active in selections for i in active]
+    held += [c.data.classes for c in clients]
+    assert len(draws) == sum(map(len, selections)) + len(clients) == len(held)
+    for (Z, _), classes in zip(draws, held):
+        assert Z.shape == (len(classes), cfg.anchor_samples, 6)
+    assert len(passes) == len(draws)
+
+
+def test_onboarding_init_and_round_streams_differ(monkeypatch):
+    """Onboarding client 0 draws its initial weights from a stream other
+    than its round-0 stream; keys that differ by trailing zeros would give
+    one stream."""
+    rng = np.random.default_rng(5)
+    labels = np.repeat([0, 1], 6)
+    data = ClientDataset(0, rng.standard_normal((12, D)), labels, rng.standard_normal((12, D)),
+                         labels)
+    state = GlobalState(build_shared(K, rng), init_anchors(N_CLASSES, K, rng))
+    keys = []
+
+    def recording(*key):
+        keys.append(key)
+        return stream(*key)
+
+    monkeypatch.setattr(federation, "stream", recording)
+    cfg = RoundConfig(local_steps=2, batch_size=4, anchor_samples=3)
+    federation.onboard_new_client(data, state, cfg, hidden_dim=HIDDEN, rounds=1)
+    init_key, round_key = keys
+    assert round_key == (cfg.seed, federation.TAG_ONBOARD, 0, 0)
+    assert not np.array_equal(stream(*init_key).random(8), stream(*round_key).random(8))
 
 
 @pytest.mark.parametrize(
