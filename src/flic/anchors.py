@@ -1,10 +1,13 @@
 """Shared latent anchor distributions, one Gaussian per label class.
 
 Clients align their embedded class-conditional batches to these anchors
-and propose a local step on them; the server step
-(:func:`flic.federation.aggregate`) averages the proposed means, and the
-covariance factors directly when they are learned, which is one gradient
-step on the W2 barycenter objective when the classifier coupling is off.
+and propose a local step on them. The server step
+(:func:`flic.federation.aggregate`) takes ``b/|A|`` times the weighted
+sum of the proposed means, and of the factors when they are learned. It
+is an average, and with the classifier coupling off one gradient step on
+the W2 barycenter objective, only when the active weights sum to
+``|A|/b``; under partial participation they do not, and the scale drifts
+as :func:`~flic.federation.aggregate` describes.
 By default covariances are frozen at identity and only the means move.
 A client's anchor samples, their noise and their gradients are stacked
 ``(held classes, count, k)`` arrays, from the draw to the anchor step.

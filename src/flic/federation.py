@@ -2,31 +2,27 @@
 
 One communication round: the server samples an active client subset,
 broadcasts the shared representation layer and the anchor set; each
-active client runs M Adam steps on its private embedding and head (data
-loss, plus the W2 alignment penalty on the embedding and the
-anchor-sample classification penalty on the head), then takes a single
-plain gradient step each on the shared layer and on the anchors it
-holds. The W2 term reads only the embedding, so the shared-layer step
-leaves it out; the anchors take its gradient in
-:func:`flic.anchors.local_anchor_update`. A client round makes one
-anchor draw, first on its stream: samples of every held class as one
-stacked array, shared by the M local steps and the global phase. The
-shared layer is fixed within a round, so the samples' image under it
-and its cache are formed once with the draw; the local steps run only
-the head on that image, and the global phase backpropagates through the
-cached pass.
-:func:`shared_arrays` defines what crosses the client boundary in both
-directions: the shared layer's parameters, the anchor means, and the
-anchor factors only when they are learned. A client's proposal is that
-list after its steps, and :func:`aggregate` is the one server step over
-it. Clients never upload features or labels — the simulated message log
-records exactly those arrays' bytes.
+active client runs M Adam steps on its private embedding and head, then
+takes a single plain gradient step each on the shared layer and on the
+anchors it holds. Each loss term is one function returning its loss and
+gradient: :func:`data_term`, :func:`alignment_term` (W2 to the anchors,
+weight ``lambda1``) and :func:`anchor_term` (the head on anchor samples,
+weight ``lambda2``). A local step composes all three; the shared-layer
+step leaves out the W2 term, which reads only the embedding, and the
+anchors take its gradient in :func:`flic.anchors.local_anchor_update`.
 
-A batch's classes are the nonzero bins of ``np.bincount`` over its
-labels, not ``np.unique``, whose first call imports ``numpy.ma`` (tens of
-milliseconds and over a megabyte per run); the alignment term builds one
-row-index array per class and uses it both to gather the class's slice
-and to scatter its gradient back.
+A client round makes one anchor draw, first on its stream: samples of
+every held class as one stacked array, shared by the M local steps and
+the global phase. The shared layer is fixed within a round, so the
+samples' image under it and its cache are formed once with the draw;
+the local steps run only the head on that image, and the global phase
+backpropagates through the cached pass. :func:`shared_arrays` defines
+what crosses the client boundary in both directions: the shared layer's
+parameters, the anchor means, and the anchor factors only when they are
+learned. A client's proposal is that list after its steps, and
+:func:`aggregate` is the one server step over it. Clients never upload
+features or labels — the simulated message log records exactly those
+arrays' bytes.
 
 Clients run one after another and each client's embedding, head and
 Adam states are updated in place; the global state is never mutated,
@@ -81,7 +77,9 @@ __all__ = [
     "local_baseline",
     "onboard_new_client",
     "make_client",
-    "local_objective_grads",
+    "data_term",
+    "alignment_term",
+    "anchor_term",
 ]
 
 # RNG stream tags; every random draw in a run is keyed by
@@ -98,7 +96,9 @@ TAG_ONBOARD_INIT = 5
 
 
 class DivergenceError(RuntimeError):
-    """A client's objective diverged; ``term`` names the loss part at fault."""
+    """A client's objective diverged. ``term`` names the part at fault:
+    ``data``, ``align`` or ``anchor``, each checked where it is computed, or
+    ``total`` for a non-finite sum of finite terms."""
 
     def __init__(self, client_id: int, round_idx: int, step: int, term: str,
                  detail: str = "non-finite loss"):
@@ -107,19 +107,6 @@ class DivergenceError(RuntimeError):
             f"loss term {term!r} diverged on client {client_id} "
             f"at round {round_idx}, step {step}: {detail}"
         )
-
-
-def _objective(client_id, round_idx, step, *args, **kwargs):
-    """``local_objective_grads(*args, **kwargs)``; a divergence raises
-    DivergenceError."""
-    try:
-        out = local_objective_grads(*args, **kwargs)
-    except BuresGradientError as exc:
-        raise DivergenceError(client_id, round_idx, step, "align", str(exc)) from exc
-    if not math.isfinite(out[0]["total"]):
-        bad = [t for t in ("data", "align", "anchor") if not math.isfinite(out[0][t])]
-        raise DivergenceError(client_id, round_idx, step, (bad or ["total"])[0])
-    return out
 
 
 @dataclass
@@ -219,85 +206,104 @@ def select_active_clients(b: int, rate: float, rng) -> np.ndarray:
     return np.sort(rng.choice(b, size=active_count(b, rate), replace=False))
 
 
-def local_objective_grads(phi, alpha, head, X, y, anchors, lam1, lam2, eps, samples,
-                          shared_grads=True):
-    """Per-client objective on a fixed batch and its exact gradients.
-
-    objective = mean data cross-entropy
-              + lam1 * sum_c W2^2(anchor_c, embedded class batch)
-              + lam2 * sum_c mean_j CE(c, head(alpha(Z_c[j])))
-
-    ``samples`` is a client round's one anchor draw, as
-    :func:`_draw_samples` makes it, or ``None`` without the anchor-sample
-    term: ``(z_classes, Z, Rz, cache)``, where ``Z`` holds the samples of
-    the classes ``z_classes`` in shape ``(len(z_classes), count, k)`` and
-    ``Rz, cache = forward(alpha, Z.reshape(-1, k))`` is their image under
-    the shared layer. The layer is fixed within a round, so every call of
-    the round reuses that image: the term runs the head forward on it as
-    one batch, one ``cross_entropy`` (scaled by the class count, so the
-    term stays the sum of per-class means) and the head backward, and
-    with ``shared_grads`` backpropagates through the cached shared-layer
-    pass. Returns ``(parts, g_phi, g_alpha, g_head, dZ)`` where ``parts``
-    is a dict of the three loss components and ``dZ``, in ``Z``'s shape,
-    is the gradient with respect to the anchor samples (used for anchor
-    updates), or ``None`` when there is none.
-
-    The W2 term takes the batch's classes from ``np.bincount(y)`` (not
-    ``np.unique``, which imports ``numpy.ma`` on its first call) and one
-    row-index array per class, which gathers the class's slice of the
-    embedding and scatters its gradient back.
-
-    ``shared_grads=False`` is for the local steps, which move only phi
-    and the head: the data path's pass back through ``alpha`` forms only
-    the gradient ``phi`` needs, and the anchor-sample term stops after
-    the head's parameter gradients. ``g_alpha`` and ``dZ`` are then
-    ``None``; ``parts``, ``g_phi`` and ``g_head`` are the same bit for
-    bit.
-    """
+def data_term(phi, alpha, head, X, y):
+    """The mean cross-entropy of ``head(alpha(phi(X)))`` against ``y``:
+    ``(loss, dlogits, H, cache_phi, cache_alpha, cache_head)``, with the
+    gradient at the logits, ``H = phi(X)`` and the three forward caches."""
     H, cache_phi = forward(phi, X)
     R, cache_alpha = forward(alpha, H)
     logits, cache_head = forward(head, R)
-    data_loss, dlogits = cross_entropy(logits, y)
+    loss, dlogits = cross_entropy(logits, y)
+    return loss, dlogits, H, cache_phi, cache_alpha, cache_head
+
+
+def alignment_term(H, y, anchors, eps):
+    """``sum_c W2^2(anchor_c, embedded class batch)`` and its gradient
+    ``dH`` in ``H``'s shape. The classes are the nonzero bins of
+    ``np.bincount(y)`` (``np.unique`` imports ``numpy.ma`` on its first
+    call, tens of milliseconds); one row-index array per class gathers
+    its slice of ``H`` and scatters its gradient back. ``y`` must hold
+    valid class ids, as :func:`data_term`'s cross-entropy checks."""
+    rows = {int(c): np.flatnonzero(y == c) for c in np.flatnonzero(np.bincount(y))}
+    loss, grads = alignment_loss_grad({c: H[r] for c, r in rows.items()}, anchors, eps)
+    dH = np.zeros_like(H)
+    for c, r in rows.items():
+        dH[r] = grads[c]
+    return loss, dH
+
+
+def anchor_term(head, samples):
+    """``sum_c mean_j CE(c, head(alpha(Z_c[j])))`` over a round's anchor
+    draw: ``(loss, dlogits, cache_head)``.
+
+    ``samples`` is ``(z_classes, Z, Rz, cache)`` from :func:`_draw_samples`:
+    ``Z`` of shape ``(len(z_classes), count, k)`` and ``Rz, cache`` its
+    pass through the shared layer. The head runs on ``Rz`` as one batch;
+    the class count times the mean cross-entropy is the sum of the
+    per-class means."""
+    z_classes, Z, Rz, _ = samples
+    n, count = Z.shape[:2]
+    logits, cache_head = forward(head, Rz)
+    mean, dlogits = cross_entropy(logits, np.repeat(z_classes, count))
+    return n * mean, n * dlogits, cache_head
+
+
+def _finite(loss, where, term):
+    """``loss``, or a DivergenceError naming ``term`` at ``where``."""
+    if not math.isfinite(loss):
+        raise DivergenceError(*where, term)
+    return loss
+
+
+def _local_step_grads(phi, alpha, head, X, y, anchors, samples, cfg, where):
+    """``(loss, g_phi, g_head)`` of data + lambda1 * align + lambda2 *
+    anchor on a batch; ``where`` is ``(client_id, round_idx, step)``.
+    Only phi and the head move: the pass back through ``alpha`` forms only
+    the gradient at ``H``, and the anchor samples stop at the head."""
+    data, dlogits, H, cache_phi, cache_alpha, cache_head = data_term(phi, alpha, head, X, y)
+    _finite(data, where, "data")
     g_head, dR = backward(head, cache_head, dlogits)
-    g_alpha, dH = backward(alpha, cache_alpha, dR, param_grads=shared_grads)
+    dH = backward(alpha, cache_alpha, dR, param_grads=False)[1]
+    align = 0.0
+    if cfg.lambda1 > 0:
+        try:
+            align, dH_align = alignment_term(H, y, anchors, cfg.eps)
+        except BuresGradientError as exc:
+            raise DivergenceError(*where, "align", str(exc)) from exc
+        _finite(align, where, "align")
+        dH = dH + cfg.lambda1 * dH_align
+    g_phi = backward(phi, cache_phi, dH, input_grad=False)[0]
+    anchor = 0.0
+    if samples is not None:
+        anchor, dlogits_z, cache_hz = anchor_term(head, samples)
+        _finite(anchor, where, "anchor")
+        gh_z = backward(head, cache_hz, dlogits_z, input_grad=False)[0]
+        g_head = [g + cfg.lambda2 * gz for g, gz in zip(g_head, gh_z)]
+    loss = _finite(data + cfg.lambda1 * align + cfg.lambda2 * anchor, where, "total")
+    return loss, g_phi, g_head
 
-    align_loss = 0.0
-    if lam1 > 0:
-        # cross_entropy has checked the labels, so bincount takes them.
-        rows = {int(c): np.flatnonzero(y == c) for c in np.flatnonzero(np.bincount(y))}
-        align_loss, align_grads = alignment_loss_grad(
-            {c: H[r] for c, r in rows.items()}, anchors, eps
-        )
-        dH_align = np.zeros_like(H)
-        for c, r in rows.items():
-            dH_align[r] = align_grads[c]
-        dH = dH + lam1 * dH_align
-    g_phi, _ = backward(phi, cache_phi, dH, input_grad=False)
 
-    anchor_loss = 0.0
-    dZ = None
-    if lam2 > 0 and samples is not None:
-        z_classes, Z, Rz, cache_az = samples
-        n, count = Z.shape[:2]
-        logits_z, cache_hz = forward(head, Rz)
-        # cross_entropy takes the mean over all rows; with equal counts the
-        # class count times it is the sum of the per-class means.
-        mean_z, dlz = cross_entropy(logits_z, np.repeat(z_classes, count))
-        anchor_loss = n * mean_z
-        gh_z, dRz = backward(head, cache_hz, n * dlz, input_grad=shared_grads)
-        g_head = [g + lam2 * gz for g, gz in zip(g_head, gh_z)]
-        if shared_grads:
-            ga_z, dZ = backward(alpha, cache_az, dRz)
-            dZ = dZ.reshape(Z.shape)
-            g_alpha = [g + lam2 * gz for g, gz in zip(g_alpha, ga_z)]
-
-    parts = {
-        "data": data_loss,
-        "align": align_loss,
-        "anchor": anchor_loss,
-        "total": data_loss + lam1 * align_loss + lam2 * anchor_loss,
-    }
-    return parts, g_phi, g_alpha, g_head, dZ
+def _global_phase_grads(phi, alpha, head, X, y, samples, cfg, where):
+    """``(g_alpha, dZ)`` of data + lambda2 * anchor on a batch, ``dZ``
+    the anchor term's gradient at the samples (``None`` without them).
+    The W2 term reads only ``phi`` and adds to neither; no pass goes back
+    through ``phi``, and those through the head form only its input
+    gradient."""
+    data, dlogits, _, _, cache_alpha, cache_head = data_term(phi, alpha, head, X, y)
+    _finite(data, where, "data")
+    dR = backward(head, cache_head, dlogits, param_grads=False)[1]
+    g_alpha = backward(alpha, cache_alpha, dR, input_grad=False)[0]
+    anchor, dZ = 0.0, None
+    if samples is not None:
+        _, Z, _, cache_az = samples
+        anchor, dlogits_z, cache_hz = anchor_term(head, samples)
+        _finite(anchor, where, "anchor")
+        dRz = backward(head, cache_hz, dlogits_z, param_grads=False)[1]
+        ga_z, dZ = backward(alpha, cache_az, dRz)
+        dZ = dZ.reshape(Z.shape)
+        g_alpha = [g + cfg.lambda2 * gz for g, gz in zip(g_alpha, ga_z)]
+    _finite(data + cfg.lambda2 * anchor, where, "total")
+    return g_alpha, dZ
 
 
 def _draw_batch(rng, data, batch_size):
@@ -313,9 +319,9 @@ def _draw_samples(client, alpha, anchors, cfg, rng):
     :func:`flic.anchors.sample_anchor` draws ``cfg.anchor_samples``
     samples of every class the client holds, and they take one forward
     pass through the shared layer, which is fixed within a round. Returns
-    ``(samples, xi)``: ``samples`` as :func:`local_objective_grads` takes
-    it, for the M local steps and the global phase alike, and ``xi`` the
-    draw's noise for :func:`flic.anchors.local_anchor_update`. With
+    ``(samples, xi)``: ``samples`` as :func:`anchor_term` takes it, for
+    the M local steps and the global phase alike, and ``xi`` the draw's
+    noise for :func:`flic.anchors.local_anchor_update`. With
     ``lambda2 = 0`` nothing is drawn and both are ``None``.
     """
     if cfg.lambda2 == 0:
@@ -333,14 +339,11 @@ def _local_steps(client, alpha, anchors, cfg, rng, round_idx, samples):
     losses = []
     for m in range(cfg.local_steps):
         Xb, yb = _draw_batch(rng, data, cfg.batch_size)
-        parts, g_phi, _, g_head, _ = _objective(
-            data.client_id, round_idx, m,
-            phi, alpha, head, Xb, yb, anchors, cfg.lambda1, cfg.lambda2, cfg.eps, samples,
-            shared_grads=False,
-        )
+        loss, g_phi, g_head = _local_step_grads(phi, alpha, head, Xb, yb, anchors, samples, cfg,
+                                                (data.client_id, round_idx, m))
         phi.set_params(adam_step(client.phi_opt, phi.params(), g_phi))
         head.set_params(adam_step(client.head_opt, head.params(), g_head))
-        losses.append(parts["total"])
+        losses.append(loss)
     return losses
 
 
@@ -349,21 +352,17 @@ def client_local_round(client: ClientState, global_state: GlobalState, cfg: Roun
     """One client's work for one round.
 
     The round's stream first gives one anchor draw for all the client's
-    held classes, and the samples go through the shared layer once
-    (:func:`_draw_samples`): the layer does not change within the round.
-    M local steps then update the client's (phi, head) and Adam states
-    in place; then a single plain gradient step on the shared layer and
-    on the anchors of the client's classes, all evaluated at the final
-    local parameters on a fresh batch. The local steps and this global
-    phase share the one draw, its image and its cache, and the anchor
-    step takes the draw's noise. The global phase leaves out the W2 term,
-    which reads only ``phi``: the shared layer's and the anchor samples'
-    gradients do not depend on ``lambda1``, and the anchors get theirs from
-    :func:`flic.anchors.local_anchor_update`. The global state is not
-    mutated. Returns ``(proposal, train_loss)``: the proposal is
-    :func:`shared_arrays` of the stepped shared layer and anchors (with
-    ``lambda1 = lambda2 = 0`` the global anchor arrays themselves), the loss
-    the mean over the local steps.
+    held classes, through the shared layer once (:func:`_draw_samples`).
+    M local steps on :func:`data_term`, :func:`alignment_term` and
+    :func:`anchor_term` then update the client's (phi, head) and Adam
+    states in place. Last, on a fresh batch at the final local
+    parameters, one plain gradient step on the shared layer, from the
+    data and anchor-sample terms, and one on the held anchors by
+    :func:`flic.anchors.local_anchor_update`, which takes the draw's
+    noise. The global state is not mutated. Returns ``(proposal,
+    train_loss)``: :func:`shared_arrays` of the stepped shared layer and
+    anchors (with ``lambda1 = lambda2 = 0`` the global anchor arrays
+    themselves), and the mean loss over the local steps.
     """
     data = client.data
     rng = stream(cfg.seed, TAG_ROUND, round_idx, data.client_id)
@@ -374,11 +373,8 @@ def client_local_round(client: ClientState, global_state: GlobalState, cfg: Roun
     # Global-parameter phase: fresh batch, the round's anchor samples,
     # single plain gradient steps.
     Xb, yb = _draw_batch(rng, data, cfg.batch_size)
-    # lambda1 = 0: g_alpha and dZ do not depend on the alignment term.
-    _, _, g_alpha, _, dZ = _objective(
-        data.client_id, round_idx, cfg.local_steps, client.phi, alpha, client.head,
-        Xb, yb, anchors, 0.0, cfg.lambda2, cfg.eps, samples,
-    )
+    g_alpha, dZ = _global_phase_grads(client.phi, alpha, client.head, Xb, yb, samples, cfg,
+                                      (data.client_id, round_idx, cfg.local_steps))
     alpha_params = [p - cfg.lr * g for p, g in zip(alpha.params(), g_alpha)]
 
     if cfg.lambda1 > 0 or cfg.lambda2 > 0:

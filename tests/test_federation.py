@@ -16,9 +16,11 @@ from flic.federation import (
     RoundConfig,
     active_count,
     aggregate,
+    alignment_term,
+    anchor_term,
     client_local_round,
+    data_term,
     evaluate,
-    local_objective_grads,
     make_client,
     run_training,
     select_active_clients,
@@ -37,7 +39,10 @@ from flic.nets import (
 )
 from flic.rng import stream
 
+from helpers import fd_grad, pack, rel_err, unpack
+
 D, K, HIDDEN, N_CLASSES = 5, 6, 8, 6
+WHERE = (0, 0, 0)  # the (client_id, round_idx, step) a divergence would name
 
 
 def setup(seed, classes, samples=7):
@@ -55,10 +60,64 @@ def setup(seed, classes, samples=7):
     return phi, alpha, head, X, y, anchors, (z_classes, Z, *forward(alpha, Z.reshape(-1, K)))
 
 
+def local_step(phi, alpha, head, X, y, anchors, z, lam1, lam2, eps=1e-6):
+    """A local step's ``(loss, g_phi, g_head)``."""
+    cfg = RoundConfig(lambda1=lam1, lambda2=lam2, eps=eps)
+    return federation._local_step_grads(phi, alpha, head, X, y, anchors, z, cfg, WHERE)
+
+
+def global_phase(phi, alpha, head, X, y, z, lam2, lam1=0.001):
+    """The global phase's ``(g_alpha, dZ)``."""
+    cfg = RoundConfig(lambda1=lam1, lambda2=lam2)
+    return federation._global_phase_grads(phi, alpha, head, X, y, z, cfg, WHERE)
+
+
+def full_reference(phi, alpha, head, X, y, anchors, lam1, lam2, eps, z):
+    """The whole objective in one body, every backward pass forming both
+    its parameter and its input gradients, the classes from np.unique and
+    a boolean mask per class for the gather and again for the scatter.
+    Returns ``(parts, g_phi, g_alpha, g_head, dZ)``, ``parts`` the three
+    losses and their weighted sum."""
+    H, cache_phi = forward(phi, X)
+    R, cache_alpha = forward(alpha, H)
+    logits, cache_head = forward(head, R)
+    data_loss, dlogits = cross_entropy(logits, y)
+    g_head, dR = backward(head, cache_head, dlogits)
+    g_alpha, dH = backward(alpha, cache_alpha, dR)
+    slices = {int(c): H[y == c] for c in np.unique(y)}
+    align_loss, align_grads = alignment_loss_grad(slices, anchors, eps)
+    dH_align = np.zeros_like(H)
+    for c, g in align_grads.items():
+        dH_align[y == c] = g
+    g_phi, _ = backward(phi, cache_phi, dH + lam1 * dH_align)
+    anchor_loss, dZ = 0.0, None
+    if z is not None:
+        z_classes, Z, Rz, cache_az = z
+        n, count = Z.shape[:2]
+        logits_z, cache_hz = forward(head, Rz)
+        mean_z, dlz = cross_entropy(logits_z, np.repeat(z_classes, count))
+        anchor_loss = n * mean_z
+        gh_z, dRz = backward(head, cache_hz, n * dlz)
+        ga_z, dZ = backward(alpha, cache_az, dRz)
+        dZ = dZ.reshape(Z.shape)
+        g_head = [g + lam2 * gz for g, gz in zip(g_head, gh_z)]
+        g_alpha = [g + lam2 * gz for g, gz in zip(g_alpha, ga_z)]
+    parts = {"data": data_loss, "align": align_loss, "anchor": anchor_loss,
+             "total": data_loss + lam1 * align_loss + lam2 * anchor_loss}
+    return parts, g_phi, g_alpha, g_head, dZ
+
+
+def term_losses(phi, alpha, head, X, y, anchors, eps, z):
+    """The three terms' losses as the term functions give them."""
+    data, _, H, *_ = data_term(phi, alpha, head, X, y)
+    return {"data": data, "align": alignment_term(H, y, anchors, eps)[0],
+            "anchor": anchor_term(head, z)[0] if z is not None else 0.0}
+
+
 def per_class_reference(phi, alpha, head, X, y, anchors, lam1, lam2, eps, z):
     """The anchor-sample term class by class, each class its own passes."""
     z_classes, Z = z[:2]
-    parts, g_phi, g_alpha, g_head, _ = local_objective_grads(
+    parts, g_phi, g_alpha, g_head, _ = full_reference(
         phi, alpha, head, X, y, anchors, lam1, 0.0, eps, None
     )
     anchor_loss = 0.0
@@ -80,23 +139,27 @@ class TestBatchedAnchorPass:
     @pytest.mark.parametrize("classes", [[2], [0, 3, 5], list(range(N_CLASSES))])
     def test_matches_per_class_passes(self, classes):
         phi, alpha, head, X, y, anchors, z = setup(1, classes)
-        got = local_objective_grads(phi, alpha, head, X, y, anchors, 0.01, 0.3, 1e-6, z)
+        loss, g_phi, g_head = local_step(phi, alpha, head, X, y, anchors, z, 0.01, 0.3)
+        g_alpha, dZ = global_phase(phi, alpha, head, X, y, z, 0.3)
+        got = term_losses(phi, alpha, head, X, y, anchors, 1e-6, z)
         ref = per_class_reference(phi, alpha, head, X, y, anchors, 0.01, 0.3, 1e-6, z)
-        for term in ("data", "align", "anchor", "total"):
-            assert got[0][term] == pytest.approx(ref[0][term], rel=1e-12)
-        for g, r in zip(got[1:4], ref[1:4]):
+        for term in ("data", "align", "anchor"):
+            assert got[term] == pytest.approx(ref[0][term], rel=1e-12)
+        assert loss == pytest.approx(ref[0]["total"], rel=1e-12)
+        for g, r in zip((g_phi, g_alpha, g_head), ref[1:4]):
             assert len(g) == len(r)
             for a, b in zip(g, r):
                 np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
-        assert got[4].shape == z[1].shape
-        for g, r in zip(got[4], ref[4]):
+        assert dZ.shape == z[1].shape
+        for g, r in zip(dZ, ref[4]):
             np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-12 * np.abs(r).max())
 
     @pytest.mark.parametrize("classes", [[1], [0, 4], list(range(N_CLASSES))])
-    def test_four_forward_and_five_backward_passes_whatever_the_class_count(self, monkeypatch,
+    def test_four_forward_and_four_backward_passes_whatever_the_class_count(self, monkeypatch,
                                                                             classes):
-        """The samples' shared-layer pass comes with them: a call runs the
-        head forward on its image and backpropagates through its cache."""
+        """The samples' shared-layer pass comes with them: the local step
+        and the global phase each run the head forward on its image, and
+        the global phase backpropagates through its cache."""
         phi, alpha, head, X, y, anchors, z = setup(2, classes)
         counts = {"forward": 0, "backward": 0}
 
@@ -108,36 +171,123 @@ class TestBatchedAnchorPass:
 
         monkeypatch.setattr(federation, "forward", counting("forward", forward))
         monkeypatch.setattr(federation, "backward", counting("backward", backward))
-        local_objective_grads(phi, alpha, head, X, y, anchors, 0.01, 0.3, 1e-6, z)
-        assert counts == {"forward": 4, "backward": 5}
-        # Without the shared-layer gradients the anchor samples stop at the head.
+        local_step(phi, alpha, head, X, y, anchors, z, 0.01, 0.3)
+        assert counts == {"forward": 4, "backward": 4}
         counts.update(forward=0, backward=0)
-        local_objective_grads(phi, alpha, head, X, y, anchors, 0.01, 0.3, 1e-6, z,
-                              shared_grads=False)
+        global_phase(phi, alpha, head, X, y, z, 0.3)
         assert counts == {"forward": 4, "backward": 4}
 
     @pytest.mark.parametrize("classes", [[2], [0, 3, 5], list(range(N_CLASSES))])
-    def test_without_shared_grads_the_rest_is_bit_identical(self, classes):
+    def test_the_global_phase_runs_no_backward_pass_through_phi(self, monkeypatch, classes):
+        phi, alpha, head, X, y, anchors, z = setup(4, classes)
+        nets = []
+
+        def recording(mlp, *args, **kwargs):
+            nets.append(mlp)
+            return backward(mlp, *args, **kwargs)
+
+        monkeypatch.setattr(federation, "backward", recording)
+        global_phase(phi, alpha, head, X, y, z, 0.3)
+        assert [n is phi for n in nets] == [False] * 4
+        nets.clear()
+        local_step(phi, alpha, head, X, y, anchors, z, 0.01, 0.3)
+        assert sum(n is phi for n in nets) == 1
+
+    @pytest.mark.parametrize("classes", [[2], [0, 3, 5], list(range(N_CLASSES))])
+    def test_the_callers_give_the_full_backward_gradients_bit_for_bit(self, classes):
+        """The local step skips the shared layer's parameter gradient and
+        the samples' input gradient, the global phase phi's pass and the
+        head's parameter gradients: what each returns is the same bits."""
         phi, alpha, head, X, y, anchors, z = setup(1, classes)
-        args = (phi, alpha, head, X, y, anchors, 0.01, 0.3, 1e-6, z)
-        full = local_objective_grads(*args)
-        local = local_objective_grads(*args, shared_grads=False)
-        assert local[0] == full[0]
-        for got, ref in zip(local[1] + local[3], full[1] + full[3]):
-            np.testing.assert_array_equal(got, ref)
-        assert local[2] is None and local[4] is None
+        parts, *ref = full_reference(phi, alpha, head, X, y, anchors, 0.01, 0.3, 1e-6, z)
+        loss, g_phi, g_head = local_step(phi, alpha, head, X, y, anchors, z, 0.01, 0.3)
+        g_alpha, dZ = global_phase(phi, alpha, head, X, y, z, 0.3)
+        assert loss == parts["total"]
+        for got, r in zip(g_phi + g_alpha + g_head + [dZ], ref[0] + ref[1] + ref[2] + [ref[3]],
+                          strict=True):
+            np.testing.assert_array_equal(got, r)
 
     @pytest.mark.parametrize("classes", [[2], [0, 3, 5], list(range(N_CLASSES))])
     def test_shared_gradients_do_not_depend_on_the_alignment_weight(self, classes):
-        """The W2 term reads only phi: g_alpha and dZ at lam1 = 0 are those
-        at lam1 > 0, bit for bit."""
+        """The W2 term reads only phi: the global phase's g_alpha and dZ,
+        whatever lambda1, are those of the whole objective at lam1 > 0,
+        bit for bit."""
         phi, alpha, head, X, y, anchors, z = setup(3, classes)
-        with_align = local_objective_grads(phi, alpha, head, X, y, anchors, 0.5, 0.3, 1e-6, z)
-        without = local_objective_grads(phi, alpha, head, X, y, anchors, 0.0, 0.3, 1e-6, z)
-        assert with_align[0]["align"] > 0 and without[0]["align"] == 0.0
-        for got, ref in zip(without[2], with_align[2]):
-            np.testing.assert_array_equal(got, ref)
-        np.testing.assert_array_equal(without[4], with_align[4])
+        with_align = full_reference(phi, alpha, head, X, y, anchors, 0.5, 0.3, 1e-6, z)
+        assert with_align[0]["align"] > 0
+        for lam1 in (0.0, 0.5):
+            g_alpha, dZ = global_phase(phi, alpha, head, X, y, z, 0.3, lam1=lam1)
+            for got, ref in zip(g_alpha, with_align[2], strict=True):
+                np.testing.assert_array_equal(got, ref)
+            np.testing.assert_array_equal(dZ, with_align[4])
+
+
+def fd_params(net, loss_of):
+    """Central finite differences of ``loss_of(trial)`` over ``net``'s
+    parameters, ``trial`` a copy of ``net`` holding the perturbed ones."""
+    shapes = [p.shape for p in net.params()]
+
+    def f(vec):
+        trial = net.copy()
+        trial.set_params(unpack(vec, shapes))
+        return loss_of(trial)
+
+    return fd_grad(f, pack(net.params()))
+
+
+class TestTermGradients:
+    """Each term's gradients, as the local step and the global phase
+    backpropagate them, against central finite differences of its loss."""
+
+    EPS = 1e-2  # keeps the batch covariances well away from singular
+
+    def test_data_term(self):
+        phi, alpha, head, X, y, anchors, _ = setup(6, [0, 2, 3])
+        loss, g_phi, g_head = local_step(phi, alpha, head, X, y, anchors, None, 0.0, 0.0)
+        g_alpha, dZ = global_phase(phi, alpha, head, X, y, None, 0.0)
+        assert loss == data_term(phi, alpha, head, X, y)[0] and dZ is None
+        fds = [fd_params(phi, lambda t: data_term(t, alpha, head, X, y)[0]),
+               fd_params(alpha, lambda t: data_term(phi, t, head, X, y)[0]),
+               fd_params(head, lambda t: data_term(phi, alpha, t, X, y)[0])]
+        for grads, fd in zip((g_phi, g_alpha, g_head), fds):
+            assert rel_err(pack(grads), fd) < 1e-6
+
+    @pytest.mark.parametrize("classes", [[0, 2, 3], list(range(N_CLASSES))])
+    @pytest.mark.parametrize("factor_scale", [1.0, 1.5])
+    def test_alignment_term(self, classes, factor_scale):
+        """Five rows a class are fewer than k = 6 and take the Gram route
+        with identity factors, ten rows and scaled factors the k x k one."""
+        phi, alpha, head, X, y, anchors, _ = setup(7, classes)
+        anchors = replace(anchors, factors=anchors.factors * factor_scale)
+        H = forward(phi, X)[0]
+        loss, dH = alignment_term(H, y, anchors, self.EPS)
+        fd = fd_grad(lambda v: alignment_term(v.reshape(H.shape), y, anchors, self.EPS)[0],
+                     H.ravel())
+        assert loss > 0 and rel_err(dH.ravel(), fd) < 1e-6
+        # Through the local step, weighted and added to the data term's.
+        g_phi = local_step(phi, alpha, head, X, y, anchors, None, 0.4, 0.0, eps=self.EPS)[1]
+        fd = fd_params(phi, lambda t: data_term(t, alpha, head, X, y)[0]
+                       + 0.4 * alignment_term(forward(t, X)[0], y, anchors, self.EPS)[0])
+        assert rel_err(pack(g_phi), fd) < 1e-6
+
+    def test_anchor_term(self):
+        phi, alpha, head, X, y, anchors, z = setup(8, [0, 2, 3], samples=4)
+        z_classes, Z = z[:2]
+        lam2 = 0.7
+
+        def anchor_loss(alpha_, head_, Z_):
+            return anchor_term(head_, (z_classes, Z_, *forward(alpha_, Z_.reshape(-1, K))))[0]
+
+        def objective(alpha_, head_):
+            return data_term(phi, alpha_, head_, X, y)[0] + lam2 * anchor_loss(alpha_, head_, Z)
+
+        loss, _, g_head = local_step(phi, alpha, head, X, y, anchors, z, 0.0, lam2)
+        g_alpha, dZ = global_phase(phi, alpha, head, X, y, z, lam2)
+        assert loss == pytest.approx(objective(alpha, head), rel=1e-14)
+        assert rel_err(pack(g_head), fd_params(head, lambda t: objective(alpha, t))) < 1e-6
+        assert rel_err(pack(g_alpha), fd_params(alpha, lambda t: objective(t, head))) < 1e-6
+        fd = fd_grad(lambda v: anchor_loss(alpha, head, v.reshape(Z.shape)), Z.ravel())
+        assert dZ.shape == Z.shape and rel_err(dZ.ravel(), fd) < 1e-6
 
 
 @pytest.mark.parametrize("b, rate", [(1, 0.1), (7, 0.1), (20, 0.25), (10, 0.99), (10, 1.0),
@@ -178,26 +328,6 @@ def test_select_active_clients_needs_a_client(b):
         select_active_clients(b, 0.5, np.random.default_rng(0))
 
 
-def unique_mask_reference(phi, alpha, head, X, y, anchors, lam1, eps):
-    """The data and W2 terms with classes from np.unique and a boolean mask
-    per class for the gather and again for the scatter."""
-    H, cache_phi = forward(phi, X)
-    R, cache_alpha = forward(alpha, H)
-    logits, cache_head = forward(head, R)
-    data_loss, dlogits = cross_entropy(logits, y)
-    g_head, dR = backward(head, cache_head, dlogits)
-    g_alpha, dH = backward(alpha, cache_alpha, dR)
-    slices = {int(c): H[y == c] for c in np.unique(y)}
-    align_loss, align_grads = alignment_loss_grad(slices, anchors, eps)
-    dH_align = np.zeros_like(H)
-    for c, g in align_grads.items():
-        dH_align[y == c] = g
-    g_phi, _ = backward(phi, cache_phi, dH + lam1 * dH_align, input_grad=False)
-    parts = {"data": data_loss, "align": align_loss, "anchor": 0.0,
-             "total": data_loss + lam1 * align_loss + 0.0}
-    return parts, g_phi, g_alpha, g_head
-
-
 @pytest.mark.parametrize("factor_scale", [1.0, 1.5])
 def test_alignment_rows_match_the_unique_and_mask_reference(factor_scale):
     """Unsorted labels with gaps ({0, 3, 7} of 8) and unequal counts: the
@@ -211,15 +341,13 @@ def test_alignment_rows_match_the_unique_and_mask_reference(factor_scale):
     anchors = replace(anchors, factors=anchors.factors * factor_scale)
     y = np.array([7, 3, 0, 7, 7, 3, 0, 3, 7, 0, 3, 7, 7, 3, 0, 7, 3, 7, 0, 7])
     X = rng.standard_normal((y.size, D))
-    ref = unique_mask_reference(phi, alpha, head, X, y, anchors, 0.5, 1e-6)
-    for shared in (True, False):
-        got = local_objective_grads(phi, alpha, head, X, y, anchors, 0.5, 0.0, 1e-6, None,
-                                    shared_grads=shared)
-        assert got[0] == ref[0] and got[0]["align"] > 0
-        arrays = got[1] + got[3] + (got[2] if shared else [])
-        refs = ref[1] + ref[3] + (ref[2] if shared else [])
-        for a, r in zip(arrays, refs, strict=True):
-            assert np.array_equal(a.view(np.uint64), r.view(np.uint64))
+    ref = full_reference(phi, alpha, head, X, y, anchors, 0.5, 0.0, 1e-6, None)
+    loss, g_phi, g_head = local_step(phi, alpha, head, X, y, anchors, None, 0.5, 0.0)
+    g_alpha, _ = global_phase(phi, alpha, head, X, y, None, 0.0)
+    got = dict(term_losses(phi, alpha, head, X, y, anchors, 1e-6, None), total=loss)
+    assert got == ref[0] and got["align"] > 0
+    for a, r in zip(g_phi + g_head + g_alpha, ref[1] + ref[3] + ref[2], strict=True):
+        assert np.array_equal(a.view(np.uint64), r.view(np.uint64))
 
 
 class TestAlphaEpochDivergence:
@@ -242,26 +370,77 @@ class TestAlphaEpochDivergence:
         [("nan", "data"), ("bures", "align")],
     )
     def test_fault_at_alpha_proposal_names_client_round_step_and_term(self, monkeypatch, fault, term):
+        """A non-finite data loss in the global phase, or a singular
+        covariance in the anchor step that follows it."""
         client, state, cfg = self.round_inputs()
-        original = federation.local_objective_grads
         calls = []
 
-        def faulty(*args, **kwargs):
-            out = original(*args, **kwargs)
+        def faulty(*args):
+            out = data_term(*args)
             calls.append(None)
-            if len(calls) <= cfg.local_steps:  # the Adam steps
+            if len(calls) <= cfg.local_steps or fault != "nan":  # the Adam steps
                 return out
-            if fault == "bures":
-                raise BuresGradientError("L^T S L is numerically singular: smallest eigenvalue 0")
-            return (dict(out[0], data=np.nan, total=np.nan), *out[1:])
+            return (np.nan, *out[1:])
 
-        monkeypatch.setattr(federation, "local_objective_grads", faulty)
+        def singular(*args):
+            raise BuresGradientError("L^T S L is numerically singular: smallest eigenvalue 0")
+
+        monkeypatch.setattr(federation, "data_term", faulty)
+        if fault == "bures":
+            monkeypatch.setattr(federation, "local_anchor_update", singular)
         with pytest.raises(DivergenceError) as info:
             client_local_round(client, state, cfg, round_idx=2)
         err = info.value
         assert len(calls) == cfg.local_steps + 1
         assert (err.client_id, err.round_idx, err.step, err.term) == (3, 2, cfg.local_steps, term)
         assert f"loss term '{term}' diverged on client 3 at round 2, step {cfg.local_steps}" in str(err)
+
+    def loss_at_call(self, monkeypatch, name, call, loss=np.nan):
+        """Make the term function ``name`` return ``loss`` at its
+        ``call``-th call (from 0); returns the list of calls."""
+        original = getattr(federation, name)
+        calls = []
+
+        def faulty(*args):
+            out = original(*args)
+            calls.append(None)
+            return (loss, *out[1:]) if len(calls) == call + 1 else out
+
+        monkeypatch.setattr(federation, name, faulty)
+        return calls
+
+    @pytest.mark.parametrize("step", [1, 3])
+    def test_nan_anchor_term_names_anchor_and_the_step(self, monkeypatch, step):
+        """At a local step, and at step ``local_steps``, the global phase."""
+        client, state, cfg = self.round_inputs()
+        assert cfg.local_steps == 3
+        calls = self.loss_at_call(monkeypatch, "anchor_term", step)
+        with pytest.raises(DivergenceError) as info:
+            client_local_round(client, state, cfg, round_idx=2)
+        err = info.value
+        assert len(calls) == step + 1
+        assert (err.client_id, err.round_idx, err.step, err.term) == (3, 2, step, "anchor")
+        assert f"loss term 'anchor' diverged on client 3 at round 2, step {step}" in str(err)
+
+    def test_nan_data_loss_at_a_local_step_names_data_and_the_step(self, monkeypatch):
+        client, state, cfg = self.round_inputs()
+        calls = self.loss_at_call(monkeypatch, "data_term", 1)
+        with pytest.raises(DivergenceError) as info:
+            client_local_round(client, state, cfg, round_idx=2)
+        err = info.value
+        assert len(calls) == 2 and client.phi_opt.t == 1
+        assert (err.client_id, err.round_idx, err.step, err.term) == (3, 2, 1, "data")
+
+    @pytest.mark.parametrize("step", [0, 3])
+    def test_overflowing_sum_of_finite_terms_names_total(self, monkeypatch, step):
+        client, state, cfg = self.round_inputs()
+        cfg = replace(cfg, lambda2=1.0)
+        for name in ("data_term", "anchor_term"):
+            self.loss_at_call(monkeypatch, name, step, loss=1e308)
+        with pytest.raises(DivergenceError) as info:
+            client_local_round(client, state, cfg, round_idx=2)
+        err = info.value
+        assert (err.client_id, err.round_idx, err.step, err.term) == (3, 2, step, "total")
 
     @pytest.mark.parametrize("cov_learnable", [False, True])
     def test_non_finite_embedded_class_names_client_round_step_and_align(self, monkeypatch,
@@ -304,7 +483,7 @@ class TestAlphaEpochDivergence:
         assert len(calls) == cfg.local_steps
 
     def test_the_round_shares_one_anchor_draw(self, monkeypatch):
-        """Every objective call of the round, the global phase's included,
+        """Every anchor-term call of the round, the global phase's included,
         gets the one draw of the held classes with its shared-layer image,
         and the anchor step gets that draw's noise."""
         client, state, cfg = self.round_inputs()
@@ -315,16 +494,16 @@ class TestAlphaEpochDivergence:
             draws.append(sample_anchor(*args))
             return draws[-1]
 
-        def objective(*args, **kwargs):
-            samples.append(args[9])
-            return local_objective_grads(*args, **kwargs)
+        def anchor_loss(head, z):
+            samples.append(z)
+            return anchor_term(head, z)
 
         def anchor_step(*args):
             noise.append(args[4])
             return local_anchor_update(*args)
 
         monkeypatch.setattr(federation, "sample_anchor", drawing)
-        monkeypatch.setattr(federation, "local_objective_grads", objective)
+        monkeypatch.setattr(federation, "anchor_term", anchor_loss)
         monkeypatch.setattr(federation, "local_anchor_update", anchor_step)
         client_local_round(client, state, cfg, round_idx=2)
         [(Z, xi)] = draws
