@@ -34,10 +34,11 @@ class AnchorSet:
     """Per-class Gaussian anchors; factors must be nonsingular (W2 gradients).
 
     ``identity[c]`` says whether factor ``c`` is exactly the identity,
-    entry by entry. It is decided once, here, and picks the identity fast
-    paths of :func:`sample_anchor` and the alignment loss. So that it stays
-    true, the set is frozen and takes the factor array as its own, read-only:
-    a changed set is a new one (``dataclasses.replace``).
+    entry by entry. It is decided once, here, and serves only the
+    alignment loss, which takes the small Gram route for such a factor
+    (:func:`flic.nets.alignment_loss_grad`). So that it stays true, the
+    set is frozen and takes the factor array as its own, read-only: a
+    changed set is a new one (``dataclasses.replace``).
     """
 
     means: np.ndarray  # (C, k)
@@ -65,17 +66,10 @@ class AnchorSet:
         return self.means.shape[1]
 
 
-def init_anchors(
-    n_classes: int,
-    latent_dim: int,
-    rng,
-    cov_learnable: bool = False,
-    init_scale: float | None = None,
-) -> AnchorSet:
+def init_anchors(n_classes: int, latent_dim: int, rng, cov_learnable: bool = False) -> AnchorSet:
     """Fresh anchors: standard-normal means scaled by ``sqrt(k)`` (so class
     targets start well separated), identity factors."""
-    scale = np.sqrt(latent_dim) if init_scale is None else init_scale
-    means = scale * rng.standard_normal((n_classes, latent_dim))
+    means = np.sqrt(latent_dim) * rng.standard_normal((n_classes, latent_dim))
     factors = np.tile(np.eye(latent_dim), (n_classes, 1, 1))
     return AnchorSet(means, factors, cov_learnable)
 
@@ -97,18 +91,15 @@ def sample_anchor(anchors: AnchorSet, classes, count: int, rng):
     local steps and the global phase share that draw, and its image under
     the shared layer is formed once, as the layer is fixed within a round.
     One draw gives the numbers of drawing class by class, in order. The
-    noise ``xi`` carries the pathwise gradient to the factors; it is added
-    as it is when ``anchors.identity`` marks every factor drawn from (the
-    frozen default), where the product would give the same samples.
+    noise ``xi`` carries the pathwise gradient to the factors. Every draw
+    takes the product with the factors, identity ones included, where it
+    gives ``xi``'s own bits; ``anchors.identity`` is not read here.
     """
     classes = _held(anchors, classes)
     if count < 1:
         raise ValueError("count must be >= 1")
     xi = rng.standard_normal((len(classes), count, anchors.latent_dim))
-    if anchors.identity[classes].all():
-        noise = xi
-    else:
-        noise = xi @ anchors.factors[classes].transpose(0, 2, 1)
+    noise = xi @ anchors.factors[classes].transpose(0, 2, 1)
     return anchors.means[classes][:, None, :] + noise, xi
 
 

@@ -55,7 +55,6 @@ class ExperimentConfig:
     latent_dim: int = 64
     hidden_dim: int = 64
     cov_learnable: bool = False
-    anchor_init_scale: float | None = None
     training: RoundConfig = field(default_factory=RoundConfig)
     data: ToyDatasetSpec = field(default_factory=ToyDatasetSpec)
     theory: TheoryConfig = field(default_factory=TheoryConfig)
@@ -78,7 +77,7 @@ _CLAIMS = [
 COMPONENT_KEYS = dict(_CLAIMS)
 assert len(COMPONENT_KEYS) == len(_CLAIMS) and not COMPONENT_KEYS.keys() & set(_TOP), \
     "two settings claim one flat key"
-_OPTIONAL = {"dataset_path": str, "anchor_init_scale": float}
+_OPTIONAL = {"dataset_path": str}
 
 
 def _flat_value(cfg: ExperimentConfig, key: str):

@@ -48,13 +48,7 @@ def build_federation(datasets, n_classes: int, cfg: ExperimentConfig):
     total = sum(ds.n_samples for ds in datasets)
     rng_global = stream(cfg.seed, TAG_INIT, 0, 0)
     alpha = build_shared(cfg.latent_dim, rng_global)
-    anchors = init_anchors(
-        n_classes,
-        cfg.latent_dim,
-        rng_global,
-        cov_learnable=cfg.cov_learnable,
-        init_scale=cfg.anchor_init_scale,
-    )
+    anchors = init_anchors(n_classes, cfg.latent_dim, rng_global, cov_learnable=cfg.cov_learnable)
     clients = [
         make_client(
             ds,

@@ -5,11 +5,12 @@ broadcasts the shared representation layer and the anchor set; each
 active client runs M Adam steps on its private embedding and head, then
 takes a single plain gradient step each on the shared layer and on the
 anchors it holds. Each loss term is one function returning its loss and
-gradient: :func:`data_term`, :func:`alignment_term` (W2 to the anchors,
-weight ``lambda1``) and :func:`anchor_term` (the head on anchor samples,
-weight ``lambda2``). A local step composes all three; the shared-layer
-step leaves out the W2 term, which reads only the embedding, and the
-anchors take its gradient in :func:`flic.anchors.local_anchor_update`.
+gradient: :func:`data_term`, :func:`flic.nets.alignment_loss_grad` (W2
+to the anchors, weight ``lambda1``) and :func:`anchor_term` (the head on
+anchor samples, weight ``lambda2``). A local step composes all three;
+the shared-layer step leaves out the W2 term, which reads only the
+embedding, and the anchors take its gradient in
+:func:`flic.anchors.local_anchor_update`.
 
 A client round makes one anchor draw, first on its stream: samples of
 every held class as one stacked array, shared by the M local steps and
@@ -78,7 +79,6 @@ __all__ = [
     "onboard_new_client",
     "make_client",
     "data_term",
-    "alignment_term",
     "anchor_term",
 ]
 
@@ -217,21 +217,6 @@ def data_term(phi, alpha, head, X, y):
     return loss, dlogits, H, cache_phi, cache_alpha, cache_head
 
 
-def alignment_term(H, y, anchors, eps):
-    """``sum_c W2^2(anchor_c, embedded class batch)`` and its gradient
-    ``dH`` in ``H``'s shape. The classes are the nonzero bins of
-    ``np.bincount(y)`` (``np.unique`` imports ``numpy.ma`` on its first
-    call, tens of milliseconds); one row-index array per class gathers
-    its slice of ``H`` and scatters its gradient back. ``y`` must hold
-    valid class ids, as :func:`data_term`'s cross-entropy checks."""
-    rows = {int(c): np.flatnonzero(y == c) for c in np.flatnonzero(np.bincount(y))}
-    loss, grads = alignment_loss_grad({c: H[r] for c, r in rows.items()}, anchors, eps)
-    dH = np.zeros_like(H)
-    for c, r in rows.items():
-        dH[r] = grads[c]
-    return loss, dH
-
-
 def anchor_term(head, samples):
     """``sum_c mean_j CE(c, head(alpha(Z_c[j])))`` over a round's anchor
     draw: ``(loss, dlogits, cache_head)``.
@@ -266,8 +251,11 @@ def _local_step_grads(phi, alpha, head, X, y, anchors, samples, cfg, where):
     dH = backward(alpha, cache_alpha, dR, param_grads=False)[1]
     align = 0.0
     if cfg.lambda1 > 0:
+        # The classes are the nonzero bins of np.bincount(y): np.unique
+        # imports numpy.ma on its first call, tens of milliseconds.
+        rows = {int(c): np.flatnonzero(y == c) for c in np.flatnonzero(np.bincount(y))}
         try:
-            align, dH_align = alignment_term(H, y, anchors, cfg.eps)
+            align, dH_align = alignment_loss_grad(rows, H, anchors, cfg.eps)
         except BuresGradientError as exc:
             raise DivergenceError(*where, "align", str(exc)) from exc
         _finite(align, where, "align")
@@ -353,13 +341,13 @@ def client_local_round(client: ClientState, global_state: GlobalState, cfg: Roun
 
     The round's stream first gives one anchor draw for all the client's
     held classes, through the shared layer once (:func:`_draw_samples`).
-    M local steps on :func:`data_term`, :func:`alignment_term` and
-    :func:`anchor_term` then update the client's (phi, head) and Adam
-    states in place. Last, on a fresh batch at the final local
-    parameters, one plain gradient step on the shared layer, from the
-    data and anchor-sample terms, and one on the held anchors by
-    :func:`flic.anchors.local_anchor_update`, which takes the draw's
-    noise. The global state is not mutated. Returns ``(proposal,
+    M local steps on :func:`data_term`,
+    :func:`flic.nets.alignment_loss_grad` and :func:`anchor_term` then
+    update the client's (phi, head) and Adam states in place. Last, on
+    a fresh batch at the final local parameters, one plain gradient step
+    on the shared layer, from the data and anchor-sample terms, and one
+    on the held anchors by :func:`flic.anchors.local_anchor_update`,
+    which takes the draw's noise. The global state is not mutated. Returns ``(proposal,
     train_loss)``: :func:`shared_arrays` of the stepped shared layer and
     anchors (with ``lambda1 = lambda2 = 0`` the global anchor arrays
     themselves), and the mean loss over the local steps.

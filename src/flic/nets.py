@@ -1,14 +1,14 @@
 """Minimal MLP stack with explicit reverse-mode gradients.
 
 Forward/backward passes, softmax cross-entropy, the distribution
-alignment loss (squared W2 to per-class anchors, differentiated through
-the batch mean and covariance), and Adam. All arrays are float64; the
-gradient of every path is pinned to central finite differences by the
-test suite, so no approximation shortcuts are taken here. The backward
-pass hands an identity layer's gradient through unchanged and multiplies
-by a ReLU layer's boolean mask itself, which gives the same bits as
-multiplying by the derivative as floats. The Bures part
-of the alignment loss comes from
+alignment loss (squared W2 from each class's rows of a batch to its
+anchor, differentiated through the class mean and covariance), and Adam.
+All arrays are float64; the gradient of every path is pinned to central
+finite differences by the test suite, so no approximation shortcuts are
+taken here. The backward pass hands an identity layer's gradient through
+unchanged and multiplies by a ReLU layer's boolean mask itself, which
+gives the same bits as multiplying by the derivative as floats. The
+Bures part of the alignment loss comes from
 :func:`flic.gaussian.bures_sq_batch_value_grad`, given ``None`` for an
 anchor factor that the anchor set marks as the identity.
 """
@@ -211,7 +211,7 @@ def cross_entropy(logits, labels):
     return float(loss), grad / n
 
 
-def alignment_loss_grad(embedded_by_class, anchors, eps: float):
+def alignment_loss_grad(rows, H, anchors, eps: float):
     """Sum of squared W2 distances from per-class batch Gaussians to anchors.
 
     Per class, one :func:`flic.gaussian.bures_sq_batch_value_grad` call
@@ -223,8 +223,11 @@ def alignment_loss_grad(embedded_by_class, anchors, eps: float):
 
     Parameters
     ----------
-    embedded_by_class : dict
-        Maps a label class to its (n_c, k) slice of embedded points.
+    rows : dict
+        Maps each label class in the batch, in increasing order, to the
+        indices of its rows of ``H``.
+    H : (n, k) array
+        The embedded batch.
     anchors : AnchorSet
         Target Gaussians in the latent space; factors must be nonsingular.
     eps : float
@@ -234,27 +237,27 @@ def alignment_loss_grad(embedded_by_class, anchors, eps: float):
     Returns
     -------
     loss : float
-    grads : dict mapping class -> (n_c, k) per-sample gradients
+    dH : (n, k) gradient in ``H``; rows of no class in ``rows`` are zero
     """
     if eps <= 0:
         raise ValueError("eps must be positive for alignment gradients")
     total = 0.0
-    grads = {}
-    for c in sorted(embedded_by_class):
-        H = np.asarray(embedded_by_class[c], dtype=float)
-        if H.ndim != 2 or H.shape[0] < 1:
+    dH = np.zeros_like(H)
+    for c, r in rows.items():
+        B = H[r]
+        if B.ndim != 2 or B.shape[0] < 1:
             raise ValueError(f"class {c} slice is empty")
-        n_c = H.shape[0]
-        m = H.sum(axis=0) / n_c  # H.mean(axis=0), bit for bit
-        Hc = H - m
+        n_c = B.shape[0]
+        m = B.sum(axis=0) / n_c  # B.mean(axis=0), bit for bit
+        Hc = B - m
         L = None if anchors.identity[c] else anchors.factors[c]
         bures, Hc_G = bures_sq_batch_value_grad(L, Hc, eps)
         diff = m - anchors.means[c]
         total += float(diff @ diff) + bures
         # d mean-term / dx_j = 2 (m_hat - v) / n_c; the covariance term
         # chains through d Sigma_hat = (dx (x-m)^T + (x-m) dx^T) / n_c.
-        grads[c] = (2.0 / n_c) * (diff + Hc_G)
-    return total, grads
+        dH[r] = (2.0 / n_c) * (diff + Hc_G)
+    return total, dH
 
 
 @dataclass

@@ -16,7 +16,9 @@ from helpers import batch_cov, bures_sq_ref, count_eigh, fd_grad, rel_err
 
 
 def make_anchors(rng, C=4, k=3, cov_learnable=False, scale=1.0):
-    return init_anchors(C, k, rng, cov_learnable=cov_learnable, init_scale=scale)
+    """Anchors as :func:`init_anchors` draws them, at mean scale ``scale``."""
+    return AnchorSet(scale * rng.standard_normal((C, k)), np.tile(np.eye(k), (C, 1, 1)),
+                     cov_learnable)
 
 
 class TestAnchorSet:
@@ -35,6 +37,14 @@ class TestAnchorSet:
         with pytest.raises(FrozenInstanceError):
             anchors.factors = 2.0 * anchors.factors
         assert anchors.identity.all()
+
+
+def test_init_anchors_scales_standard_normal_means_by_sqrt_k():
+    anchors = init_anchors(5, 4, np.random.default_rng(0), cov_learnable=True)
+    expected = make_anchors(np.random.default_rng(0), C=5, k=4, cov_learnable=True, scale=2.0)
+    np.testing.assert_array_equal(anchors.means, expected.means)
+    np.testing.assert_array_equal(anchors.factors, expected.factors)
+    assert anchors.cov_learnable and anchors.identity.all()
 
 
 class TestSampling:
@@ -93,8 +103,8 @@ class TestSampling:
         Z, xi = sample_anchor(anchors, [1], 100, np.random.default_rng(9))
         np.testing.assert_array_equal(xi[0], np.random.default_rng(9).standard_normal((100, k)))
         np.testing.assert_array_equal(Z[0], anchors.means[1] + xi[0] @ L.T)
-        if not identity:
-            assert not np.array_equal(Z[0], anchors.means[1] + xi[0])
+        # The product with an identity factor gives the noise's own bits.
+        assert np.array_equal(Z[0], anchors.means[1] + xi[0]) == identity
 
     @pytest.mark.parametrize("perturbed", [(), (2,), (0, 2, 3)])
     def test_one_stacked_draw_equals_per_class_draws_bit_for_bit(self, perturbed):

@@ -84,6 +84,12 @@ def test_workers_other_than_one_exit_with_config_code(tmp_path, monkeypatch, cap
     assert "one after another" in capsys.readouterr().err
 
 
+def test_anchor_init_scale_is_an_unknown_key(tmp_path, monkeypatch, capsys):
+    assert _run({**SMALL_FLIC, "anchor_init_scale": 1.0}, tmp_path, monkeypatch) == cli.EXIT_CONFIG
+    assert "unknown config keys: anchor_init_scale" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 def test_workers_flag_is_gone(capsys):
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["run", "--workers", "2"])
@@ -605,7 +611,6 @@ EDGES = {
     "latent_dim": [0, 1, 40],
     "hidden_dim": [0, 1, 40],
     "cov_learnable": [False, True],
-    "anchor_init_scale": [None, 0.0, 1e-9, 1e9],
 }
 
 

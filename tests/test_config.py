@@ -19,7 +19,6 @@ from flic.theory import TheoryConfig
 # Every key of the flat format with its default; a change to this dict is
 # a change to the file format.
 DEFAULTS = {
-    "anchor_init_scale": None,
     "anchor_samples": 100,
     "base_dim": 5,
     "batch_size": 100,
@@ -71,10 +70,19 @@ def flat(cfg) -> dict:
 
 def test_defaults_are_the_documented_keys_and_values():
     doc = flat(build_config({}, apply_env=False))
-    assert len(DEFAULTS) == 43
+    assert len(DEFAULTS) == 42
     assert doc == DEFAULTS
     # types too: 1e-06 == 1e-6 either way, but 1 == 1.0 would hide a float
     assert {k: type(v) for k, v in doc.items()} == {k: type(v) for k, v in DEFAULTS.items()}
+
+
+def test_readme_table_lists_every_key_with_its_default():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| `([^`]+)` \|", readme, flags=re.MULTILINE)
+    table = {key: json.loads(default) for key, default in rows}
+    doc = flat(build_config({}, apply_env=False))
+    assert len(rows) == len(table) and table == doc
+    assert {k: type(v) for k, v in table.items()} == {k: type(v) for k, v in doc.items()}
 
 
 def test_serialized_defaults_are_sorted_two_space_json():
@@ -137,7 +145,6 @@ def valid_values(draw):
         "latent_dim": st.integers(1, 128),
         "hidden_dim": st.integers(1, 128),
         "cov_learnable": st.booleans(),
-        "anchor_init_scale": st.none() | st.floats(0.0, 10.0),
         "theory_clients": st.just(theory_clients),
         "theory_samples": st.integers(1, 1000),
         "theory_test_samples": st.integers(1, 500),
@@ -322,6 +329,7 @@ INVALID = [
     ({"no_such_key": 1}, "no_such_key"),
     ({"alpha_epoch": True}, "alpha_epoch"),
     ({"onboard_rounds": -1}, "onboard_rounds"),
+    ({"anchor_init_scale": 1.0}, "anchor_init_scale"),
 ]
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from flic import federation
-from flic.anchors import init_anchors, local_anchor_update, sample_anchor
+from flic.anchors import AnchorSet, init_anchors, local_anchor_update, sample_anchor
 from flic.datagen import ClientDataset
 from flic.gaussian import BuresGradientError
 from flic.federation import (
@@ -16,7 +16,6 @@ from flic.federation import (
     RoundConfig,
     active_count,
     aggregate,
-    alignment_term,
     anchor_term,
     client_local_round,
     data_term,
@@ -84,10 +83,11 @@ def full_reference(phi, alpha, head, X, y, anchors, lam1, lam2, eps, z):
     data_loss, dlogits = cross_entropy(logits, y)
     g_head, dR = backward(head, cache_head, dlogits)
     g_alpha, dH = backward(alpha, cache_alpha, dR)
-    slices = {int(c): H[y == c] for c in np.unique(y)}
-    align_loss, align_grads = alignment_loss_grad(slices, anchors, eps)
-    dH_align = np.zeros_like(H)
-    for c, g in align_grads.items():
+    align_loss, dH_align = 0.0, np.zeros_like(H)
+    for c in np.unique(y):
+        slice_ = H[y == c]
+        loss_c, g = alignment_loss_grad({int(c): np.arange(len(slice_))}, slice_, anchors, eps)
+        align_loss += loss_c
         dH_align[y == c] = g
     g_phi, _ = backward(phi, cache_phi, dH + lam1 * dH_align)
     anchor_loss, dZ = 0.0, None
@@ -107,10 +107,16 @@ def full_reference(phi, alpha, head, X, y, anchors, lam1, lam2, eps, z):
     return parts, g_phi, g_alpha, g_head, dZ
 
 
+def class_rows(y):
+    """Each class in ``y`` mapped to its row indices, as the local step
+    builds them: the classes are the nonzero bins of ``np.bincount(y)``."""
+    return {int(c): np.flatnonzero(y == c) for c in np.flatnonzero(np.bincount(y))}
+
+
 def term_losses(phi, alpha, head, X, y, anchors, eps, z):
     """The three terms' losses as the term functions give them."""
     data, _, H, *_ = data_term(phi, alpha, head, X, y)
-    return {"data": data, "align": alignment_term(H, y, anchors, eps)[0],
+    return {"data": data, "align": alignment_loss_grad(class_rows(y), H, anchors, eps)[0],
             "anchor": anchor_term(head, z)[0] if z is not None else 0.0}
 
 
@@ -260,14 +266,15 @@ class TestTermGradients:
         phi, alpha, head, X, y, anchors, _ = setup(7, classes)
         anchors = replace(anchors, factors=anchors.factors * factor_scale)
         H = forward(phi, X)[0]
-        loss, dH = alignment_term(H, y, anchors, self.EPS)
-        fd = fd_grad(lambda v: alignment_term(v.reshape(H.shape), y, anchors, self.EPS)[0],
+        rows = class_rows(y)
+        loss, dH = alignment_loss_grad(rows, H, anchors, self.EPS)
+        fd = fd_grad(lambda v: alignment_loss_grad(rows, v.reshape(H.shape), anchors, self.EPS)[0],
                      H.ravel())
         assert loss > 0 and rel_err(dH.ravel(), fd) < 1e-6
         # Through the local step, weighted and added to the data term's.
         g_phi = local_step(phi, alpha, head, X, y, anchors, None, 0.4, 0.0, eps=self.EPS)[1]
         fd = fd_params(phi, lambda t: data_term(t, alpha, head, X, y)[0]
-                       + 0.4 * alignment_term(forward(t, X)[0], y, anchors, self.EPS)[0])
+                       + 0.4 * alignment_loss_grad(rows, forward(t, X)[0], anchors, self.EPS)[0])
         assert rel_err(pack(g_phi), fd) < 1e-6
 
     def test_anchor_term(self):
@@ -731,8 +738,9 @@ def test_test_rows_never_reach_training():
 
 
 def shared_state(rng, cov_learnable, C=4, k=3, scale=1.0):
-    return GlobalState(build_shared(k, rng),
-                       init_anchors(C, k, rng, cov_learnable=cov_learnable, init_scale=scale))
+    alpha = build_shared(k, rng)
+    means = scale * rng.standard_normal((C, k))
+    return GlobalState(alpha, AnchorSet(means, np.tile(np.eye(k), (C, 1, 1)), cov_learnable))
 
 
 def proposal_of(state):

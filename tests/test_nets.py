@@ -257,15 +257,24 @@ def identity_anchors(n_classes, k, means=None):
     return AnchorSet(means, np.tile(np.eye(k), (n_classes, 1, 1)), cov_learnable=False)
 
 
+def by_class(batches):
+    """``(rows, H)`` for a dict of per-class slices: the slices stacked in
+    increasing class order, each class mapped to the indices of its rows."""
+    classes = sorted(batches)
+    H = np.concatenate([batches[c] for c in classes])
+    ends = np.cumsum([len(batches[c]) for c in classes])
+    return {c: np.arange(e - len(batches[c]), e) for c, e in zip(classes, ends)}, H
+
+
 class TestAlignmentLoss:
     def test_batch_matching_anchor_is_near_stationary(self):
         # batch with exact zero mean and identity covariance
         k = 3
         X = np.concatenate([np.eye(k), -np.eye(k)]) * np.sqrt(3.0)
         anchors = identity_anchors(1, k)
-        loss, grads = alignment_loss_grad({0: X}, anchors, eps=1e-6)
+        loss, dH = alignment_loss_grad(*by_class({0: X}), anchors, eps=1e-6)
         assert loss < k * 1e-6
-        assert np.linalg.norm(grads[0]) < 1e-6
+        assert np.linalg.norm(dH) < 1e-6
 
     def test_anchors_equal_to_batch_gaussian(self):
         rng = np.random.default_rng(7)
@@ -274,9 +283,9 @@ class TestAlignmentLoss:
             X.mean(axis=0)[None, :], np.linalg.cholesky(batch_cov(X, 1e-6))[None, :, :],
             cov_learnable=True,
         )
-        loss, grads = alignment_loss_grad({0: X}, anchors, eps=1e-6)
+        loss, dH = alignment_loss_grad(*by_class({0: X}), anchors, eps=1e-6)
         assert loss <= 4 * 1e-6
-        assert np.linalg.norm(grads[0]) <= 1e-6
+        assert np.linalg.norm(dH) <= 1e-6
 
     def test_single_class_gradient_matches_fd(self):
         rng = np.random.default_rng(8)
@@ -285,12 +294,12 @@ class TestAlignmentLoss:
         anchors = identity_anchors(1, k, means=rng.standard_normal((1, k)))
         learned = AnchorSet(anchors.means, (np.eye(k) + 0.3 * rng.standard_normal((k, k)))[None])
         for a in (anchors, learned):
-            _, grads = alignment_loss_grad({0: X}, a, eps=1e-4)
+            _, dH = alignment_loss_grad(*by_class({0: X}), a, eps=1e-4)
             fd = fd_grad(
-                lambda v: alignment_loss_grad({0: v.reshape(n, k)}, a, 1e-4)[0],
+                lambda v: alignment_loss_grad(*by_class({0: v.reshape(n, k)}), a, 1e-4)[0],
                 X.ravel(),
             )
-            assert rel_err(grads[0].ravel(), fd) < 1e-4
+            assert rel_err(dH.ravel(), fd) < 1e-4
 
     def test_one_eigh_per_class_slice(self, monkeypatch):
         rng = np.random.default_rng(11)
@@ -299,7 +308,7 @@ class TestAlignmentLoss:
         factors = np.eye(k) + 0.2 * rng.standard_normal((4, k, k))
         anchors = AnchorSet(rng.standard_normal((4, k)), factors, cov_learnable=True)
         calls = count_eigh(monkeypatch)
-        alignment_loss_grad(batches, anchors, eps=1e-6)
+        alignment_loss_grad(*by_class(batches), anchors, eps=1e-6)
         assert calls == [(k, k)] * len(batches)
 
     def test_identity_anchors_decompose_the_small_gram_matrix(self, monkeypatch):
@@ -308,7 +317,7 @@ class TestAlignmentLoss:
         batches = {0: rng.standard_normal((3, k)), 2: rng.standard_normal((7, k)),
                    3: rng.standard_normal((8, k)), 4: rng.standard_normal((11, k))}
         calls = count_eigh(monkeypatch)
-        alignment_loss_grad(batches, identity_anchors(5, k), eps=1e-6)
+        alignment_loss_grad(*by_class(batches), identity_anchors(5, k), eps=1e-6)
         assert calls == [(3, 3), (7, 7), (k, k), (k, k)]
 
     def test_each_class_takes_the_route_of_its_own_factor(self, monkeypatch):
@@ -319,7 +328,7 @@ class TestAlignmentLoss:
         anchors = AnchorSet(rng.standard_normal((3, k)), factors, cov_learnable=True)
         batches = {c: rng.standard_normal((5, k)) for c in range(3)}
         calls = count_eigh(monkeypatch)
-        alignment_loss_grad(batches, anchors, eps=1e-6)
+        alignment_loss_grad(*by_class(batches), anchors, eps=1e-6)
         assert calls == [(5, 5), (k, k), (5, 5)]
 
     def test_short_slice_gradient_matches_fd(self):
@@ -327,12 +336,12 @@ class TestAlignmentLoss:
         k, n = 7, 4
         X = rng.standard_normal((n, k))
         anchors = identity_anchors(1, k, means=rng.standard_normal((1, k)))
-        _, grads = alignment_loss_grad({0: X}, anchors, eps=1e-2)
+        _, dH = alignment_loss_grad(*by_class({0: X}), anchors, eps=1e-2)
         fd = fd_grad(
-            lambda v: alignment_loss_grad({0: v.reshape(n, k)}, anchors, 1e-2)[0],
+            lambda v: alignment_loss_grad(*by_class({0: v.reshape(n, k)}), anchors, 1e-2)[0],
             X.ravel(),
         )
-        assert rel_err(grads[0].ravel(), fd) < 1e-4
+        assert rel_err(dH.ravel(), fd) < 1e-4
 
     def test_mean_term_dominates_when_covariances_match(self):
         # anchor covariance I, batch built with covariance exactly I:
@@ -342,9 +351,9 @@ class TestAlignmentLoss:
         shift = np.array([0.5, -1.0])
         X = base + shift
         anchors = identity_anchors(1, k, means=np.array([[2.0, 1.0]]))
-        _, grads = alignment_loss_grad({0: X}, anchors, eps=1e-9)
+        _, dH = alignment_loss_grad(*by_class({0: X}), anchors, eps=1e-9)
         expected = 2 * (shift - anchors.means[0]) / X.shape[0]
-        np.testing.assert_allclose(grads[0], np.tile(expected, (X.shape[0], 1)), atol=1e-6)
+        np.testing.assert_allclose(dH, np.tile(expected, (X.shape[0], 1)), atol=1e-6)
 
     def test_two_classes_total_is_sum_of_w2(self):
         rng = np.random.default_rng(9)
@@ -352,7 +361,7 @@ class TestAlignmentLoss:
         batches = {0: rng.standard_normal((8, k)), 3: rng.standard_normal((5, k)) + 1.0}
         means = rng.standard_normal((4, k))
         anchors = identity_anchors(4, k, means=means)
-        loss, _ = alignment_loss_grad(batches, anchors, eps=1e-6)
+        loss, _ = alignment_loss_grad(*by_class(batches), anchors, eps=1e-6)
         expected = sum(
             float(np.sum((means[c] - X.mean(axis=0)) ** 2))
             + bures_sq_ref(np.eye(k), batch_cov(X, 1e-6))
@@ -362,7 +371,46 @@ class TestAlignmentLoss:
 
     def test_empty_class_slice_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            alignment_loss_grad({0: np.zeros((0, 2))}, identity_anchors(1, 2), 1e-6)
+            alignment_loss_grad({0: np.arange(0)}, np.zeros((2, 2)), identity_anchors(1, 2),
+                                1e-6)
+
+    def test_non_positive_eps_rejected(self):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            alignment_loss_grad(*by_class({0: np.eye(2)}), identity_anchors(1, 2), 0.0)
+
+    # Labels with gaps ({0, 2, 5} of 6), unsorted, unequal counts, and two
+    # rows (label -1) of no class.
+    LABELS = np.array([5, 2, -1, 0, 5, 5, 2, 0, 5, 2, -1, 0, 5, 2])
+
+    def labelled(self, seed, factor_scale):
+        rng = np.random.default_rng(seed)
+        k = 6
+        factors = factor_scale * np.tile(np.eye(k), (6, 1, 1))
+        anchors = AnchorSet(rng.standard_normal((6, k)), factors)
+        rows = {c: np.flatnonzero(self.LABELS == c) for c in (0, 2, 5)}
+        return rows, rng.standard_normal((self.LABELS.size, k)), anchors
+
+    @pytest.mark.parametrize("factor_scale", [1.0, 1.5])
+    def test_classes_add_up_to_the_one_class_calls(self, factor_scale):
+        rows, H, anchors = self.labelled(15, factor_scale)
+        loss, dH = alignment_loss_grad(rows, H, anchors, 1e-6)
+        parts = [alignment_loss_grad({c: r}, H, anchors, 1e-6) for c, r in rows.items()]
+        assert loss == sum(part[0] for part in parts)
+        assert np.array_equal(dH, sum(part[1] for part in parts))
+        assert not dH[self.LABELS == -1].any()
+
+    @pytest.mark.parametrize("factor_scale,route", [(1.0, "gram"), (1.5, "k x k")])
+    def test_gradient_matches_fd(self, factor_scale, route, monkeypatch):
+        """Identity factors and fewer than k = 6 rows a class take the
+        Gram route, scaled factors the k x k one."""
+        rows, H, anchors = self.labelled(16, factor_scale)
+        calls = count_eigh(monkeypatch)
+        loss, dH = alignment_loss_grad(rows, H, anchors, 1e-2)
+        sizes = [len(r) for r in rows.values()]
+        assert calls == ([(n, n) for n in sizes] if route == "gram" else [(6, 6)] * len(sizes))
+        fd = fd_grad(lambda v: alignment_loss_grad(rows, v.reshape(H.shape), anchors, 1e-2)[0],
+                     H.ravel())
+        assert loss > 0 and rel_err(dH.ravel(), fd) < 1e-6
 
 
 class TestAdam:
