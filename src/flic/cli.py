@@ -13,8 +13,13 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .config import ConfigError, build_config, parse_config
-from .federation import DivergenceError
+from .datagen import load_clients
+from .experiment import run_command, write_dataset
+from .federation import DivergenceError, client_accuracy, onboard_new_client
+from .reporting import load_checkpoint
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -40,26 +45,16 @@ def _load_config(args: argparse.Namespace):
 
 
 def _cmd_datagen(args) -> int:
-    from .experiment import write_dataset
-
     cfg = _load_config(args)
     return write_dataset(cfg)
 
 
 def _cmd_run(args) -> int:
-    from .experiment import run_command
-
     cfg = _load_config(args)
     return run_command(cfg)
 
 
 def _cmd_eval(args) -> int:
-    import numpy as np
-
-    from .datagen import load_clients
-    from .federation import client_accuracy
-    from .reporting import load_checkpoint
-
     state, models = load_checkpoint(args.checkpoint)
     datasets, _ = load_clients(args.data)
     by_id = {ds.client_id: ds for ds in datasets}
@@ -67,7 +62,7 @@ def _cmd_eval(args) -> int:
     for cid in sorted(models):
         if cid not in by_id:
             raise ConfigError(f"checkpoint client {cid} missing from dataset")
-        phi, head, classes, _ = models[cid]
+        phi, head, classes = models[cid]
         data = by_id[cid]
         if data.classes.tolist() != classes:
             raise ConfigError(
@@ -87,10 +82,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_onboard(args) -> int:
-    from .datagen import load_clients
-    from .federation import client_accuracy, onboard_new_client
-    from .reporting import load_checkpoint
-
     cfg = _load_config(args)
     if args.rounds is not None and args.rounds < 0:
         raise ConfigError(f"--rounds: must be >= 0, got {args.rounds}")

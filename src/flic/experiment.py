@@ -45,7 +45,6 @@ def load_or_generate(cfg: ExperimentConfig):
 
 def build_federation(datasets, n_classes: int, cfg: ExperimentConfig):
     """Initialize client states and the global state for a dataset."""
-    total = sum(ds.n_samples for ds in datasets)
     rng_global = stream(cfg.seed, TAG_INIT, 0, 0)
     alpha = build_shared(cfg.latent_dim, rng_global)
     anchors = init_anchors(n_classes, cfg.latent_dim, rng_global, cov_learnable=cfg.cov_learnable)
@@ -55,8 +54,6 @@ def build_federation(datasets, n_classes: int, cfg: ExperimentConfig):
             n_classes,
             latent_dim=cfg.latent_dim,
             hidden_dim=cfg.hidden_dim,
-            lr=cfg.training.lr,
-            weight=ds.n_samples / total,
             rng=stream(cfg.seed, TAG_INIT, 1, ds.client_id),
         )
         for ds in datasets

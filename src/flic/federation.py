@@ -26,10 +26,11 @@ features or labels — the simulated message log records exactly those
 arrays' bytes.
 
 Clients run one after another and each client's embedding, head and
-Adam states are updated in place; the global state is never mutated,
+Adam moments are updated in place; the global state is never mutated,
 each round builds a new one. The server holds one upload at a time:
-:func:`aggregate` folds each proposal into a running weighted sum as
-soon as its client finishes, before the next client trains. The sum
+:func:`aggregate` folds each proposal into a running sum as soon as its
+client finishes, before the next client trains, weighting client ``i``
+by its share ``n_i / n`` of all the run's rows, train and test. The sum
 keeps the ``b/|A|`` scale, and with it the drift under partial
 participation that :func:`aggregate` describes. Every random draw is
 keyed by (seed, tag, round, client), so the result does not depend on
@@ -145,14 +146,12 @@ class ClientState:
     head: Mlp
     phi_opt: AdamState
     head_opt: AdamState
-    weight: float
 
 
 @dataclass
 class GlobalState:
     alpha: Mlp
     anchors: AnchorSet
-    round: int = 0
 
 
 def shared_arrays(alpha_params: list[np.ndarray], anchors: AnchorSet) -> list[np.ndarray]:
@@ -168,20 +167,12 @@ def make_client(
     n_classes: int,
     latent_dim: int,
     hidden_dim: int,
-    lr: float,
-    weight: float,
     rng,
 ) -> ClientState:
     phi = build_embedding(dataset.dim, latent_dim, hidden_dim, rng)
     head = build_head(latent_dim, n_classes, rng)
-    return ClientState(
-        data=dataset,
-        phi=phi,
-        head=head,
-        phi_opt=AdamState(lr),
-        head_opt=AdamState(lr),
-        weight=weight,
-    )
+    return ClientState(data=dataset, phi=phi, head=head, phi_opt=AdamState(),
+                       head_opt=AdamState())
 
 
 def active_count(b: int, rate: float) -> int:
@@ -329,8 +320,8 @@ def _local_steps(client, alpha, anchors, cfg, rng, round_idx, samples):
         Xb, yb = _draw_batch(rng, data, cfg.batch_size)
         loss, g_phi, g_head = _local_step_grads(phi, alpha, head, Xb, yb, anchors, samples, cfg,
                                                 (data.client_id, round_idx, m))
-        phi.set_params(adam_step(client.phi_opt, phi.params(), g_phi))
-        head.set_params(adam_step(client.head_opt, head.params(), g_head))
+        phi.set_params(adam_step(client.phi_opt, phi.params(), g_phi, cfg.lr))
+        head.set_params(adam_step(client.head_opt, head.params(), g_head, cfg.lr))
         losses.append(loss)
     return losses
 
@@ -390,9 +381,10 @@ def aggregate(state: GlobalState, proposals: Iterable[list[np.ndarray]], weights
     dropped before the next one is taken, so the server holds one upload
     at a time. Every shared array becomes ``(b / |A|) * sum_i w_i p_i``
     over the active set ``A`` of the ``b = total_clients`` clients, summed
-    from left to right. It is an average only when the active weights sum
-    to ``|A| / b``; under partial participation they do not, so the scale
-    of the result drifts from round to round. Frozen anchor factors are
+    from left to right; :func:`run_training` passes ``w_i = n_i / n``. It
+    is an average only when the active weights sum to ``|A| / b``; under
+    partial participation they do not, so the scale of the result drifts
+    from round to round. Frozen anchor factors are
     copied from ``state``.
     """
     weights = np.asarray(weights, dtype=float)
@@ -423,8 +415,7 @@ def aggregate(state: GlobalState, proposals: Iterable[list[np.ndarray]], weights
     alpha.set_params(out[:n_alpha])
     anchors = state.anchors
     factors = out[-1] if anchors.cov_learnable else anchors.factors.copy()
-    return GlobalState(alpha, AnchorSet(out[n_alpha], factors, anchors.cov_learnable),
-                       state.round + 1)
+    return GlobalState(alpha, AnchorSet(out[n_alpha], factors, anchors.cov_learnable))
 
 
 def _local_fit(client, global_state, cfg, rounds, tag):
@@ -456,6 +447,7 @@ def run_training(clients, global_state, cfg: RoundConfig):
     if not clients:
         raise ValueError("need at least one client")
     b = len(clients)
+    total = sum(c.data.n_samples for c in clients)
     log = []
     metrics = []
     state = global_state
@@ -475,7 +467,7 @@ def run_training(clients, global_state, cfg: RoundConfig):
         # aggregate takes the proposals one at a time from this generator,
         # so each client trains only after the previous upload is folded in.
         state = aggregate(state, (upload(clients[i]) for i in active),
-                          [clients[i].weight for i in active], b)
+                          [clients[i].data.n_samples / total for i in active], b)
         ids = [int(clients[i].data.client_id) for i in active]
         log += [dict(round=t, direction="down", client_id=c, kind="shared_alpha+anchors",
                      nbytes=down) for c in ids]
@@ -521,19 +513,19 @@ def evaluate(clients, global_state: GlobalState):
 def local_baseline(clients, global_template: GlobalState, cfg: RoundConfig) -> dict:
     """Isolated per-client training: no communication and no alignment.
 
-    Each client runs alone as a federation of one, with weight 1 and
-    ``lambda1 = lambda2 = 0``: every round it takes the local steps on
-    (phi, head) and one plain step on its own private copy of the shared
-    layer, for all ``cfg.rounds`` rounds whatever ``cfg.participation``,
-    then the final local rounds. A federated client at participation < 1
-    trains only in the rounds it is selected, so the two step budgets
-    differ. The clients are updated in place; ``global_template`` is not
+    Each client runs alone as a federation of one, so its server weight
+    is ``n_i / n_i = 1``, with ``lambda1 = lambda2 = 0``: every round it
+    takes the local steps on (phi, head) and one plain step on its own
+    private copy of the shared layer, for all ``cfg.rounds`` rounds
+    whatever ``cfg.participation``, then the final local rounds. A
+    federated client at participation < 1 trains only in the rounds it
+    is selected, so the two step budgets differ. The clients are updated in place; ``global_template`` is not
     mutated. Returns the per-client test accuracies.
     """
     cfg0 = replace(cfg, lambda1=0.0, lambda2=0.0)
     accs = {}
     for client in clients:
-        accs.update(run_training([replace(client, weight=1.0)], global_template, cfg0)[4])
+        accs.update(run_training([client], global_template, cfg0)[4])
     return accs
 
 
@@ -560,8 +552,6 @@ def onboard_new_client(
         n_classes,
         latent_dim=global_state.alpha.input_dim,
         hidden_dim=hidden_dim,
-        lr=cfg.lr,
-        weight=1.0,
         rng=rng,
     )
     n_rounds = cfg.rounds if rounds is None else rounds

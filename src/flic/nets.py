@@ -260,23 +260,25 @@ def alignment_loss_grad(rows, H, anchors, eps: float):
     return total, dH
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam's settings, step count and moments. The moments start empty;
+    """Adam's step count and moments. The moments start empty;
     :func:`adam_step` creates them on the first step, so an optimizer that
     never steps holds no arrays."""
 
-    lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
 
 
-def adam_step(state: AdamState, params, grads):
-    """One bias-corrected Adam update.
+def adam_step(state: AdamState, params, grads, lr: float):
+    """One bias-corrected Adam update with step size ``lr`` and the
+    module's ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
 
     Empty moments are first set to zeros shaped like ``params``. Returns
     the new parameter arrays; ``state`` is advanced in place.
@@ -287,15 +289,15 @@ def adam_step(state: AdamState, params, grads):
     if len(params) != len(state.m) or len(grads) != len(state.m):
         raise ValueError("parameter/gradient count mismatch")
     state.t += 1
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
+    bc1 = 1.0 - ADAM_BETA1**state.t
+    bc2 = 1.0 - ADAM_BETA2**state.t
     out = []
     for i, (p, g) in enumerate(zip(params, grads)):
         if g.shape != p.shape:
             raise ValueError("gradient shape mismatch")
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
+        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
+        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * g * g
         m_hat = state.m[i] / bc1
         v_hat = state.v[i] / bc2
-        out.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
+        out.append(p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
     return out

@@ -3,7 +3,8 @@
 Metrics go to CSV, one column per :class:`MetricsRecord` field, floats
 with 6 significant digits. Checkpoints keep every tensor as float64 in a
 single ``arrays.npz`` container (shape-prefixed by the format itself)
-next to a JSON manifest describing the network structure, so a save/load
+next to a ``meta.json`` manifest: the layer activations, whether anchor
+covariances are learned, and each client's id and classes. A save/load
 round trip is bit-exact. A checkpoint or dataset file that cannot be
 parsed, or whose contents fail validation, is reported as an ``OSError``
 naming the file, like a missing one.
@@ -19,6 +20,9 @@ from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
+
+from .anchors import AnchorSet
+from .nets import Layer, Mlp
 
 __all__ = [
     "MetricsRecord",
@@ -95,8 +99,6 @@ def _mlp_meta(mlp) -> list[str]:
 
 
 def _load_mlp(prefix: str, activations: list[str], arrays):
-    from .nets import Layer, Mlp
-
     layers = []
     for i, act in enumerate(activations):
         layers.append(
@@ -118,7 +120,6 @@ def save_checkpoint(out_dir, global_state, clients) -> None:
     arrays["anchors.means"] = global_state.anchors.means
     arrays["anchors.factors"] = global_state.anchors.factors
     meta = {
-        "round": int(global_state.round),
         "alpha_activations": _mlp_meta(global_state.alpha),
         "cov_learnable": bool(global_state.anchors.cov_learnable),
         "clients": [],
@@ -133,7 +134,6 @@ def save_checkpoint(out_dir, global_state, clients) -> None:
                 "phi_activations": _mlp_meta(c.phi),
                 "head_activations": _mlp_meta(c.head),
                 "classes": [int(x) for x in c.data.classes],
-                "weight": float(c.weight),
             }
         )
     np.savez(root / "arrays.npz", **{k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()})
@@ -141,8 +141,9 @@ def save_checkpoint(out_dir, global_state, clients) -> None:
 
 
 def load_checkpoint(ckpt_dir):
-    """Rebuild (GlobalState, {client_id: (phi, head, classes, weight)})."""
-    from .anchors import AnchorSet
+    """Rebuild (GlobalState, {client_id: (phi, head, classes)}). Keys of
+    ``meta.json`` that it does not read, such as an older checkpoint's
+    ``round`` and per-client ``weight``, are ignored."""
     from .federation import GlobalState
 
     root = Path(ckpt_dir)
@@ -175,5 +176,5 @@ def load_checkpoint(ckpt_dir):
                     f"{head.input_dim} to {head.output_dim}, expected latent {k} "
                     f"and {n_classes} classes"
                 )
-            clients[cid] = (phi, head, entry["classes"], entry["weight"])
-    return GlobalState(alpha, anchors, meta["round"]), clients
+            clients[cid] = (phi, head, entry["classes"])
+    return GlobalState(alpha, anchors), clients

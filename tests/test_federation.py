@@ -367,7 +367,7 @@ class TestAlphaEpochDivergence:
         labels = np.repeat([0, 2, 3], 10)
         features = rng.standard_normal((2 * labels.size, D))
         data = ClientDataset(3, features[0::2], labels, features[1::2], labels)
-        client = make_client(data, N_CLASSES, K, HIDDEN, lr=1e-3, weight=1.0, rng=rng)
+        client = make_client(data, N_CLASSES, K, HIDDEN, rng=rng)
         state = GlobalState(build_shared(K, rng), init_anchors(N_CLASSES, K, rng))
         cfg = RoundConfig(local_steps=3, batch_size=12, anchor_samples=5)
         return client, state, cfg
@@ -660,6 +660,36 @@ def test_each_upload_is_freed_before_the_next_client_trains(monkeypatch, cov_lea
     assert alive == [0] * len(alive)
 
 
+def test_the_server_weights_each_client_by_its_share_of_all_rows(monkeypatch):
+    """``run_training`` hands :func:`aggregate` ``n_i / sum_j n_j`` for each
+    active client, training and test rows both counted; a lone client,
+    as in the local baseline, gets exactly 1."""
+    rng = np.random.default_rng(21)
+
+    def client(cid, n_train, n_test):
+        data = ClientDataset(cid, rng.standard_normal((n_train, D)), np.arange(n_train) % 3,
+                             rng.standard_normal((n_test, D)), np.arange(n_test) % 3)
+        return make_client(data, N_CLASSES, K, HIDDEN, rng=rng)
+
+    clients = [client(0, 9, 2), client(1, 15, 4), client(2, 31, 7)]
+    state = GlobalState(build_shared(K, rng), init_anchors(N_CLASSES, K, rng))
+    cfg = RoundConfig(rounds=2, participation=1.0, local_steps=1, batch_size=8,
+                      anchor_samples=3)
+    seen = []
+
+    def recording(state, proposals, weights, total_clients):
+        seen.append(list(weights))
+        return aggregate(state, proposals, weights, total_clients)
+
+    monkeypatch.setattr(federation, "aggregate", recording)
+    run_training(clients, state, cfg)
+    assert seen == [[11 / 68, 19 / 68, 38 / 68]] * 2
+    seen.clear()
+    run_training(clients[1:2], state, cfg)
+    federation.local_baseline(clients, state, cfg)
+    assert seen == [[1.0]] * 8
+
+
 def test_messages_name_the_clients_by_their_ids():
     """Client ids need not be positions, as in a dataset directory that
     lacks some client."""
@@ -689,7 +719,7 @@ def test_unselected_clients_hold_no_adam_moments():
     for c in never:
         for opt in (c.phi_opt, c.head_opt):
             assert opt.t == 0 and opt.m == opt.v == []
-        fresh = make_client(c.data, state.anchors.n_classes, 6, 8, cfg.lr, c.weight,
+        fresh = make_client(c.data, state.anchors.n_classes, 6, 8,
                             stream(cfg.seed, federation.TAG_INIT, 1, c.data.client_id))
         for got, ref in zip(c.phi.params() + c.head.params(),
                             fresh.phi.params() + fresh.head.params(), strict=True):
@@ -870,4 +900,3 @@ class TestAggregate:
         assert out.anchors.factors is not state.anchors.factors
         expected = local.anchors.factors if cov_learnable else state.anchors.factors
         np.testing.assert_array_equal(out.anchors.factors, expected)
-        assert out.round == state.round + 1

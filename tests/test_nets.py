@@ -417,8 +417,8 @@ class TestAdam:
     def test_zero_gradient_keeps_params(self):
         rng = np.random.default_rng(10)
         params = [rng.standard_normal((3, 2)), rng.standard_normal(2)]
-        state = AdamState(lr=0.05)
-        new = adam_step(state, params, [np.zeros((3, 2)), np.zeros(2)])
+        state = AdamState()
+        new = adam_step(state, params, [np.zeros((3, 2)), np.zeros(2)], 0.05)
         for p, q in zip(params, new):
             np.testing.assert_array_equal(p, q)
         assert state.t == 1
@@ -426,30 +426,31 @@ class TestAdam:
     def test_first_step_magnitude_is_learning_rate(self):
         params = [np.zeros(4)]
         g = np.array([0.3, -2.0, 5.0, -0.01])
-        state = AdamState(lr=0.01)
-        new = adam_step(state, params, [g])
+        state = AdamState()
+        new = adam_step(state, params, [g], 0.01)
         np.testing.assert_allclose(new[0], -0.01 * np.sign(g), rtol=1e-6)
 
     def test_quadratic_convergence(self):
         target = np.array([1.5, -0.5, 2.0])
         scales = np.array([1.0, 4.0, 0.5])
         x = [np.zeros(3)]
-        state = AdamState(lr=0.01)
+        state = AdamState()
         for _ in range(5000):
             g = scales * (x[0] - target)
-            x = adam_step(state, x, [g])
+            x = adam_step(state, x, [g], 0.01)
         assert np.max(np.abs(x[0] - target)) < 1e-4
 
     def test_first_step_creates_the_zero_moments(self):
         rng = np.random.default_rng(11)
         params = [rng.standard_normal((3, 2)), rng.standard_normal(2)]
         grads = [rng.standard_normal((3, 2)), rng.standard_normal(2)]
-        lazy = AdamState(lr=0.05)
+        lazy = AdamState()
         assert lazy.m == lazy.v == []
-        explicit = AdamState(lr=0.05, m=[np.zeros_like(p) for p in params],
+        explicit = AdamState(m=[np.zeros_like(p) for p in params],
                              v=[np.zeros_like(p) for p in params])
         for _ in range(2):
-            got, ref = adam_step(lazy, params, grads), adam_step(explicit, params, grads)
+            got = adam_step(lazy, params, grads, 0.05)
+            ref = adam_step(explicit, params, grads, 0.05)
             for a, b in zip(got + lazy.m + lazy.v, ref + explicit.m + explicit.v):
                 np.testing.assert_array_equal(a, b)
             params = got
@@ -457,6 +458,6 @@ class TestAdam:
 
     def test_shape_mismatch(self):
         params = [np.zeros(3)]
-        state = AdamState(lr=0.1)
+        state = AdamState()
         with pytest.raises(ValueError):
-            adam_step(state, params, [np.zeros(4)])
+            adam_step(state, params, [np.zeros(4)], 0.1)
