@@ -15,10 +15,10 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, build_config, parse_config
+from .config import MODES, ConfigError, build_config, parse_config
 from .datagen import load_clients
 from .experiment import run_command, write_dataset
-from .federation import DivergenceError, client_accuracy, onboard_new_client
+from .federation import DivergenceError, GlobalState, client_accuracy, onboard_new_client
 from .reporting import load_checkpoint
 
 EXIT_OK = 0
@@ -31,9 +31,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="path to a flat JSON config file")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", help="override the output directory")
-    parser.add_argument(
-        "--mode", choices=["flic", "local", "theory"], help="override the run mode"
-    )
+    parser.add_argument("--mode", choices=MODES, help="override the run mode")
 
 
 def _load_config(args: argparse.Namespace):
@@ -55,7 +53,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    state, models = load_checkpoint(args.checkpoint)
+    alpha, _, models = load_checkpoint(args.checkpoint)
     datasets, _ = load_clients(args.data)
     by_id = {ds.client_id: ds for ds in datasets}
     accs = {}
@@ -74,7 +72,7 @@ def _cmd_eval(args) -> int:
                 f"client {cid}: dataset features have dimension {data.dim}, "
                 f"the checkpoint's embedding takes {phi.input_dim}"
             )
-        accs[cid] = client_accuracy(phi, head, state.alpha, data)
+        accs[cid] = client_accuracy(phi, head, alpha, data)
     for cid, acc in accs.items():
         print(f"client {cid}: accuracy {acc:.4f}")
     print(f"mean_accuracy {float(np.mean(list(accs.values()))):.4f}")
@@ -85,20 +83,21 @@ def _cmd_onboard(args) -> int:
     cfg = _load_config(args)
     if args.rounds is not None and args.rounds < 0:
         raise ConfigError(f"--rounds: must be >= 0, got {args.rounds}")
-    state, _ = load_checkpoint(args.checkpoint)
+    alpha, anchors, _ = load_checkpoint(args.checkpoint)
     datasets, _ = load_clients(args.data)
     by_id = {ds.client_id: ds for ds in datasets}
     if args.client_id not in by_id:
         raise ConfigError(f"client {args.client_id} not present in dataset")
     data = by_id[args.client_id]
-    n_classes = state.anchors.n_classes
+    n_classes = anchors.n_classes
     if data.classes[-1] >= n_classes:
         raise ConfigError(
             f"client {args.client_id} holds classes {data.classes.tolist()}, "
             f"outside the checkpoint's {n_classes} anchor classes"
         )
-    client = onboard_new_client(data, state, cfg.training, cfg.hidden_dim, rounds=args.rounds)
-    acc = client_accuracy(client.phi, client.head, state.alpha, data)
+    client = onboard_new_client(data, GlobalState(alpha, anchors), cfg.training, cfg.hidden_dim,
+                                rounds=args.rounds)
+    acc = client_accuracy(client.phi, client.head, alpha, data)
     print(f"onboarded client {args.client_id}: accuracy {acc:.4f}")
     return EXIT_OK
 

@@ -1,16 +1,17 @@
 """Federated training protocol with latent anchor alignment.
 
-One communication round: the server samples an active client subset,
-broadcasts the shared representation layer and the anchor set; each
-active client runs M Adam steps on its private embedding and head, then
-takes a single plain gradient step each on the shared layer and on the
-anchors it holds. Each loss term is one function returning its loss and
-gradient: :func:`data_term`, :func:`flic.nets.alignment_loss_grad` (W2
-to the anchors, weight ``lambda1``) and :func:`anchor_term` (the head on
-anchor samples, weight ``lambda2``). A local step composes all three;
-the shared-layer step leaves out the W2 term, which reads only the
-embedding, and the anchors take its gradient in
-:func:`flic.anchors.local_anchor_update`.
+One communication round: the server samples an active client subset
+(:func:`flic.rng.select_active_clients`, the draw the theory harness
+makes too), broadcasts the shared representation layer and the anchor
+set; each active client runs M Adam steps on its private embedding and
+head, then takes a single plain gradient step each on the shared layer
+and on the anchors it holds. Each loss term is one function returning
+its loss and gradient: :func:`data_term`,
+:func:`flic.nets.alignment_loss_grad` (W2 to the anchors, weight
+``lambda1``) and :func:`anchor_term` (the head on anchor samples, weight
+``lambda2``). A local step composes all three; the shared-layer step
+leaves out the W2 term, which reads only the embedding, and the anchors
+take its gradient in :func:`flic.anchors.local_anchor_update`.
 
 A client round makes one anchor draw, first on its stream: samples of
 every held class as one stacked array, shared by the M local steps and
@@ -61,15 +62,13 @@ from .nets import (
     alignment_loss_grad,
 )
 from .reporting import MetricsRecord
-from .rng import stream
+from .rng import select_active_clients, stream
 
 __all__ = [
     "ClientState",
     "GlobalState",
     "RoundConfig",
     "DivergenceError",
-    "active_count",
-    "select_active_clients",
     "shared_arrays",
     "client_local_round",
     "aggregate",
@@ -173,28 +172,6 @@ def make_client(
     head = build_head(latent_dim, n_classes, rng)
     return ClientState(data=dataset, phi=phi, head=head, phi_opt=AdamState(),
                        head_opt=AdamState())
-
-
-def active_count(b: int, rate: float) -> int:
-    """The size of an active set: ``max(1, floor(rate * b))``, the floor
-    taken of the rate as written. The float product can fall just short of
-    a whole number (``0.29 * 100`` is 28.999999999999996), so its floor is
-    raised by one when ``(floor + 1) / b`` rounds to ``rate`` or below:
-    0.29 of 100 clients is 29, and a rate of ``m / b`` gives ``m``."""
-    if b < 1:
-        raise ValueError("need at least one client")
-    m = math.floor(rate * b)
-    if (m + 1) / b <= rate:
-        m += 1
-    return max(1, m)
-
-
-def select_active_clients(b: int, rate: float, rng) -> np.ndarray:
-    """Uniform subset of ``max(1, floor(rate * b))`` clients, sorted, drawn
-    without replacement. The floor is of the rate as written, so 0.29 of
-    100 clients selects 29 though ``0.29 * 100`` is just below 29 in
-    floating point (see :func:`active_count`)."""
-    return np.sort(rng.choice(b, size=active_count(b, rate), replace=False))
 
 
 def data_term(phi, alpha, head, X, y):

@@ -141,16 +141,19 @@ def save_checkpoint(out_dir, global_state, clients) -> None:
 
 
 def load_checkpoint(ckpt_dir):
-    """Rebuild (GlobalState, {client_id: (phi, head, classes)}). Keys of
-    ``meta.json`` that it does not read, such as an older checkpoint's
-    ``round`` and per-client ``weight``, are ignored."""
-    from .federation import GlobalState
-
+    """Rebuild ``(alpha, anchors, {client_id: (phi, head, classes)})``:
+    the shared layer, the anchor set and each client's models. A client
+    id listed twice in ``meta.json`` is malformed. Keys of ``meta.json``
+    that it does not read, such as an older checkpoint's ``round`` and
+    per-client ``weight``, are ignored."""
     root = Path(ckpt_dir)
     with malformed_file(root / "meta.json"):
         meta = json.loads((root / "meta.json").read_text())
         if not meta["clients"]:
             raise ValueError("the checkpoint lists no clients")
+        ids = [entry["id"] for entry in meta["clients"]]
+        if len(set(ids)) != len(ids):
+            raise ValueError("a client id is listed twice")
     with malformed_file(root / "arrays.npz", root / "meta.json"), \
             np.load(root / "arrays.npz") as arrays:
         alpha = _load_mlp("alpha", meta["alpha_activations"], arrays)
@@ -177,4 +180,4 @@ def load_checkpoint(ckpt_dir):
                     f"and {n_classes} classes"
                 )
             clients[cid] = (phi, head, entry["classes"])
-    return GlobalState(alpha, anchors), clients
+    return alpha, anchors, clients

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .federation import active_count, select_active_clients
-from .rng import stream
+from .rng import active_count, select_active_clients, stream
 
 __all__ = [
     "TheoryConfig",
@@ -52,13 +51,13 @@ _EIG_FLOOR = 1e-12
 _SUBSET_SAMPLES = 50  # active subsets probed for the step-size cap
 
 
-def _positive_qr(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR of ``M`` with ``Q``'s columns signed so that ``R`` has a
-    nonnegative diagonal; returns ``(Q, R)``, ``R`` as computed."""
+def _positive_qr(M: np.ndarray) -> np.ndarray:
+    """The ``Q`` of a thin QR of ``M``, its columns signed so that ``R``
+    has a nonnegative diagonal."""
     Q, R = np.linalg.qr(M)
     s = np.sign(np.diag(R))
     s[s == 0] = 1.0
-    return Q * s, R
+    return Q * s
 
 
 @dataclass(frozen=True)
@@ -177,7 +176,7 @@ def _sigma_max_sq_cap(betas_star, active_size, rng) -> float:
 def _draw_oracle(rng, config: TheoryConfig):
     """The shared draws: ``(A_star, betas_star, sign_star, sign_hat)``."""
     k, d = config.latent_dim, config.head_dim
-    A_star = _positive_qr(rng.standard_normal((k, d)))[0]
+    A_star = _positive_qr(rng.standard_normal((k, d)))
     betas = rng.standard_normal((config.clients, d))
     betas_star = np.sqrt(d) * betas / np.linalg.norm(betas, axis=1, keepdims=True)
     sign_star = rng.integers(0, 2, size=k) * 2.0 - 1.0
@@ -190,7 +189,7 @@ def _draw_client(rng, config: TheoryConfig):
     X_train, X_test)``, the raw sets from ``N(mean, P diag(vals) P^T)``."""
     k_i = int(rng.integers(config.raw_dim_min, config.raw_dim_max + 1))
     m_i = rng.standard_normal(k_i)
-    P_i = _positive_qr(rng.standard_normal((k_i, k_i)))[0]
+    P_i = _positive_qr(rng.standard_normal((k_i, k_i)))
     vals = np.sort(rng.uniform(0.5, 2.0, size=k_i))[::-1]  # at least 0.5: never degenerate
 
     def draw(n):
@@ -283,7 +282,7 @@ def fedrep_linear_round(inst: TheoryInstance, A: np.ndarray, active):
     betas = solve_head(inst, idx, A)
     resid = inst.moment[idx] - (inst.gram[idx] @ A @ betas[:, :, None])[:, :, 0]
     grads = -(2.0 / inst.n_train) * resid[:, :, None] * betas[:, None, :]
-    return _positive_qr(A - inst.step_size * grads.mean(axis=0))[0], betas
+    return _positive_qr(A - inst.step_size * grads.mean(axis=0)), betas
 
 
 def principal_angle_dist(M, N) -> float:

@@ -421,6 +421,11 @@ def _damage(kind, data, ckpt):
         meta = json.loads((ckpt / "meta.json").read_text())
         (ckpt / "meta.json").write_text(json.dumps({**meta, "clients": []}))
         return ckpt / "meta.json"
+    if kind == "meta client listed twice":
+        meta = json.loads((ckpt / "meta.json").read_text())
+        meta["clients"][1] = meta["clients"][0]
+        (ckpt / "meta.json").write_text(json.dumps(meta))
+        return ckpt / "meta.json"
     if kind == "meta not JSON":
         (ckpt / "meta.json").write_text('{"round": 1,')
         return ckpt / "meta.json"
@@ -463,6 +468,7 @@ def _damage(kind, data, ckpt):
         ("eval", "anchors at latent 4"),
         ("eval", "manifest with no clients"),
         ("eval", "meta with no clients"),
+        ("eval", "meta client listed twice"),
         ("run", "manifest not JSON"),
         ("run", "client 0 with no rows"),
         ("run", "manifest with no clients"),
@@ -470,6 +476,7 @@ def _damage(kind, data, ckpt):
         ("onboard", "meta not JSON"),
         ("onboard", "manifest with no clients"),
         ("onboard", "meta with no clients"),
+        ("onboard", "meta client listed twice"),
         ("onboard", "client 0 with no rows"),
         ("onboard", "head with 3 input rows"),
         ("onboard", "anchors at latent 4"),

@@ -14,7 +14,6 @@ from flic.federation import (
     DivergenceError,
     GlobalState,
     RoundConfig,
-    active_count,
     aggregate,
     anchor_term,
     client_local_round,
@@ -22,7 +21,6 @@ from flic.federation import (
     evaluate,
     make_client,
     run_training,
-    select_active_clients,
     shared_arrays,
 )
 from flic.config import build_config
@@ -36,7 +34,7 @@ from flic.nets import (
     cross_entropy,
     forward,
 )
-from flic.rng import stream
+from flic.rng import active_count, select_active_clients, stream
 
 from helpers import fd_grad, pack, rel_err, unpack
 

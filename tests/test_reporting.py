@@ -31,7 +31,8 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     state, clients = saved_run(np.random.default_rng(0))
     first, second = tmp_path / "first", tmp_path / "second"
     save_checkpoint(first, state, clients)
-    loaded, models = load_checkpoint(first)
+    alpha, anchors, models = load_checkpoint(first)
+    loaded = GlobalState(alpha, anchors)
     for client in clients:
         phi, head, classes = models[client.data.client_id]
         client.phi, client.head = phi, head
@@ -57,14 +58,16 @@ def test_checkpoint_with_round_and_client_weights_still_loads(tmp_path):
     classes, its extra keys ignored."""
     state, clients = saved_run(np.random.default_rng(1))
     save_checkpoint(tmp_path, state, clients)
-    ref_state, ref_models = load_checkpoint(tmp_path)
+    ref_alpha, ref_anchors, ref_models = load_checkpoint(tmp_path)
+    ref_state = GlobalState(ref_alpha, ref_anchors)
     meta = json.loads((tmp_path / "meta.json").read_text())
     meta = {"round": 7, **meta}
     for entry, weight in zip(meta["clients"], (0.25, 0.75), strict=True):
         entry["weight"] = weight
     (tmp_path / "meta.json").write_text(json.dumps(meta, indent=2))
 
-    loaded, models = load_checkpoint(tmp_path)
+    alpha, anchors, models = load_checkpoint(tmp_path)
+    loaded = GlobalState(alpha, anchors)
     assert loaded.anchors.cov_learnable and sorted(models) == [3, 8]
     for got, ref in zip(loaded.alpha.params() + [loaded.anchors.means, loaded.anchors.factors],
                         ref_state.alpha.params() + [ref_state.anchors.means,

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 import flic.theory
-from flic.federation import select_active_clients
-from flic.rng import stream
+from flic.rng import select_active_clients, stream
 from flic.theory import (
     TheoryConfig,
     fedrep_linear_round,
