@@ -1,10 +1,10 @@
 """Flat key/value experiment configuration.
 
 Config files are single flat JSON objects; every key is optional and
-falls back to a documented default. Unknown keys are rejected.
-Environment variables named ``FLIC_<KEY>`` (uppercased) override file
-values; command-line flags override both. ``serialize_config`` followed
-by ``parse_config`` is the identity.
+falls back to a documented default. Unknown keys are rejected, and
+command-line flags override file values; nothing else sets a value.
+``serialize_config`` followed by ``parse_config`` is the identity, so
+the ``config.json`` a run writes repeats it.
 
 ``ExperimentConfig`` holds the top-level settings and the three
 component configs a run uses: the round schedule and loss weights
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -35,8 +34,6 @@ from .federation import RoundConfig
 from .theory import TheoryConfig
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "serialize_config"]
-
-ENV_PREFIX = "FLIC_"
 
 MODES = ("flic", "local", "theory")
 
@@ -116,22 +113,6 @@ def _coerce(key: str, value):
     return value
 
 
-def _parse_env(key: str, raw: str):
-    """The value of ``FLIC_<KEY>`` as the Python value ``_coerce`` checks."""
-    target_type = _TYPES[key]
-    if target_type is bool:
-        low = raw.strip().lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"{key}: cannot parse boolean from {raw!r}")
-    try:
-        return target_type(raw) if target_type in (int, float) else raw
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-
-
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     """Top-level checks; each component checks its own fields."""
     if cfg.mode not in MODES:
@@ -172,32 +153,19 @@ def _lead_with_a_set_key(message: str, values: dict) -> str:
     return f"{min(named)[1]}: {message}" if named else message
 
 
-def build_config(
-    values: dict, apply_env: bool = True, overrides: dict | None = None
-) -> ExperimentConfig:
-    """Validate a flat dict of values against the documented keys.
-
-    ``FLIC_<KEY>`` environment variables (when ``apply_env``) take
-    precedence over ``values``, and ``overrides`` (command-line flags)
-    over both.
-    """
+def build_config(values: dict, overrides: dict | None = None) -> ExperimentConfig:
+    """Validate a flat dict of values against the documented keys;
+    ``overrides`` (command-line flags) take precedence over ``values``."""
     overrides = overrides or {}
     unknown = sorted((set(values) | set(overrides)) - set(_TYPES))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     merged = {key: _coerce(key, value) for key, value in values.items()}
-    if apply_env:
-        for key in _TYPES:
-            raw = os.environ.get(ENV_PREFIX + key.upper())
-            if raw is not None:
-                merged[key] = _coerce(key, _parse_env(key, raw))
     merged.update((key, _coerce(key, value)) for key, value in overrides.items())
     return _assemble(merged)
 
 
-def parse_config(
-    path, apply_env: bool = True, overrides: dict | None = None
-) -> ExperimentConfig:
+def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
     """Load a config file; an empty file means all defaults."""
     p = Path(path)
     if not p.is_file():
@@ -209,7 +177,7 @@ def parse_config(
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(values, dict):
         raise ConfigError("config must be a flat JSON object")
-    return build_config(values, apply_env=apply_env, overrides=overrides)
+    return build_config(values, overrides=overrides)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

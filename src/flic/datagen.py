@@ -23,7 +23,8 @@ clients' arrays of that name joined end to end in manifest order, the
 feature arrays raveled because every client has its own width, dtypes
 kept. ``manifest.json`` lists the client ids, the class count and, under
 ``sizes``, each client's ``train_rows``, ``test_rows`` and feature
-``width``, which cut the members back into clients.
+``width``, which cut the members back into clients. ``flic datagen``
+also writes the ``config.json`` it resolved next to them.
 """
 
 from __future__ import annotations

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, serialize_config
 from .datagen import PoolTooSmallError, generate, load_clients, save_clients
 from .federation import (
     TAG_INIT,
@@ -28,6 +29,9 @@ from .rng import stream
 from .theory import run_theory_experiment
 
 __all__ = ["build_federation", "load_or_generate", "run_command"]
+
+# Recorded in every summary.json: the interpreter and numpy a run used.
+VERSIONS = {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__}
 
 
 def _generate(cfg: ExperimentConfig):
@@ -62,9 +66,14 @@ def build_federation(datasets, n_classes: int, cfg: ExperimentConfig):
 
 
 def run_command(cfg: ExperimentConfig) -> int:
-    """Dispatch on config.mode, write all outputs, return the exit code."""
+    """Dispatch on config.mode, write all outputs, return the exit code.
+
+    ``config.json``, the resolved config, is written first, before any
+    data or round: ``flic run --config <out>/config.json`` repeats the run.
+    """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "config.json").write_text(serialize_config(cfg))
 
     if cfg.mode == "theory":
         _, rows = run_theory_experiment(cfg.theory)
@@ -76,6 +85,7 @@ def run_command(cfg: ExperimentConfig) -> int:
                 "rounds": cfg.theory.rounds,
                 "final_dist": rows[-1][1],
                 "final_mse": rows[-1][2],
+                **VERSIONS,
             },
             out / "summary.json",
         )
@@ -102,6 +112,7 @@ def run_command(cfg: ExperimentConfig) -> int:
         "mean_accuracy": float(np.mean(list(accs.values()))),
         "min_accuracy": min(accs.values()),
         "max_accuracy": max(accs.values()),
+        **VERSIONS,
     }
     for direction in ("down", "up"):
         sizes = [m["nbytes"] for m in log if m["direction"] == direction]
@@ -111,7 +122,9 @@ def run_command(cfg: ExperimentConfig) -> int:
 
 
 def write_dataset(cfg: ExperimentConfig) -> int:
-    """Generate the config's toy dataset and save it to ``cfg.out_dir``."""
+    """Generate the config's toy dataset and save it to ``cfg.out_dir``,
+    with the resolved config as ``config.json`` next to ``manifest.json``:
+    ``flic datagen --config <out>/config.json`` writes the same dataset."""
     datasets = _generate(cfg)
     save_clients(
         datasets,
@@ -119,6 +132,7 @@ def write_dataset(cfg: ExperimentConfig) -> int:
         cfg.data.n_classes,
         extra={"variant": cfg.data.variant, "seed": cfg.seed},
     )
+    (Path(cfg.out_dir) / "config.json").write_text(serialize_config(cfg))
     sizes = np.asarray([ds.n_samples for ds in datasets])
     print(
         f"wrote {len(datasets)} clients to {cfg.out_dir} "

@@ -143,8 +143,7 @@ class ClientState:
     data: ClientDataset
     phi: Mlp
     head: Mlp
-    phi_opt: AdamState
-    head_opt: AdamState
+    opt: AdamState  # one Adam over phi's parameters, then head's
 
 
 @dataclass
@@ -170,8 +169,7 @@ def make_client(
 ) -> ClientState:
     phi = build_embedding(dataset.dim, latent_dim, hidden_dim, rng)
     head = build_head(latent_dim, n_classes, rng)
-    return ClientState(data=dataset, phi=phi, head=head, phi_opt=AdamState(),
-                       head_opt=AdamState())
+    return ClientState(data=dataset, phi=phi, head=head, opt=AdamState())
 
 
 def data_term(phi, alpha, head, X, y):
@@ -297,8 +295,10 @@ def _local_steps(client, alpha, anchors, cfg, rng, round_idx, samples):
         Xb, yb = _draw_batch(rng, data, cfg.batch_size)
         loss, g_phi, g_head = _local_step_grads(phi, alpha, head, Xb, yb, anchors, samples, cfg,
                                                 (data.client_id, round_idx, m))
-        phi.set_params(adam_step(client.phi_opt, phi.params(), g_phi, cfg.lr))
-        head.set_params(adam_step(client.head_opt, head.params(), g_head, cfg.lr))
+        stepped = adam_step(client.opt, phi.params() + head.params(), g_phi + g_head, cfg.lr)
+        n_phi = len(phi.params())
+        phi.set_params(stepped[:n_phi])
+        head.set_params(stepped[n_phi:])
         losses.append(loss)
     return losses
 
@@ -311,7 +311,7 @@ def client_local_round(client: ClientState, global_state: GlobalState, cfg: Roun
     held classes, through the shared layer once (:func:`_draw_samples`).
     M local steps on :func:`data_term`,
     :func:`flic.nets.alignment_loss_grad` and :func:`anchor_term` then
-    update the client's (phi, head) and Adam states in place. Last, on
+    update the client's (phi, head) and Adam state in place. Last, on
     a fresh batch at the final local parameters, one plain gradient step
     on the shared layer, from the data and anchor-sample terms, and one
     on the held anchors by :func:`flic.anchors.local_anchor_update`,

@@ -44,9 +44,7 @@ def test_theory_sample_counts_below_one_exit_with_config_code(values, tmp_path, 
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
-def _run(values, tmp_path, monkeypatch, env=None):
-    for key, value in (env or {}).items():
-        monkeypatch.setenv(key, value)
+def _run(values, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(values))
     return cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
@@ -56,36 +54,35 @@ SMALL_FLIC = {"rounds": 1, "clients": 20, "samples_per_class": 50}
 
 
 @pytest.mark.parametrize(
-    "values,env,key",
+    "values,key",
     [
-        ({**SMALL_FLIC, "lr": float("nan")}, {}, "lr"),
-        ({**SMALL_FLIC, "lr": float("inf")}, {}, "lr"),
-        (SMALL_FLIC, {"FLIC_LR": "nan"}, "lr"),
-        (SMALL_FLIC, {"FLIC_LAMBDA1": "-inf"}, "lambda1"),
-        ({"mode": "theory", "theory_step_size": float("nan"), "theory_rounds": 3}, {},
+        ({**SMALL_FLIC, "lr": float("nan")}, "lr"),
+        ({**SMALL_FLIC, "lr": float("inf")}, "lr"),
+        ({**SMALL_FLIC, "lambda1": float("-inf")}, "lambda1"),
+        ({"mode": "theory", "theory_step_size": float("nan"), "theory_rounds": 3},
          "theory_step_size"),
     ],
 )
-def test_non_finite_numbers_exit_with_config_code(values, env, key, tmp_path, monkeypatch, capsys):
-    assert _run(values, tmp_path, monkeypatch, env) == cli.EXIT_CONFIG
+def test_non_finite_numbers_exit_with_config_code(values, key, tmp_path, capsys):
+    assert _run(values, tmp_path) == cli.EXIT_CONFIG
     assert re.search(rf"config error: {key}: expected a finite number", capsys.readouterr().err)
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
 @pytest.mark.parametrize("step", [0, -1])
-def test_non_positive_theory_step_exits_with_config_code(step, tmp_path, monkeypatch, capsys):
+def test_non_positive_theory_step_exits_with_config_code(step, tmp_path, capsys):
     values = {"mode": "theory", "theory_step_size": step, "theory_rounds": 3}
-    assert _run(values, tmp_path, monkeypatch) == cli.EXIT_CONFIG
+    assert _run(values, tmp_path) == cli.EXIT_CONFIG
     assert "step_size must be > 0" in capsys.readouterr().err
 
 
-def test_workers_other_than_one_exit_with_config_code(tmp_path, monkeypatch, capsys):
-    assert _run({**SMALL_FLIC, "workers": 2}, tmp_path, monkeypatch) == cli.EXIT_CONFIG
+def test_workers_other_than_one_exit_with_config_code(tmp_path, capsys):
+    assert _run({**SMALL_FLIC, "workers": 2}, tmp_path) == cli.EXIT_CONFIG
     assert "one after another" in capsys.readouterr().err
 
 
-def test_anchor_init_scale_is_an_unknown_key(tmp_path, monkeypatch, capsys):
-    assert _run({**SMALL_FLIC, "anchor_init_scale": 1.0}, tmp_path, monkeypatch) == cli.EXIT_CONFIG
+def test_anchor_init_scale_is_an_unknown_key(tmp_path, capsys):
+    assert _run({**SMALL_FLIC, "anchor_init_scale": 1.0}, tmp_path) == cli.EXIT_CONFIG
     assert "unknown config keys: anchor_init_scale" in capsys.readouterr().err
     assert not (tmp_path / "out" / "summary.json").exists()
 
@@ -105,9 +102,9 @@ def test_workers_flag_is_gone(capsys):
     ],
 )
 def test_unrunnable_data_and_theory_shapes_exit_with_config_code(
-    values, name, tmp_path, monkeypatch, capsys
+    values, name, tmp_path, capsys
 ):
-    assert _run(values, tmp_path, monkeypatch) == cli.EXIT_CONFIG
+    assert _run(values, tmp_path) == cli.EXIT_CONFIG
     assert re.search(rf"config error: .*\b{name}\b", capsys.readouterr().err)
     assert not (tmp_path / "out" / "summary.json").exists()
 
@@ -138,14 +135,14 @@ def test_single_row_class_slices_exit_with_config_code(command, tmp_path, capsys
 
 
 @pytest.mark.parametrize(
-    "argv,env",
-    [(["run", "--seed", "-1", "--mode", mode], {}) for mode in ("flic", "local", "theory")]
-    + [(["run"], {"FLIC_SEED": "-1"}), (["datagen", "--seed", "-1"], {})],
-    ids=["run-flic", "run-local", "run-theory", "run-env", "datagen"],
+    "argv",
+    [["run", "--seed", "-1", "--mode", mode] for mode in ("flic", "local", "theory")]
+    + [["run", "--config", "seed.json"], ["datagen", "--seed", "-1"]],
+    ids=["run-flic", "run-local", "run-theory", "run-file", "datagen"],
 )
-def test_negative_seed_exits_with_config_code(argv, env, tmp_path, monkeypatch, capsys):
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
+def test_negative_seed_exits_with_config_code(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("seed.json").write_text(json.dumps({"seed": -1}))
     out = tmp_path / "out"
     assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: seed: must be >= 0")
@@ -216,7 +213,7 @@ def test_training_never_imports_numpy_ma(mode, tmp_path):
         "clients": 20, "samples_per_class": 20, "rounds": 1, "participation": 0.25,
         "latent_dim": 6, "hidden_dim": 8, "local_steps": 2,
     }))
-    env = {k: v for k, v in os.environ.items() if not k.startswith("FLIC_")}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(flic.__file__).parents[1]), env.get("PYTHONPATH")])
     )
@@ -259,11 +256,25 @@ def trained(tmp_path):
 
 
 
+def _run_outputs(out, *named_dirs):
+    """Every file of an output directory by path, ``metrics.csv``
+    without its ``wall_ms`` column and ``config.json`` without
+    ``out_dir`` and the other ``named_dirs`` keys, which differ between
+    runs of one config."""
+    files = _file_bytes(out)
+    config = json.loads(files.pop(Path("config.json")))
+    files["config"] = {k: v for k, v in config.items() if k not in ("out_dir", *named_dirs)}
+    if Path("metrics.csv") in files:
+        rows = [line.split(",") for line in files.pop(Path("metrics.csv")).decode().splitlines()]
+        wall = rows[0].index("wall_ms")
+        files["metrics"] = [row[:wall] + row[wall + 1:] for row in rows]
+    return files
+
+
 @pytest.mark.parametrize("mode", ["flic", "local"])
 def test_a_reversed_manifest_writes_the_same_outputs(mode, tmp_path):
     """The run depends on the set of clients, not on the order in which
-    the manifest lists them; ``metrics.csv`` is compared without its
-    ``wall_ms`` column."""
+    the manifest lists them."""
     data, reversed_data = tmp_path / "data", tmp_path / "reversed"
     config = _datagen(TINY, data, tmp_path)
     datasets, n_classes = load_clients(data)
@@ -274,13 +285,46 @@ def test_a_reversed_manifest_writes_the_same_outputs(mode, tmp_path):
         out = tmp_path / f"out_{source.name}"
         assert cli.main(["run", "--config", str(config), "--mode", mode, "--out", str(out)]) \
             == cli.EXIT_OK
-        files = _file_bytes(out)
-        metrics = files.pop(Path("metrics.csv")).decode().splitlines()
-        wall = metrics[0].split(",").index("wall_ms")
-        files["metrics"] = [line.split(",")[:wall] + line.split(",")[wall + 1:]
-                            for line in metrics]
-        outputs.append(files)
+        outputs.append(_run_outputs(out, "dataset_path"))
     assert outputs[1] == outputs[0]
+
+
+TINY_THEORY = {"theory_rounds": 3, "theory_clients": 8, "theory_samples": 100,
+               "theory_test_samples": 3}
+RUN_FILES = {
+    "flic": {"summary.json", "messages.log", "metrics.csv", "checkpoint/arrays.npz",
+             "checkpoint/meta.json"},
+    "local": {"summary.json", "messages.log", "metrics.csv"},
+    "theory": {"summary.json", "trace.csv"},
+}
+
+
+@pytest.mark.parametrize("mode", ["flic", "local", "theory"])
+def test_a_run_repeats_from_the_config_it_wrote(mode, tmp_path):
+    """``flic run --config <out>/config.json`` writes every output again,
+    byte for byte, flags of the first run included; the two
+    ``config.json`` files differ only in ``out_dir``."""
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps({**TINY, **TINY_THEORY}))
+    first, again = tmp_path / "first", tmp_path / "again"
+    argv = ["run", "--config", str(config), "--mode", mode, "--seed", "3", "--out", str(first)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert cli.main(["run", "--config", str(first / "config.json"), "--out", str(again)]) \
+        == cli.EXIT_OK
+    assert {str(p) for p in _file_bytes(first)} == RUN_FILES[mode] | {"config.json"}
+    assert _run_outputs(again) == _run_outputs(first)
+    written = json.loads((first / "config.json").read_text())
+    assert (written["mode"], written["seed"], written["out_dir"]) == (mode, 3, str(first))
+
+
+def test_a_dataset_repeats_from_the_config_it_wrote(tmp_path):
+    first, again = tmp_path / "first", tmp_path / "again"
+    _datagen(TINY, first, tmp_path)
+    argv = ["datagen", "--config", str(first / "config.json"), "--out", str(again)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert _run_outputs(again) == _run_outputs(first)
+    assert {str(p) for p in _file_bytes(first)} == {"arrays.npz", "manifest.json", "config.json"}
+
 
 def test_onboard_negative_rounds_exits_with_config_code(trained, capsys):
     config, data, ckpt = trained

@@ -1,9 +1,10 @@
 """The flat config format: keys and defaults, round trip, precedence of
-file, environment and flags, and the rejection of invalid values."""
+file and flags, and the rejection of invalid values."""
 
 import json
 import math
 import re
+import shutil
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -69,7 +70,7 @@ def flat(cfg) -> dict:
 
 
 def test_defaults_are_the_documented_keys_and_values():
-    doc = flat(build_config({}, apply_env=False))
+    doc = flat(build_config({}))
     assert len(DEFAULTS) == 42
     assert doc == DEFAULTS
     # types too: 1e-06 == 1e-6 either way, but 1 == 1.0 would hide a float
@@ -80,20 +81,20 @@ def test_readme_table_lists_every_key_with_its_default():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     rows = re.findall(r"^\| `(\w+)` \| `([^`]+)` \|", readme, flags=re.MULTILINE)
     table = {key: json.loads(default) for key, default in rows}
-    doc = flat(build_config({}, apply_env=False))
+    doc = flat(build_config({}))
     assert len(rows) == len(table) and table == doc
     assert {k: type(v) for k, v in table.items()} == {k: type(v) for k, v in doc.items()}
 
 
 def test_serialized_defaults_are_sorted_two_space_json():
-    text = serialize_config(build_config({}, apply_env=False))
+    text = serialize_config(build_config({}))
     assert text == json.dumps(DEFAULTS, indent=2, sort_keys=True)
 
 
 def test_empty_file_means_defaults(tmp_path):
     path = tmp_path / "config.json"
     path.write_text("")
-    assert parse_config(path) == build_config({}, apply_env=False)
+    assert parse_config(path) == build_config({})
 
 
 @st.composite
@@ -176,52 +177,13 @@ def valid_values(draw):
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(valid_values())
 def test_serialize_then_parse_is_the_identity(values):
-    cfg = build_config(values, apply_env=False)
+    cfg = build_config(values)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(serialize_config(cfg))
-        assert parse_config(path, apply_env=False) == cfg
+        assert parse_config(path) == cfg
     doc = flat(cfg)
     assert {key: doc[key] for key in values} == values
-
-
-def test_environment_overrides_file_values(tmp_path, monkeypatch):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"lambda1": 0.5, "noise_dim_min": 2, "cov_learnable": False}))
-    monkeypatch.setenv("FLIC_LAMBDA1", "0.25")
-    monkeypatch.setenv("FLIC_NOISE_DIM_MIN", "3")
-    monkeypatch.setenv("FLIC_COV_LEARNABLE", "yes")
-    doc = flat(parse_config(path))
-    assert (doc["lambda1"], doc["noise_dim_min"], doc["cov_learnable"]) == (0.25, 3, True)
-    doc = flat(parse_config(path, apply_env=False))
-    assert (doc["lambda1"], doc["noise_dim_min"], doc["cov_learnable"]) == (0.5, 2, False)
-
-
-@pytest.mark.parametrize("raw", ["false", "0", "no", " False "])
-def test_false_words_in_the_environment_give_false(raw, tmp_path, monkeypatch):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"cov_learnable": True}))
-    monkeypatch.setenv("FLIC_COV_LEARNABLE", raw)
-    assert parse_config(path).cov_learnable is False
-
-
-@pytest.mark.parametrize(
-    "name, value, message",
-    [
-        ("FLIC_COV_LEARNABLE", "maybe", "cov_learnable: cannot parse boolean from 'maybe'"),
-        ("FLIC_ROUNDS", "2.5", "rounds: invalid literal for int()"),
-    ],
-)
-def test_unparsable_environment_values_exit_with_config_code(name, value, message, tmp_path,
-                                                             monkeypatch, capsys):
-    path = tmp_path / "config.json"
-    # A one-round theory run, were the value accepted.
-    path.write_text(json.dumps({"mode": "theory", "theory_rounds": 1}))
-    monkeypatch.setenv(name, value)
-    out = tmp_path / "out"
-    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
-    assert capsys.readouterr().err.startswith(f"config error: {message}")
-    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -245,33 +207,52 @@ def test_unreadable_config_file_exits_with_config_code(text, message, tmp_path, 
 
 def test_a_string_key_rejects_a_number():
     with pytest.raises(ConfigError, match=r"^variant: expected a string, got 3$"):
-        build_config({"variant": 3}, apply_env=False)
+        build_config({"variant": 3})
 
 
 # Cheap in either mode, so a precedence mistake cannot start a long run.
 SMALL_RUN = {"theory_rounds": 1, "rounds": 0, "clients": 20, "samples_per_class": 20}
 
 
-@pytest.mark.parametrize("level", ["file", "env", "flag"])
-def test_flags_override_environment_override_file(level, tmp_path, monkeypatch):
-    out = {name: tmp_path / name for name in ("file", "env", "flag")}
+@pytest.mark.parametrize("level", ["file", "flag"])
+def test_flags_override_file_values(level, tmp_path):
+    out = {name: tmp_path / name for name in ("file", "flag")}
     path = tmp_path / "config.json"
     file_mode = "theory" if level == "file" else "flic"
     path.write_text(
         json.dumps({**SMALL_RUN, "seed": 1, "out_dir": str(out["file"]), "mode": file_mode})
     )
     argv = ["run", "--config", str(path)]
-    if level in ("env", "flag"):
-        monkeypatch.setenv("FLIC_SEED", "2")
-        monkeypatch.setenv("FLIC_OUT_DIR", str(out["env"]))
-        monkeypatch.setenv("FLIC_MODE", "theory" if level == "env" else "flic")
     if level == "flag":
         argv += ["--seed", "3", "--out", str(out["flag"]), "--mode", "theory"]
     assert cli.main(argv) == cli.EXIT_OK
     summary = json.loads((out[level] / "summary.json").read_text())
-    assert summary["seed"] == {"file": 1, "env": 2, "flag": 3}[level]
+    assert summary["seed"] == {"file": 1, "flag": 3}[level]
     assert summary["mode"] == "theory"
     assert [name for name in out if (out[name] / "summary.json").exists()] == [level]
+
+
+def test_flic_environment_variables_change_nothing(tmp_path, monkeypatch):
+    """A run is set by its config file and flags alone: variables named
+    like config keys, unparsable ones too, change neither the config nor
+    a byte of the run's outputs."""
+    out = tmp_path / "out"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**SMALL_RUN, "out_dir": str(out)}))
+    env = {"FLIC_SEED": "2", "FLIC_ROUNDS": "2.5", "FLIC_COV_LEARNABLE": "maybe",
+           "FLIC_OUT_DIR": str(tmp_path / "elsewhere")}
+    configs, outputs = [], []
+    for variables in ({}, env):
+        for key, value in variables.items():
+            monkeypatch.setenv(key, value)
+        configs.append(parse_config(path))
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_OK
+        outputs.append({p.relative_to(out): p.read_bytes()
+                        for p in sorted(out.rglob("*")) if p.is_file()})
+        shutil.rmtree(out)
+    assert configs[1] == configs[0]
+    assert Path("checkpoint/arrays.npz") in outputs[0] and outputs[1] == outputs[0]
+    assert not (tmp_path / "elsewhere").exists()
 
 
 # (values, key): the config is rejected and the message starts with the
@@ -340,7 +321,7 @@ INVALID = [
 )
 def test_invalid_values_are_rejected_by_name(values, key):
     with pytest.raises(ConfigError) as info:
-        build_config(values, apply_env=False)
+        build_config(values)
     message = str(info.value)
     assert re.match(rf"(unknown config keys: )?{re.escape(key)}\b", message), message
     if key.startswith("theory_"):
@@ -360,4 +341,4 @@ def test_invalid_values_are_rejected_by_name(values, key):
 )
 def test_every_component_is_validated_in_every_mode(values):
     with pytest.raises(ConfigError):
-        build_config(values, apply_env=False)
+        build_config(values)

@@ -433,7 +433,7 @@ class TestAlphaEpochDivergence:
         with pytest.raises(DivergenceError) as info:
             client_local_round(client, state, cfg, round_idx=2)
         err = info.value
-        assert len(calls) == 2 and client.phi_opt.t == 1
+        assert len(calls) == 2 and client.opt.t == 1
         assert (err.client_id, err.round_idx, err.step, err.term) == (3, 2, 1, "data")
 
     @pytest.mark.parametrize("step", [0, 3])
@@ -553,7 +553,8 @@ class TestAlphaEpochDivergence:
             np.testing.assert_array_equal(got, ref)
         for before, after in ((phi, client.phi), (head, client.head)):
             assert all(not np.array_equal(a, b) for a, b in zip(before.params(), after.params()))
-        assert client.phi_opt.t == client.head_opt.t == cfg.local_steps
+        assert client.opt.t == cfg.local_steps
+        assert len(client.opt.m) == len(client.phi.params()) + len(client.head.params())
         assert not np.array_equal(proposal[2], state.anchors.means)
         assert not any(p is a for p, a in zip(proposal, state.alpha.params()))
 
@@ -561,8 +562,7 @@ class TestAlphaEpochDivergence:
 def small_federation(**values):
     cfg = build_config(
         {"clients": 20, "samples_per_class": 20, "rounds": 2, "participation": 0.25,
-         "latent_dim": 6, "hidden_dim": 8, "local_steps": 2, **values},
-        apply_env=False,
+         "latent_dim": 6, "hidden_dim": 8, "local_steps": 2, **values}
     )
     return (*build_federation(*load_or_generate(cfg), cfg), cfg.training)
 
@@ -705,7 +705,7 @@ def test_messages_name_the_clients_by_their_ids():
 def test_unselected_clients_hold_no_adam_moments():
     """A client selected in no round ends at its initialization: the
     networks a fresh ``make_client`` draws from its init stream, and
-    empty Adam states."""
+    an empty Adam state."""
     clients, state, cfg = small_federation(participation=0.1)
     selected = {
         int(i) for t in range(cfg.rounds)
@@ -715,8 +715,7 @@ def test_unselected_clients_hold_no_adam_moments():
     never = [c for i, c in enumerate(clients) if i not in selected]
     assert 16 <= len(never) < len(clients)  # two of the 20 clients train per round
     for c in never:
-        for opt in (c.phi_opt, c.head_opt):
-            assert opt.t == 0 and opt.m == opt.v == []
+        assert c.opt.t == 0 and c.opt.m == c.opt.v == []
         fresh = make_client(c.data, state.anchors.n_classes, 6, 8,
                             stream(cfg.seed, federation.TAG_INIT, 1, c.data.client_id))
         for got, ref in zip(c.phi.params() + c.head.params(),

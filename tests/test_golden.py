@@ -55,7 +55,7 @@ THEORY = TheoryConfig(clients=20, samples=300, participation=1.0, rounds=300, se
 
 
 def _train(values: dict):
-    cfg = build_config(values, apply_env=False)
+    cfg = build_config(values)
     datasets, n_classes = load_or_generate(cfg)
     clients, state = build_federation(datasets, n_classes, cfg)
     return cfg, datasets, run_training(clients, state, cfg.training)
@@ -71,7 +71,7 @@ def golden_run(values: dict) -> dict:
 
 def local_golden_run(values: dict) -> dict:
     with tempfile.TemporaryDirectory() as out:
-        assert run_command(build_config({**values, "out_dir": out}, apply_env=False)) == 0
+        assert run_command(build_config({**values, "out_dir": out})) == 0
         summary = json.loads((Path(out) / "summary.json").read_text())
     return {"per_client_accuracy": summary["per_client_accuracy"]}
 
