@@ -59,6 +59,7 @@ SMALL_FLIC = {"rounds": 1, "clients": 20, "samples_per_class": 50}
         ({**SMALL_FLIC, "lr": float("nan")}, "lr"),
         ({**SMALL_FLIC, "lr": float("inf")}, "lr"),
         ({**SMALL_FLIC, "lambda1": float("-inf")}, "lambda1"),
+        ({**SMALL_FLIC, "mode": "local", "test_fraction": float("nan")}, "test_fraction"),
         ({"mode": "theory", "theory_step_size": float("nan"), "theory_rounds": 3},
          "theory_step_size"),
     ],

@@ -205,6 +205,31 @@ def test_unreadable_config_file_exits_with_config_code(text, message, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("raw", ["false", "0", "no", " False "])
+def test_false_words_in_a_file_are_rejected_not_read_as_true(raw):
+    # bool("false") is True; only a JSON boolean sets a boolean key.
+    with pytest.raises(ConfigError, match=rf"^cov_learnable: expected a boolean, got '{raw}'$"):
+        build_config({"cov_learnable": raw})
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"cov_learnable": "maybe"}, "cov_learnable: expected a boolean, got 'maybe'"),
+        ({"rounds": 2.5}, "rounds: expected an integer, got 2.5"),
+    ],
+)
+def test_unparsable_file_values_exit_with_config_code(values, message, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    # A one-round theory run, were the value accepted.
+    path.write_text(json.dumps({"mode": "theory", "theory_rounds": 1, **values}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    # config.json is written only once the config is valid.
+    assert not out.exists()
+
+
 def test_a_string_key_rejects_a_number():
     with pytest.raises(ConfigError, match=r"^variant: expected a string, got 3$"):
         build_config({"variant": 3})
